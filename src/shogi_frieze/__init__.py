@@ -10,11 +10,12 @@ from .pattern import (Form, InconsistentMotifError, ParseError, PatternError,
                       PeriodicPattern, PlacedPiece, canonicalize, dual,
                       form_of, make_pattern, occupant, parse, serialize)
 from .control import (FreeLine, NccStatus, PeriodicCellSet, RayEvent,
-                      RegionClass, Verdict, control_of_pattern, neighborhood,
-                      ncc_status, partition_neighborhood, ray_march)
+                      RegionClass, Segment, Verdict, control_of_pattern,
+                      neighborhood, ncc_status, partition_neighborhood,
+                      ray_march)
 from .symmetry import (FriezeGroup, Isometry, IsometryKind, SymmetryFlags,
                        apply, classify_frieze, detect_symmetries,
-                       generate_from_recipe, is_symmetry)
+                       generate_from_recipe, group_of, is_symmetry)
 from .search import (EXPECTED_TABLE, KIND_COLUMNS, ROW_ORDER, CrystalReport,
                      DualityExhibits, SearchBounds, SpecialFormReport,
                      find_crystal, find_duality, find_special_form,

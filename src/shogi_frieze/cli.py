@@ -9,6 +9,7 @@ carries only error messages.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -20,7 +21,8 @@ from .pieces import (KNIGHT, LANCE, SILVER, Moveset, Orientation, PieceKind,
 from .render import LAYERS, RenderSpec, render
 from .search import (KIND_COLUMNS, ROW_ORDER, SearchBounds, find_crystal,
                      fragility_check, satisfies_table)
-from .symmetry import FriezeGroup, IsometryKind, classify_frieze, detect_symmetries
+from .symmetry import (FriezeGroup, IsometryKind, classify_frieze,
+                       detect_symmetries, group_of)
 
 _VERDICT_WORD = {Verdict.COMPLETE: "complete",
                  Verdict.NEARLY_COMPLETE: "nearly",
@@ -64,7 +66,7 @@ def _verdict_line(status) -> str:
 def cmd_classify(args) -> int:
     p = _load(args.file)
     flags = detect_symmetries(p)
-    print(f"group={classify_frieze(p).label}")
+    print(f"group={group_of(flags).label}")
     for w in flags.witnesses:
         if w.kind is IsometryKind.REFLECT_H:
             print(f"h y={w.axis_y:g}")
@@ -72,6 +74,8 @@ def cmd_classify(args) -> int:
             print(f"v x={w.axis_x:g}")
         elif w.kind is IsometryKind.GLIDE_H:
             print(f"g y={w.axis_y:g} shift={w.shift[0]}")
+        elif w.kind is IsometryKind.GLIDE_V:
+            print(f"g x={w.axis_x:g} shift={w.shift[1]}")
         else:
             print(f"r center=({w.center[0]:g},{w.center[1]:g})")
     return 0
@@ -227,7 +231,10 @@ def cmd_fragility(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing leaves it
+    unchanged, so every call of ``main`` can share it."""
     ap = argparse.ArgumentParser(
         prog="shogi-frieze",
         description="Analyze periodic shogi patterns: control conditions, "

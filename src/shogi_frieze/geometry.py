@@ -45,10 +45,6 @@ def cross(c: Vec, t: Vec) -> int:
     return c[0] * t[1] - c[1] * t[0]
 
 
-def chebyshev(a: Vec, b: Vec) -> int:
-    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-
-
 def is_unit(d: Vec) -> bool:
     return d != (0, 0) and abs(d[0]) <= 1 and abs(d[1]) <= 1
 

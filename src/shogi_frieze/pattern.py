@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
-from .geometry import (Vec, add, canonical_sign, is_unit, neg, reduce_cell)
+from .geometry import (Vec, add, canonical_sign, cross, dot, is_unit, neg,
+                       reduce_cell, sub)
 from .pieces import (KIND_LETTERS, Orientation, PieceKind, moveset,
                      register_custom_kind, _REGISTRY)
 
@@ -64,19 +65,45 @@ class PeriodicPattern:
     def cells(self) -> tuple[Vec, ...]:
         return tuple(p.cell for p in self.pieces)
 
-    def orientations(self) -> set[Orientation]:
-        return {p.orientation for p in self.pieces}
-
 
 def make_pattern(pieces: Iterable[PlacedPiece], t: Vec) -> PeriodicPattern:
     """Build and canonicalize a pattern from arbitrary piece placements."""
     return canonicalize(PeriodicPattern(tuple(pieces), t))
 
 
-def _positive_divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+def _minimal_period(by_class: dict[Vec, PlacedPiece], t: Vec) -> Vec:
+    """The shortest period of the reduced motif ``by_class``.
+
+    Periods are multiples of u = t / gcd(t).  A period s*u (0 < s < gcd)
+    maps the first piece onto a piece with the same attributes on the
+    first piece's own line, so each such piece names one candidate s; the
+    least candidate that holds is the minimal period, since every period
+    is a multiple of it.  The cost is quadratic in the motif and
+    independent of |t|.
+    """
+    g = math.gcd(abs(t[0]), abs(t[1]))
+    if g == 1:
+        return t
+    u = (t[0] // g, t[1] // g)
+    first_cell, first = next(iter(by_class.items()))
+    shifts = set()
+    for cell, piece in by_class.items():
+        delta = sub(cell, first_cell)
+        if (cell != first_cell and cross(delta, t) == 0
+                and piece.attrs() == first.attrs()):
+            s = dot(delta, u) // dot(u, u) % g
+            if g % s == 0:
+                shifts.add(s)
+    for s in sorted(shifts):
+        v = (u[0] * s, u[1] * s)
+        if all(_same_attrs(by_class.get(reduce_cell(add(cell, v), t)), piece)
+               for cell, piece in by_class.items()):
+            return v
+    return t
+
+
+def _same_attrs(hit: Optional[PlacedPiece], piece: PlacedPiece) -> bool:
+    return hit is not None and hit.attrs() == piece.attrs()
 
 
 def canonicalize(p: PeriodicPattern) -> PeriodicPattern:
@@ -101,20 +128,10 @@ def canonicalize(p: PeriodicPattern) -> PeriodicPattern:
         return by_class
 
     by_class = reduce_all(p.pieces, t)
-
-    g = math.gcd(abs(t[0]), abs(t[1]))
-    for m in sorted(_positive_divisors(g), reverse=True):
-        if m == 1:
-            break
-        v = (t[0] // m, t[1] // m)
-        shifted_ok = all(
-            (lambda r: r in by_class and by_class[r].attrs() == piece.attrs())
-            (reduce_cell(add(cell, v), t))
-            for cell, piece in by_class.items())
-        if shifted_ok:
-            t = v
-            by_class = reduce_all(by_class.values(), t)
-            break
+    v = _minimal_period(by_class, t)
+    if v != t:
+        t = v
+        by_class = reduce_all(by_class.values(), t)
 
     return PeriodicPattern(tuple(sorted(by_class.values(), key=_sort_key)), t)
 

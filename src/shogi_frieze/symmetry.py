@@ -2,24 +2,27 @@
 
 The isometry alphabet is the one relevant to one-directional patterns with
 an up/down piece alphabet: translations, 180-degree rotations, horizontal
-and vertical reflections, and horizontal glide reflections.  Axis and
-center coordinates live on the half-integer grid so integer cells map to
-integer cells.
+and vertical reflections, and horizontal and vertical glide reflections.
+Axis and center coordinates live on the half-integer grid so integer cells
+map to integer cells.
 
 Reflections about diagonal axes are excluded: they would map up/down
-pieces to sideways ones, which do not exist.  Consequently patterns whose
-minimal translation is not horizontal can only carry translation and
-rotation symmetry and always classify as p1 or p2.
+pieces to sideways ones, which do not exist.  Every other isometry has a
+linear part S = diag(+-1, +-1), and it can map a frieze onto itself only if
+S t = +-t.  A horizontal or a vertical minimal translation therefore
+admits mirrors and glides (for a vertical t the mirror along t has a
+vertical axis), while any other translation admits only rotations and
+always classifies as p1 or p2.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-from .geometry import Vec, add, canonical_sign, cross, dot, neg, reduce_cell
+from .geometry import (Vec, add, canonical_sign, dot, neg, reduce_cell, scale,
+                       sub)
 from .pattern import (PatternError, PeriodicPattern, PlacedPiece,
                       canonicalize, make_pattern)
 
@@ -30,6 +33,7 @@ class IsometryKind(enum.Enum):
     REFLECT_H = "reflect_h"
     REFLECT_V = "reflect_v"
     GLIDE_H = "glide_h"
+    GLIDE_V = "glide_v"
 
 
 _FLIPS_ORIENTATION = {
@@ -38,6 +42,7 @@ _FLIPS_ORIENTATION = {
     IsometryKind.GLIDE_H: True,
     IsometryKind.TRANSLATE: False,
     IsometryKind.REFLECT_V: False,
+    IsometryKind.GLIDE_V: False,
 }
 
 
@@ -53,7 +58,8 @@ class Isometry:
 
     TRANSLATE: shift;  ROTATE180: center;  REFLECT_H: axis y = axis_y;
     REFLECT_V: axis x = axis_x;  GLIDE_H: axis y = axis_y plus a nonzero
-    horizontal integer shift.
+    horizontal integer shift;  GLIDE_V: axis x = axis_x plus a nonzero
+    vertical integer shift.
     """
     kind: IsometryKind
     shift: Vec = (0, 0)
@@ -88,6 +94,13 @@ class Isometry:
         return Isometry(IsometryKind.GLIDE_H, shift=shift,
                         axis_y=_half(axis_y, "glide axis"))
 
+    @staticmethod
+    def glide_v(axis_x: float, shift: Vec) -> "Isometry":
+        if shift[0] != 0 or shift[1] == 0:
+            raise PatternError("glide shift must be vertical and nonzero")
+        return Isometry(IsometryKind.GLIDE_V, shift=shift,
+                        axis_x=_half(axis_x, "glide axis"))
+
     def map_cell(self, c: Vec) -> Vec:
         k = self.kind
         if k is IsometryKind.TRANSLATE:
@@ -99,6 +112,8 @@ class Isometry:
             return (c[0], int(2 * self.axis_y - c[1]))
         if k is IsometryKind.REFLECT_V:
             return (int(2 * self.axis_x - c[0]), c[1])
+        if k is IsometryKind.GLIDE_V:
+            return (int(2 * self.axis_x - c[0]), c[1] + self.shift[1])
         return (c[0] + self.shift[0], int(2 * self.axis_y - c[1]))
 
     def map_direction(self, d: Vec) -> Vec:
@@ -108,7 +123,7 @@ class Isometry:
             return d
         if k is IsometryKind.ROTATE180:
             return neg(d)
-        if k is IsometryKind.REFLECT_V:
+        if k in (IsometryKind.REFLECT_V, IsometryKind.GLIDE_V):
             return (-d[0], d[1])
         return (d[0], -d[1])
 
@@ -133,7 +148,7 @@ class FriezeGroup(enum.Enum):
 
 def apply(sigma: Isometry, p: PeriodicPattern) -> PeriodicPattern:
     """Transform a pattern; orientations flip under rotation, horizontal
-    reflection and glide; decorations follow the linear part."""
+    reflection and horizontal glide; decorations follow the linear part."""
     pieces = []
     for piece in p.pieces:
         cell = sigma.map_cell(piece.cell)
@@ -152,100 +167,111 @@ def is_symmetry(p: PeriodicPattern, sigma: Isometry) -> bool:
 
 @dataclass(frozen=True)
 class SymmetryFlags:
+    """Which symmetry types the pattern has, named by their role relative
+    to t: h a mirror whose axis runs along t, v a mirror across t, g a
+    glide along t, r a 180-degree rotation."""
     h: bool
     v: bool
     g: bool
     r: bool
     witnesses: tuple[Isometry, ...]
 
-    def of_kind(self, kind: IsometryKind) -> tuple[Isometry, ...]:
-        return tuple(w for w in self.witnesses if w.kind is kind)
+
+# Linear parts diag(sx, sy) of the isometries that keep pieces upright.
+_LINEAR_PARTS: tuple[Vec, ...] = ((-1, -1), (1, -1), (-1, 1))
+
+_WITNESS_ORDER = {IsometryKind.REFLECT_H: 0, IsometryKind.REFLECT_V: 1,
+                  IsometryKind.GLIDE_H: 2, IsometryKind.GLIDE_V: 3,
+                  IsometryKind.ROTATE180: 4}
 
 
-def _rotation_center_candidates(p: PeriodicPattern) -> Iterable[Isometry]:
-    """Doubled centers u solve cross(u, t) = qmin + qmax (band preserved)
-    with projection in [0, 2 t.t) (centers repeat every t/2)."""
-    t = p.t
-    qs = [cross(c, t) for c in p.cells()]
-    target = min(qs) + max(qs)
-    a, b = t
-    g = math.gcd(a, b)
-    # Solve ux*b - uy*a = target over the integers.
-    if target % g != 0:
-        return
-    gg, x0, y0 = _egcd(b, -a)
-    scale_fac = target // g
-    u0 = (x0 * scale_fac, y0 * scale_fac)
-    step = (a // g, b // g)
-    tt2 = 2 * dot(t, t)
-    # Slide u0 along the line so its projection falls in [0, tt2).
-    k0 = -(dot(u0, t) * g) // dot(t, t)  # coarse start, then scan
-    for k in range(k0 - 2 * g - 2, k0 + 2 * g + 2):
-        u = (u0[0] + k * step[0], u0[1] + k * step[1])
-        if 0 <= dot(u, t) < tt2:
-            yield Isometry.rotate180((u[0] / 2, u[1] / 2))
+def _listed_offsets(S: Vec, o: Vec, t: Vec) -> list[Vec]:
+    """The offsets o + k*t (k integer) of c -> S c + o that ``classify``
+    lists: rotations and mirrors across t once per period of their
+    parameter (projection of o on t in [0, 2 t.t), they repeat every t/2),
+    the mirror along t with zero projection and the glide along t with
+    half a period of shift.  S t = -t for the first two, S t = t for the
+    others."""
+    tt = dot(t, t)
+    along = dot(o, t)
+    if (S[0] * t[0], S[1] * t[1]) != t:
+        k = -(along // tt)
+        return [add(o, scale(t, k)), add(o, scale(t, k + 1))]
+    if along % tt == 0:
+        return [add(o, scale(t, -along // tt))]
+    if 2 * along % tt == 0:
+        return [add(o, scale(t, (tt // 2 - along) // tt))]
+    return []
 
 
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return (abs(a), 1 if a >= 0 else -1, 0)
-    g, x, y = _egcd(b, a % b)
-    return (g, y, x - (a // b) * y)
+def _witness(S: Vec, o: Vec, t: Vec) -> tuple[Isometry, str]:
+    """The symmetry c -> S c + o as an isometry, with its flag.  Squared, a
+    symmetry is a translation by a multiple of t, so a mirror across t
+    shifts nothing along its axis, and a shift along t makes a glide."""
+    if S == (-1, -1):
+        return Isometry.rotate180((o[0] / 2, o[1] / 2)), "r"
+    flag = "h" if (S[0] * t[0], S[1] * t[1]) == t else "v"
+    if S == (1, -1):  # horizontal axis y = o[1] / 2
+        if o[0] == 0:
+            return Isometry.reflect_h(o[1] / 2), flag
+        return Isometry.glide_h(o[1] / 2, (o[0], 0)), "g"
+    if o[1] == 0:  # vertical axis x = o[0] / 2
+        return Isometry.reflect_v(o[0] / 2), flag
+    return Isometry.glide_v(o[0] / 2, (0, o[1])), "g"
 
 
 def detect_symmetries(p: PeriodicPattern) -> SymmetryFlags:
-    """Presence of horizontal mirror, vertical mirror, nontrivial glide and
-    180-degree rotation, with concrete witnesses.
+    """Presence of a mirror along t, a mirror across t, a glide along t and
+    a 180-degree rotation, with concrete witnesses.
 
-    Mirror and glide candidates exist only for horizontal minimal t; the
-    single horizontal axis and the rotation centers' y are forced by the
-    occupied band, vertical axes and rotation centers repeat modulo t/2 and
-    are enumerated across one period.
+    A symmetry c -> S c + o keeps pieces upright only if S = diag(+-1, +-1),
+    and maps the frieze onto itself only if S t = +-t.  It maps the first
+    piece onto some piece j, so o = c_j - S c_0 modulo t: each piece names
+    at most two listed candidates per S, each tested with one class-map
+    lookup per piece.  The cost depends on the motif only, not on |t|.
     """
     p = canonicalize(p)
     t = p.t
+    by_class = p.class_map()
+    first = p.pieces[0].cell
     witnesses: list[Isometry] = []
-    h = v = g = r = False
-
-    if t[1] == 0:
-        T = t[0]
-        ys = [c[1] for c in p.cells()]
-        axis2 = min(ys) + max(ys)
-        cand_h = Isometry.reflect_h(axis2 / 2)
-        if is_symmetry(p, cand_h):
-            h = True
-            witnesses.append(cand_h)
-        for ax2 in range(0, 2 * T):
-            cand_v = Isometry.reflect_v(ax2 / 2)
-            if is_symmetry(p, cand_v):
-                v = True
-                witnesses.append(cand_v)
-        if T % 2 == 0 and not h:
-            cand_g = Isometry.glide_h(axis2 / 2, (T // 2, 0))
-            if is_symmetry(p, cand_g):
-                g = True
-                witnesses.append(cand_g)
-        for cx2 in range(0, 2 * T):
-            cand_r = Isometry.rotate180((cx2 / 2, axis2 / 2))
-            if is_symmetry(p, cand_r):
-                r = True
-                witnesses.append(cand_r)
-    else:
-        for cand in _rotation_center_candidates(p):
-            if is_symmetry(p, cand):
-                r = True
-                witnesses.append(cand)
-
-    order = {IsometryKind.REFLECT_H: 0, IsometryKind.REFLECT_V: 1,
-             IsometryKind.GLIDE_H: 2, IsometryKind.ROTATE180: 3}
-    witnesses.sort(key=lambda w: (order[w.kind], w.axis_x, w.axis_y,
-                                  w.center, w.shift))
-    return SymmetryFlags(h, v, g, r, tuple(witnesses))
+    found: set[str] = set()
+    for S in _LINEAR_PARTS:
+        if (S[0] * t[0], S[1] * t[1]) not in (t, neg(t)):
+            continue
+        image = (S[0] * first[0], S[1] * first[1])
+        for piece in p.pieces:
+            for o in _listed_offsets(S, sub(piece.cell, image), t):
+                if _maps_onto(by_class, S, o, t):
+                    witness, flag = _witness(S, o, t)
+                    witnesses.append(witness)
+                    found.add(flag)
+    witnesses.sort(key=lambda w: (_WITNESS_ORDER[w.kind], w.axis_x,
+                                  w.axis_y, w.center, w.shift))
+    return SymmetryFlags("h" in found, "v" in found, "g" in found,
+                         "r" in found, tuple(witnesses))
 
 
-def classify_frieze(p: PeriodicPattern) -> FriezeGroup:
+def _maps_onto(by_class: dict[Vec, PlacedPiece], S: Vec, o: Vec,
+               t: Vec) -> bool:
+    """Does c -> S c + o map every piece onto a piece of the same kind,
+    turned over when S flips y, with its decoration mapped by S?"""
+    flips = S[1] < 0
+    for (x, y), piece in by_class.items():
+        hit = by_class.get(reduce_cell((S[0] * x + o[0], S[1] * y + o[1]), t))
+        if hit is None or hit.kind != piece.kind:
+            return False
+        if (hit.orientation is piece.orientation) == flips:
+            return False
+        deco = piece.decoration
+        if hit.decoration != (None if deco is None
+                              else (S[0] * deco[0], S[1] * deco[1])):
+            return False
+    return True
+
+
+def group_of(flags: SymmetryFlags) -> FriezeGroup:
     """Decision table over the detected symmetry flags."""
-    flags = detect_symmetries(p)
     h, v, g, r = flags.h, flags.v, flags.g, flags.r
     if h and v:
         if not r:
@@ -266,6 +292,10 @@ def classify_frieze(p: PeriodicPattern) -> FriezeGroup:
     if g:
         return FriezeGroup.P11G
     return FriezeGroup.P1
+
+
+def classify_frieze(p: PeriodicPattern) -> FriezeGroup:
+    return group_of(detect_symmetries(p))
 
 
 _GROUPS_NEEDING_HORIZONTAL = {

@@ -158,3 +158,38 @@ def test_fragility_cli(capsys):
 def test_fragility_cli_identity(capsys):
     code, out, _ = run(capsys, "fragility", "--fixtures", str(FIXTURE_DIR))
     assert code == 0 and out.strip() == "changed=0"
+
+
+def test_parser_built_once_and_calls_share_no_state(capsys):
+    from shogi_frieze.cli import build_parser
+    assert build_parser() is build_parser()
+    both = ("fragility", "--fixtures", str(FIXTURE_DIR),
+            "--substitute", "lance=reverse-chariot",
+            "--substitute", "knight=chess-knight")
+    lance = ("fragility", "--fixtures", str(FIXTURE_DIR),
+             "--substitute", "lance=reverse-chariot")
+    first = run(capsys, *both)
+    classify = run(capsys, "classify", str(FIXTURE_DIR / "p11g.pattern"))
+    alone = run(capsys, *lance)
+    none = run(capsys, "fragility", "--fixtures", str(FIXTURE_DIR))
+    again = run(capsys, *both)
+    assert first[0] == classify[0] == alone[0] == none[0] == 0
+    assert classify[1].splitlines()[0] == "group=p11g"
+    assert again == first
+    # one --substitute after two: the earlier list must not carry over
+    assert alone[1] != first[1]
+    assert none[1].strip() == "changed=0"
+
+
+def test_classify_vertical_translation(tmp_path, capsys):
+    f = tmp_path / "v1.pattern"
+    f.write_text("period: 0 1\ngrid:\nK^\n", encoding="utf-8")
+    assert run(capsys, "classify", str(f)) == (0, "group=p11m\nv x=0\n", "")
+    f.write_text("period: 0 2\ngrid:\nKv\nK^\n", encoding="utf-8")
+    assert run(capsys, "classify", str(f))[1].splitlines() == [
+        "group=p2mm", "h y=0.5", "h y=1.5", "v x=0", "r center=(0,0.5)",
+        "r center=(0,1.5)"]
+    # K^ at (0,0) and (1,1): a glide with axis x = 0.5 and shift 1
+    f.write_text("period: 0 2\ngrid:\n.. K^\nK^ ..\n", encoding="utf-8")
+    assert run(capsys, "classify", str(f))[1].splitlines() == [
+        "group=p11g", "g x=0.5 shift=1"]
