@@ -4,8 +4,7 @@ from .geometry import Vec, reduce_cell
 from .pieces import (BISHOP, GOLD, KING, KNIGHT, LANCE, PAWN, ROOK, SILVER,
                      STANDARD_KINDS, Moveset, Orientation, PieceKind,
                      UnknownKindError, has_horizontal_mirror_symmetry,
-                     moveset, oriented_moveset, register_custom_kind,
-                     standard_moveset)
+                     moveset)
 from .pattern import (Form, InconsistentMotifError, ParseError, PatternError,
                       PeriodicPattern, PlacedPiece, canonicalize, dual,
                       form_of, make_pattern, occupant, parse, serialize)

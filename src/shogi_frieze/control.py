@@ -26,8 +26,8 @@ from typing import Mapping, Optional
 
 from .geometry import (ORTHO_DIRS, UNIT_DIRS, Vec, add, cross, dot, is_unit,
                        reduce_cell, scale, sub)
-from .pattern import PatternError, PeriodicPattern, PlacedPiece
-from .pieces import Moveset, Orientation, PieceKind, oriented_moveset
+from .pattern import PatternError, PeriodicPattern
+from .pieces import Orientation
 
 
 class RegionClass(enum.Enum):
@@ -46,18 +46,6 @@ class RayEvent(enum.Enum):
     BLOCKED_BY_ALLY = "blocked_by_ally"
     CAPTURE_ENEMY = "capture_enemy"
     FREE_INFINITE = "free_infinite"
-
-
-MovesetOverrides = Optional[Mapping[PieceKind, Moveset]]
-
-
-def _moveset_for(piece: PlacedPiece, overrides: MovesetOverrides) -> Moveset:
-    if overrides is not None:
-        base = overrides.get(piece.kind)
-        if base is not None:
-            return (base if piece.orientation is Orientation.UP
-                    else base.rotated())
-    return oriented_moveset(piece.kind, piece.orientation)
 
 
 def _steps_to(cls: Vec, anchor: Vec, direction: Vec, t: Vec) -> Optional[int]:
@@ -294,8 +282,7 @@ def ray_march(p: PeriodicPattern, origin: Vec, direction: Vec,
                     free_line=FreeLine(anchor, direction))
 
 
-def control_of_pattern(p: PeriodicPattern,
-                       overrides: MovesetOverrides = None) -> PeriodicCellSet:
+def control_of_pattern(p: PeriodicPattern) -> PeriodicCellSet:
     """Classes (and free lines) of all squares the pattern's pieces can
     move to.  Step targets on ally squares are excluded; enemy squares are
     included for both steps and rides.  The squares a ride passes are
@@ -309,7 +296,7 @@ def control_of_pattern(p: PeriodicPattern,
     free_lines: set[FreeLine] = set()
 
     for piece in p.pieces:
-        m = _moveset_for(piece, overrides)
+        m = piece.kind.oriented(piece.orientation)
         for step in m.steps:
             cls = reduce_cell(add(piece.cell, step), t)
             hit = occupied.get(cls)
@@ -333,8 +320,7 @@ def control_of_pattern(p: PeriodicPattern,
                            tuple(sorted(free_lines, key=key)), t)
 
 
-def ncc_status(p: PeriodicPattern,
-               overrides: MovesetOverrides = None) -> NccStatus:
+def ncc_status(p: PeriodicPattern) -> NccStatus:
     """Verdict of the neighborhood control conditions.
 
     Complete: every neighborhood class is controlled.  Nearly complete:
@@ -344,7 +330,7 @@ def ncc_status(p: PeriodicPattern,
     """
     nbhd = neighborhood(p)
     regions = partition_neighborhood(p)
-    ctrl = control_of_pattern(p, overrides)
+    ctrl = control_of_pattern(p)
     return _verdict_from_parts(nbhd, regions, ctrl)
 
 

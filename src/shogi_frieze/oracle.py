@@ -10,10 +10,14 @@ holding exactly one representative per translation class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .control import (MovesetOverrides, NccStatus, RegionClass,
-                      _verdict_from_parts)
+from typing import Mapping, Optional
+
+from .control import NccStatus, RegionClass, _verdict_from_parts
 from .pattern import PatternError, PeriodicPattern, PlacedPiece
-from .pieces import Moveset, Orientation, oriented_moveset
+from .pieces import Moveset, Orientation, PieceKind
+
+# Up-frame movesets, by kind, that replace the kinds' own on the board.
+Movesets = Optional[Mapping[PieceKind, Moveset]]
 
 _MARGIN = 3
 
@@ -72,15 +76,15 @@ def replicate(p: PeriodicPattern, copies: int) -> FiniteBoard:
 
 
 def _board_moveset(piece: PlacedPiece,
-                   overrides: MovesetOverrides) -> Moveset:
+                   overrides: Movesets) -> Moveset:
     if overrides is not None and piece.kind in overrides:
         m = overrides[piece.kind]
         return m if piece.orientation is Orientation.UP else m.rotated()
-    return oriented_moveset(piece.kind, piece.orientation)
+    return piece.kind.oriented(piece.orientation)
 
 
 def brute_control(b: FiniteBoard,
-                  overrides: MovesetOverrides = None) -> set[tuple[int, int]]:
+                  overrides: Movesets = None) -> set[tuple[int, int]]:
     """Squares any piece can move to, rays walked square by square until a
     blocker or the board edge."""
     out: set[tuple[int, int]] = set()
@@ -168,7 +172,7 @@ def window_cells(b: FiniteBoard, q_pad: int = 0) -> set[tuple[int, int]]:
 
 
 def brute_ncc(b: FiniteBoard,
-              overrides: MovesetOverrides = None) -> NccStatus:
+              overrides: Movesets = None) -> NccStatus:
     """Verdict computed from window-restricted neighborhood cells."""
     window = window_cells(b)
     nbhd = brute_neighborhood(b) & window

@@ -18,8 +18,7 @@ from typing import Iterable, Optional
 
 from .geometry import (Vec, add, canonical_sign, cross, dot, is_unit, neg,
                        reduce_cell, sub)
-from .pieces import (KIND_LETTERS, Orientation, PieceKind, moveset,
-                     register_custom_kind, _REGISTRY)
+from .pieces import KIND_LETTERS, Orientation, PieceKind, moveset
 
 
 class PatternError(ValueError):
@@ -205,6 +204,7 @@ _DECOR_NAMES = {
 _DECOR_CODES = {v: k for k, v in _DECOR_NAMES.items()}
 
 _LETTER_TO_KIND = {v: k for k, v in KIND_LETTERS.items()}
+_STANDARD_NAMES = {k.name for k in KIND_LETTERS}
 _CUSTOM_LETTER_POOL = "ACDEFHIJMOQTUVWXYZ"
 
 
@@ -233,6 +233,7 @@ def parse(text: str) -> PeriodicPattern:
     period: Optional[Vec] = None
     origin: Vec = (0, 0)
     letters = dict(_LETTER_TO_KIND)
+    declared: dict[str, PieceKind] = {}
     grid_rows: list[list[str]] = []
     decors: list[tuple[Vec, Vec]] = []
     in_grid = False
@@ -268,9 +269,15 @@ def parse(text: str) -> PeriodicPattern:
             try:
                 m = moveset(_parse_vec_list(parts[2][len("steps="):]),
                             _parse_vec_list(parts[3][len("rides="):]))
-                letters[letter] = register_custom_kind(name, m)
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from exc
+            if name in _STANDARD_NAMES:
+                raise ParseError(f"line {lineno}: {name!r} is a standard kind")
+            kind = declared.setdefault(name, PieceKind(name, m))
+            if kind.moveset != m:
+                raise ParseError(
+                    f"line {lineno}: kind {name!r} declared twice")
+            letters[letter] = kind
         elif stripped == "grid:":
             in_grid = True
         elif stripped.startswith("decor:"):
@@ -321,22 +328,20 @@ def serialize(p: PeriodicPattern) -> str:
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
 
-    custom = sorted({pc.kind.name for pc in p.pieces
-                     if pc.kind not in KIND_LETTERS})
-    letter_of = dict(KIND_LETTERS)
-    assigned: dict[str, str] = {}
-    pool = iter(_CUSTOM_LETTER_POOL)
-    for name in custom:
-        try:
-            assigned[name] = next(pool)
-        except StopIteration:
-            raise PatternError("too many custom kinds to serialize") from None
+    # a name stands for one kind in a file, a standard name for its own
+    kinds = {k.name: k for k in KIND_LETTERS}
+    for pc in p.pieces:
+        if kinds.setdefault(pc.kind.name, pc.kind) != pc.kind:
+            raise PatternError(f"two kinds named {pc.kind.name!r}")
+    custom = sorted(kinds.keys() - _STANDARD_NAMES)
+    if len(custom) > len(_CUSTOM_LETTER_POOL):
+        raise PatternError("too many custom kinds to serialize")
+    assigned = dict(zip(custom, _CUSTOM_LETTER_POOL))
 
     lines = [f"period: {p.t[0]} {p.t[1]}", f"origin: {x0} {y0}"]
-    registered = _REGISTRY.names()
-    for name in custom:
-        m = registered[name]
-        lines.append(f"kind: {assigned[name]} {name} "
+    for name, letter in assigned.items():
+        m = kinds[name].moveset
+        lines.append(f"kind: {letter} {name} "
                      f"steps={_fmt_vec_list(m.steps)} "
                      f"rides={_fmt_vec_list(m.rides)}")
     lines.append("grid:")

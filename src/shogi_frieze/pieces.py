@@ -8,10 +8,8 @@ the full 180-degree rotation of the Up frame.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .geometry import Vec, is_unit, neg
 
@@ -26,38 +24,12 @@ class Orientation(enum.Enum):
 
 
 class UnknownKindError(KeyError):
-    """Raised when a moveset is requested for an unregistered kind."""
+    """Raised when the moveset of a kind built from a nonstandard name alone
+    is read."""
 
 
 class MovesetError(ValueError):
     """Raised for malformed movesets (zero displacement, non-unit ride)."""
-
-
-@dataclass(frozen=True, order=True)
-class PieceKind:
-    name: str
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"PieceKind({self.name!r})"
-
-
-PAWN = PieceKind("pawn")
-LANCE = PieceKind("lance")
-KNIGHT = PieceKind("knight")
-SILVER = PieceKind("silver")
-GOLD = PieceKind("gold")
-BISHOP = PieceKind("bishop")
-ROOK = PieceKind("rook")
-KING = PieceKind("king")
-
-STANDARD_KINDS: tuple[PieceKind, ...] = (
-    PAWN, LANCE, KNIGHT, SILVER, GOLD, BISHOP, ROOK, KING,
-)
-
-KIND_LETTERS = {
-    PAWN: "P", LANCE: "L", KNIGHT: "N", SILVER: "S",
-    GOLD: "G", BISHOP: "B", ROOK: "R", KING: "K",
-}
 
 
 @dataclass(frozen=True)
@@ -82,86 +54,81 @@ def moveset(steps: Iterable[Vec] = (), rides: Iterable[Vec] = ()) -> Moveset:
     return Moveset(frozenset(steps), frozenset(rides))
 
 
-_KING_STEPS = frozenset(
-    (dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if (dx, dy) != (0, 0)
-)
-
-STANDARD_MOVESETS: dict[PieceKind, Moveset] = {
-    PAWN: moveset(steps=[(0, 1)]),
-    LANCE: moveset(rides=[(0, 1)]),
-    KNIGHT: moveset(steps=[(-1, 2), (1, 2)]),
-    SILVER: moveset(steps=[(0, 1), (1, 1), (-1, 1), (1, -1), (-1, -1)]),
-    GOLD: moveset(steps=[(0, 1), (1, 1), (-1, 1), (1, 0), (-1, 0), (0, -1)]),
-    BISHOP: moveset(rides=[(1, 1), (1, -1), (-1, 1), (-1, -1)]),
-    ROOK: moveset(rides=[(1, 0), (-1, 0), (0, 1), (0, -1)]),
-    KING: Moveset(_KING_STEPS, frozenset()),
+_STANDARD_MOVESETS: dict[str, Moveset] = {
+    "pawn": moveset(steps=[(0, 1)]),
+    "lance": moveset(rides=[(0, 1)]),
+    "knight": moveset(steps=[(-1, 2), (1, 2)]),
+    "silver": moveset(steps=[(0, 1), (1, 1), (-1, 1), (1, -1), (-1, -1)]),
+    "gold": moveset(steps=[(0, 1), (1, 1), (-1, 1), (1, 0), (-1, 0), (0, -1)]),
+    "bishop": moveset(rides=[(1, 1), (1, -1), (-1, 1), (-1, -1)]),
+    "rook": moveset(rides=[(1, 0), (-1, 0), (0, 1), (0, -1)]),
+    "king": moveset(steps=[(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+                           if (dx, dy) != (0, 0)]),
 }
 
 
-class KindRegistry:
-    """Custom kinds by unique name.  Registration is a setup-phase activity;
-    patterns must not register new kinds once evaluation has started."""
+class PieceKind:
+    """A piece kind as a value: a name and its Up-frame moveset.  Equality
+    and hash cover both, so one name with two movesets gives two kinds.  A
+    standard name given alone gets its standard moveset; any other name
+    given alone has none, and reading it raises ``UnknownKindError``.  The
+    Down moveset is built once, with the kind."""
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._custom: dict[str, Moveset] = {}
+    __slots__ = ("name", "_up", "_down")
 
-    def register(self, name: str, m: Moveset) -> PieceKind:
-        with self._lock:
-            if any(k.name == name for k in STANDARD_KINDS):
-                raise ValueError(f"{name!r} is a standard kind")
-            if name in self._custom:
-                if self._custom[name] == m:
-                    return PieceKind(name)
-                raise ValueError(f"kind {name!r} already registered")
-            self._custom[name] = m
-        return PieceKind(name)
+    def __init__(self, name: str, moveset: Optional[Moveset] = None) -> None:
+        up = _STANDARD_MOVESETS.get(name) if moveset is None else moveset
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_up", up)
+        object.__setattr__(self, "_down", None if up is None else up.rotated())
 
-    def lookup(self, kind: PieceKind) -> Moveset:
-        std = STANDARD_MOVESETS.get(kind)
-        if std is not None:
-            return std
-        with self._lock:
-            m = self._custom.get(kind.name)
+    def __setattr__(self, attr, value):
+        raise AttributeError("PieceKind is immutable")
+
+    @property
+    def moveset(self) -> Moveset:
+        """The Up-frame moveset."""
+        return self.oriented(Orientation.UP)
+
+    def oriented(self, o: Orientation) -> Moveset:
+        """The moveset of a piece of this kind facing ``o``."""
+        m = self._up if o is Orientation.UP else self._down
         if m is None:
-            raise UnknownKindError(f"unregistered kind {kind.name!r}")
+            raise UnknownKindError(f"kind {self.name!r} has no moveset")
         return m
 
-    def clear(self) -> None:
-        with self._lock:
-            self._custom.clear()
-        _oriented_cached.cache_clear()
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PieceKind):
+            return NotImplemented
+        return (self.name, self._up) == (other.name, other._up)
 
-    def names(self) -> dict[str, Moveset]:
-        with self._lock:
-            return dict(self._custom)
+    def __hash__(self) -> int:
+        return hash((self.name, self._up))
 
+    def __reduce__(self):
+        return PieceKind, (self.name, self._up)
 
-_REGISTRY = KindRegistry()
-
-
-def register_custom_kind(name: str, m: Moveset) -> PieceKind:
-    return _REGISTRY.register(name, m)
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"PieceKind({self.name!r})"
 
 
-def clear_custom_kinds() -> None:
-    """Test hook; drops all custom registrations."""
-    _REGISTRY.clear()
+PAWN = PieceKind("pawn")
+LANCE = PieceKind("lance")
+KNIGHT = PieceKind("knight")
+SILVER = PieceKind("silver")
+GOLD = PieceKind("gold")
+BISHOP = PieceKind("bishop")
+ROOK = PieceKind("rook")
+KING = PieceKind("king")
 
+STANDARD_KINDS: tuple[PieceKind, ...] = (
+    PAWN, LANCE, KNIGHT, SILVER, GOLD, BISHOP, ROOK, KING,
+)
 
-def standard_moveset(kind: PieceKind) -> Moveset:
-    """Up-frame moveset of a standard or registered custom kind."""
-    return _REGISTRY.lookup(kind)
-
-
-@lru_cache(maxsize=None)
-def _oriented_cached(kind: PieceKind, o: Orientation) -> Moveset:
-    m = standard_moveset(kind)
-    return m if o is Orientation.UP else m.rotated()
-
-
-def oriented_moveset(kind: PieceKind, o: Orientation) -> Moveset:
-    return _oriented_cached(kind, o)
+KIND_LETTERS = {
+    PAWN: "P", LANCE: "L", KNIGHT: "N", SILVER: "S",
+    GOLD: "G", BISHOP: "B", ROOK: "R", KING: "K",
+}
 
 
 def has_horizontal_mirror_symmetry(m: Moveset) -> bool:
@@ -177,8 +144,7 @@ def reverse_chariot_moveset() -> Moveset:
 
 
 def sideways_silver_moveset() -> Moveset:
-    return Moveset(STANDARD_MOVESETS[SILVER].steps | {(1, 0), (-1, 0)},
-                   frozenset())
+    return Moveset(SILVER.moveset.steps | {(1, 0), (-1, 0)}, frozenset())
 
 
 def chess_knight_moveset() -> Moveset:

@@ -19,13 +19,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .control import (MovesetOverrides, NccStatus, RegionClass, Verdict,
-                      _verdict_from_parts, control_of_pattern, neighborhood,
+from .control import (NccStatus, RegionClass, Verdict, _verdict_from_parts,
+                      control_of_pattern, neighborhood,
                       partition_neighborhood)
 from .geometry import UNIT_DIRS, Vec, canonical_sign, reduce_cell, sub
 from .pattern import Form, PatternError, PeriodicPattern
 from .pieces import (BISHOP, GOLD, KING, KNIGHT, LANCE, PAWN, ROOK, SILVER,
-                     Moveset, Orientation, PieceKind, standard_moveset)
+                     Moveset, Orientation, PieceKind)
 from .symmetry import FriezeGroup, classify_frieze
 
 KIND_COLUMNS: tuple[PieceKind, ...] = (
@@ -85,23 +85,20 @@ def _form_geometry(form: Form):
     return pattern, neighborhood(pattern), partition_neighborhood(pattern)
 
 
-def _status_for_kind(form: Form, kind: PieceKind, nbhd, partition,
-                     overrides: MovesetOverrides = None) -> NccStatus:
+def _status_for_kind(form: Form, kind: PieceKind, nbhd,
+                     partition) -> NccStatus:
     p = form.instantiate(kind)
-    return _verdict_from_parts(nbhd, partition,
-                               control_of_pattern(p, overrides))
+    return _verdict_from_parts(nbhd, partition, control_of_pattern(p))
 
 
 def ncc_vector(form: Form, kinds: Iterable[PieceKind] = KIND_COLUMNS,
-               overrides: MovesetOverrides = None,
                ) -> dict[PieceKind, NccStatus]:
     """Verdict for the form instantiated uniformly with each kind."""
     kinds = tuple(kinds)
     if not kinds:
         return {}
     _, nbhd, partition = _form_geometry(form)
-    return {k: _status_for_kind(form, k, nbhd, partition, overrides)
-            for k in kinds}
+    return {k: _status_for_kind(form, k, nbhd, partition) for k in kinds}
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +169,7 @@ def _kinds_mirror_safe(kinds: Sequence[PieceKind]) -> bool:
     def x_sym(m):
         flip = lambda s: frozenset((-dx, dy) for dx, dy in s)
         return flip(m.steps) == m.steps and flip(m.rides) == m.rides
-    return all(x_sym(standard_moveset(k)) for k in kinds)
+    return all(x_sym(k.moveset) for k in kinds)
 
 
 def orbit_key(form: Form, use_mirror: bool):
@@ -180,6 +177,26 @@ def orbit_key(form: Form, use_mirror: bool):
     if use_mirror:
         key = min(key, _translation_key(_mirrored(form)))
     return key
+
+
+def _scan(bounds: SearchBounds, *, horizontal_only: bool = False,
+          use_mirror: bool = True, prune: bool = True) -> Iterator[tuple]:
+    """The forms of the bounded space in enumeration order, each with its
+    geometry: ``(form, pattern, nbhd, partition)``.  With ``prune`` only
+    the first form of each orbit is yielded; forms that make no valid
+    pattern are skipped."""
+    seen: set = set()
+    for form in _enumerate_forms(bounds, horizontal_only):
+        if prune:
+            key = orbit_key(form, use_mirror)
+            if key in seen:
+                continue
+            seen.add(key)
+        try:
+            pattern, nbhd, partition = _form_geometry(form)
+        except PatternError:
+            continue
+        yield form, pattern, nbhd, partition
 
 
 def find_crystal(group: FriezeGroup, target: Mapping[PieceKind, bool],
@@ -191,22 +208,12 @@ def find_crystal(group: FriezeGroup, target: Mapping[PieceKind, bool],
     An empty list certifies exhaustion of the bounded space.  ``limit``
     stops the scan early after that many reports.
     """
-    horizontal_only = group not in (FriezeGroup.P1, FriezeGroup.P2)
     kinds = tuple(target)
-    use_mirror = _kinds_mirror_safe(kinds)
-    seen: set = set()
     reports: list[CrystalReport] = []
-
-    for form in _enumerate_forms(bounds, horizontal_only):
-        if prune:
-            key = orbit_key(form, use_mirror)
-            if key in seen:
-                continue
-            seen.add(key)
-        try:
-            pattern, nbhd, partition = _form_geometry(form)
-        except PatternError:
-            continue
+    scan = _scan(bounds,
+                 horizontal_only=group not in (FriezeGroup.P1, FriezeGroup.P2),
+                 use_mirror=_kinds_mirror_safe(kinds), prune=prune)
+    for form, pattern, nbhd, partition in scan:
         if pattern.t != form.t:
             continue  # motif was redundant; the smaller period is its rep
         if classify_frieze(pattern) is not group:
@@ -251,17 +258,8 @@ def find_special_form(bounds: SearchBounds, *,
     """Forms on which every standard kind satisfies the nearly-complete
     predicate, annotated with the region partition for comparing which
     region each kind leaves uncontrolled."""
-    seen: set = set()
     out: list[SpecialFormReport] = []
-    for form in _enumerate_forms(bounds):
-        key = orbit_key(form, True)
-        if key in seen:
-            continue
-        seen.add(key)
-        try:
-            pattern, nbhd, partition = _form_geometry(form)
-        except PatternError:
-            continue
+    for form, pattern, nbhd, partition in _scan(bounds):
         if pattern.t != form.t:
             continue
         statuses: dict[PieceKind, NccStatus] = {}
@@ -299,18 +297,8 @@ def find_duality(bounds: SearchBounds) -> DualityExhibits:
     gold_form: Optional[Form] = None
     silver_form: Optional[Form] = None
     pair: Optional[tuple[PeriodicPattern, PeriodicPattern]] = None
-    seen: set = set()
 
-    for form in _enumerate_forms(bounds):
-        key = orbit_key(form, True)
-        if key in seen:
-            continue
-        seen.add(key)
-        try:
-            _, nbhd, partition = _form_geometry(form)
-        except PatternError:
-            continue
-
+    for form, _, nbhd, partition in _scan(bounds):
         if gold_form is None or silver_form is None:
             g = _status_for_kind(form, GOLD, nbhd, partition)
             s = _status_for_kind(form, SILVER, nbhd, partition)
@@ -350,30 +338,34 @@ def find_duality(bounds: SearchBounds) -> DualityExhibits:
 
 
 def satisfies_table(fixtures: Mapping[FriezeGroup, PeriodicPattern],
-                    overrides: MovesetOverrides = None,
+                    columns: Sequence[PieceKind] = KIND_COLUMNS,
                     ) -> dict[FriezeGroup, dict[PieceKind, NccStatus]]:
-    """Full per-kind verdicts for each fixture crystal."""
+    """Full per-kind verdicts for each fixture crystal, one per column."""
     out: dict[FriezeGroup, dict[PieceKind, NccStatus]] = {}
     for group in ROW_ORDER:
         p = fixtures[group]
         form = Form(tuple((x.cell, x.orientation, x.decoration)
                           for x in p.pieces), p.t)
-        out[group] = ncc_vector(form, KIND_COLUMNS, overrides)
+        out[group] = ncc_vector(form, columns)
     return out
 
 
 def fragility_check(fixtures: Mapping[FriezeGroup, PeriodicPattern],
                     substitution: Mapping[PieceKind, Moveset],
                     ) -> list[tuple[FriezeGroup, PieceKind]]:
-    """Cells of the satisfies-table that change under a moveset substitution."""
+    """Cells of the satisfies-table that change under a moveset substitution.
+    A substituted column holds a different kind: the same name with the
+    substituted moveset."""
     groups = {classify_frieze(fixtures[g]) for g in ROW_ORDER}
     if groups != set(ROW_ORDER):
         raise PatternError("fixtures must classify to the 7 distinct groups")
+    columns = [PieceKind(k.name, substitution[k]) if k in substitution else k
+               for k in KIND_COLUMNS]
     base = satisfies_table(fixtures)
-    subst = satisfies_table(fixtures, overrides=substitution)
+    subst = satisfies_table(fixtures, columns)
     changed = []
     for group in ROW_ORDER:
-        for kind in KIND_COLUMNS:
-            if base[group][kind].satisfies != subst[group][kind].satisfies:
+        for kind, column in zip(KIND_COLUMNS, columns):
+            if base[group][kind].satisfies != subst[group][column].satisfies:
                 changed.append((group, kind))
     return changed

@@ -298,12 +298,6 @@ def classify_frieze(p: PeriodicPattern) -> FriezeGroup:
     return group_of(detect_symmetries(p))
 
 
-_GROUPS_NEEDING_HORIZONTAL = {
-    FriezeGroup.P11G, FriezeGroup.P1M1, FriezeGroup.P11M,
-    FriezeGroup.P2MG, FriezeGroup.P2MM,
-}
-
-
 def generate_from_recipe(basic: Iterable[PlacedPiece], group: FriezeGroup,
                          period: Vec, *, axis_x: float = -0.5,
                          axis_y: float = -0.5,
@@ -311,24 +305,38 @@ def generate_from_recipe(basic: Iterable[PlacedPiece], group: FriezeGroup,
                          ) -> PeriodicPattern:
     """Close a basic motif under the group's generators.
 
-    The returned pattern is canonical; if the basic motif carries accidental
-    symmetry the classified group may be a proper supergroup of ``group``.
+    Generators are picked by their role relative to the period, as
+    ``detect_symmetries`` names them: a mirror along t, a mirror across t,
+    and a glide along t by half of t.  A horizontal axis lies at
+    ``axis_y`` and a vertical one at ``axis_x``, so for a vertical period
+    the mirror along t is the vertical axis x = ``axis_x``.  The returned
+    pattern is canonical; if the basic motif carries accidental symmetry
+    the classified group may be a proper supergroup of ``group``.
     """
     period = canonical_sign(period)
     if period == (0, 0):
         raise PatternError("zero period")
-    if group in _GROUPS_NEEDING_HORIZONTAL and period[1] != 0:
-        raise PatternError(f"{group.label} requires a horizontal period")
+    along = group in (FriezeGroup.P11M, FriezeGroup.P2MM)
+    across = group in (FriezeGroup.P1M1, FriezeGroup.P2MG, FriezeGroup.P2MM)
+    glide = group in (FriezeGroup.P11G, FriezeGroup.P2MG)
+    if (along or across or glide) and 0 not in period:
+        raise PatternError(
+            f"{group.label} requires a horizontal or vertical period")
+    horizontal = period[1] == 0
 
     gens: list[Isometry] = []
-    if group in (FriezeGroup.P11G, FriezeGroup.P2MG):
-        if period[0] % 2 != 0:
+    if glide:
+        length = period[0] + period[1]
+        if length % 2 != 0:
             raise PatternError(f"{group.label} requires an even period")
-        gens.append(Isometry.glide_h(axis_y, (period[0] // 2, 0)))
-    if group in (FriezeGroup.P1M1, FriezeGroup.P2MG, FriezeGroup.P2MM):
-        gens.append(Isometry.reflect_v(axis_x))
-    if group in (FriezeGroup.P11M, FriezeGroup.P2MM):
-        gens.append(Isometry.reflect_h(axis_y))
+        gens.append(Isometry.glide_h(axis_y, (length // 2, 0)) if horizontal
+                    else Isometry.glide_v(axis_x, (0, length // 2)))
+    if across:
+        gens.append(Isometry.reflect_v(axis_x) if horizontal
+                    else Isometry.reflect_h(axis_y))
+    if along:
+        gens.append(Isometry.reflect_h(axis_y) if horizontal
+                    else Isometry.reflect_v(axis_x))
     if group is FriezeGroup.P2:
         gens.append(Isometry.rotate180(center))
 

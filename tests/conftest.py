@@ -1,10 +1,11 @@
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from shogi_frieze import (KING, STANDARD_KINDS, Orientation, PlacedPiece,
-                          make_pattern, parse)
+from shogi_frieze import (KING, STANDARD_KINDS, Orientation, PeriodicPattern,
+                          PieceKind, PlacedPiece, dual, make_pattern, parse)
 from shogi_frieze.geometry import reduce_cell
 from shogi_frieze.search import ROW_ORDER
 
@@ -40,6 +41,15 @@ def random_pattern(rng: random.Random, *, max_pieces=6, span=4, tmax=5,
         by_class[c] = PlacedPiece(c, rng.choice(kinds),
                                   rng.choice(orientations))
     return make_pattern(by_class.values(), t)
+
+
+def rotated_dual(p):
+    """The dual of ``p`` whose kinds carry 180-degree rotated movesets:
+    the same pieces seen from the other side, so the same control."""
+    d = dual(p)
+    return PeriodicPattern(tuple(
+        replace(x, kind=PieceKind(x.kind.name, x.kind.moveset.rotated()))
+        for x in d.pieces), d.t)
 
 
 @pytest.fixture(scope="session")

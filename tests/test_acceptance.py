@@ -15,8 +15,7 @@ from shogi_frieze import (BISHOP, GOLD, KING, KNIGHT, LANCE, PAWN, ROOK,
                           find_duality, find_special_form, form_of,
                           fragility_check, generate_from_recipe,
                           has_horizontal_mirror_symmetry, make_pattern,
-                          ncc_status, ncc_vector, parse, serialize,
-                          standard_moveset)
+                          ncc_status, ncc_vector, parse, serialize)
 from shogi_frieze import oracle
 from shogi_frieze.cli import main as cli_main
 from shogi_frieze.control import control_of_pattern, neighborhood, \
@@ -28,7 +27,8 @@ from shogi_frieze.search import (EXPECTED_TABLE, KIND_COLUMNS, ROW_ORDER,
                                  staircase_target)
 
 import conftest
-from conftest import DOWN, UP, FIXTURE_DIR, piece, random_pattern
+from conftest import (DOWN, UP, FIXTURE_DIR, piece, random_pattern,
+                      rotated_dual)
 
 
 def record(num, name, t0, budget):
@@ -41,7 +41,7 @@ def record(num, name, t0, budget):
 def test_criterion_01_moveset_symmetry_partition():
     t0 = time.time()
     symmetric = {k for k in STANDARD_KINDS
-                 if has_horizontal_mirror_symmetry(standard_moveset(k))}
+                 if has_horizontal_mirror_symmetry(k.moveset)}
     assert symmetric == {KING, ROOK, BISHOP}
     record(1, "moveset symmetry partition", t0, 1)
 
@@ -206,7 +206,6 @@ def test_criterion_09_fragility(crystal_fixtures):
 def test_criterion_10_symmetry_metamorphics():
     t0 = time.time()
     rng = random.Random(0xACCE10)
-    rotated = {k: standard_moveset(k).rotated() for k in STANDARD_KINDS}
     for _ in range(500):
         p = random_pattern(rng, max_pieces=5, span=3, tmax=4)
         st = ncc_status(p)
@@ -220,7 +219,7 @@ def test_criterion_10_symmetry_metamorphics():
         assert classify_frieze(moved) is group
 
         # dual followed by the 180-degree moveset rotation: same physics
-        drot = ncc_status(dual(p), overrides=rotated)
+        drot = ncc_status(rotated_dual(p))
         assert drot == st
 
         mirrored = apply(Isometry.reflect_v(0.0), p)
@@ -245,10 +244,22 @@ def test_criterion_11_recipe_round_trip():
         FriezeGroup.P2MG: dict(period=(8, 0), axis_x=1.5, axis_y=-0.5),
         FriezeGroup.P2MM: dict(period=(6, 0), axis_x=1.5, axis_y=-0.5),
     }
-    for group, kwargs in cases.items():
+    # on a vertical period the mirror along t has a vertical axis (axis_x)
+    # and the mirror across t a horizontal one (axis_y)
+    vertical = {
+        FriezeGroup.P1: dict(period=(0, 4)),
+        FriezeGroup.P11G: dict(period=(0, 4), axis_x=-0.5),
+        FriezeGroup.P1M1: dict(period=(0, 6), axis_y=1.5),
+        FriezeGroup.P11M: dict(period=(0, 4), axis_x=-0.5),
+        FriezeGroup.P2: dict(period=(0, 4), center=(-0.5, -0.5)),
+        FriezeGroup.P2MG: dict(period=(0, 8), axis_x=-0.5, axis_y=1.5),
+        FriezeGroup.P2MM: dict(period=(0, 6), axis_x=-0.5, axis_y=1.5),
+    }
+    for group, kwargs in [*cases.items(), *vertical.items()]:
         p = generate_from_recipe(basic, group, **kwargs)
-        assert classify_frieze(p) is group
-    record(11, "recipe round trip (7 groups)", t0, 5)
+        assert classify_frieze(p) is group, (group, kwargs)
+    record(11, "recipe round trip (7 groups, both period directions)",
+           t0, 5)
 
 
 def test_criterion_12_determinism_and_formats(crystal_fixtures, capsys,

@@ -18,13 +18,12 @@ from shogi_frieze import (BISHOP, KING, LANCE, ROOK, STANDARD_KINDS,
                           PlacedPiece, canonicalize, classify_frieze,
                           control_of_pattern, detect_symmetries, dual,
                           generate_from_recipe, is_symmetry, make_pattern,
-                          RayEvent, ncc_status, oracle, ray_march,
-                          standard_moveset)
+                          RayEvent, ncc_status, oracle, ray_march)
 from shogi_frieze import control
 from shogi_frieze.control import Segment
 from shogi_frieze.geometry import UNIT_DIRS, cross, dot, reduce_cell
 from shogi_frieze.symmetry import apply
-from conftest import DOWN, UP, piece
+from conftest import DOWN, UP, piece, rotated_dual
 
 BIG = 10 ** 9
 
@@ -282,9 +281,7 @@ def _step_targets(p):
     ride is short enough to list."""
     out = set()
     for x in p.pieces:
-        m = standard_moveset(x.kind)
-        if x.orientation is DOWN:
-            m = m.rotated()
+        m = x.kind.oriented(x.orientation)
         out.update(reduce_cell((x.cell[0] + s[0], x.cell[1] + s[1]), p.t)
                    for s in m.steps)
     out.update(x.cell for x in p.pieces)  # captures at the end of a ride
@@ -293,9 +290,6 @@ def _step_targets(p):
 
 # ---------------------------------------------------------------------------
 # Groups and verdicts under re-anchoring, duals and mirrors
-
-_ROTATED = {k: standard_moveset(k).rotated() for k in STANDARD_KINDS}
-
 
 @st.composite
 def patterns(draw):
@@ -340,7 +334,7 @@ def test_reanchored_pattern_keeps_group_and_verdict(p, ks, shift):
 def test_dual_keeps_group_and_verdict_under_rotated_movesets(p):
     d = dual(p)
     assert classify_frieze(d) is classify_frieze(p)
-    assert ncc_status(d, _ROTATED) == ncc_status(p)
+    assert ncc_status(rotated_dual(p)) == ncc_status(p)
 
 
 @settings(max_examples=150, deadline=None)

@@ -3,11 +3,13 @@ import random
 import pytest
 
 from shogi_frieze import (KING, LANCE, PAWN, InconsistentMotifError,
-                          ParseError, PatternError, canonicalize,
-                          classify_frieze, dual, make_pattern, occupant,
-                          parse, serialize)
+                          ParseError, PatternError, PieceKind, canonicalize,
+                          classify_frieze, dual, make_pattern, moveset,
+                          ncc_status, occupant, oracle, parse, serialize)
+from shogi_frieze.cli import main as cli_main
 from shogi_frieze.geometry import reduce_cell
 from shogi_frieze.pattern import form_of
+from shogi_frieze.pieces import reverse_chariot_moveset
 from conftest import DOWN, UP, FIXTURE_DIR, piece, random_pattern
 
 
@@ -143,17 +145,90 @@ def test_parse_decor_on_empty_cell():
 
 
 def test_parse_custom_kind_header():
-    from shogi_frieze.pieces import clear_custom_kinds
-    clear_custom_kinds()
     text = ("period: 3 0\nkind: C rc-test steps= rides=(0,-1);(0,1)\n"
             "grid:\nC^ .. ..\n")
     p = parse(text)
-    assert p.pieces[0].kind.name == "rc-test"
+    assert p.pieces[0].kind == PieceKind("rc-test", reverse_chariot_moveset())
     # serialize emits the kind header again and round-trips
     out = serialize(p)
     assert "kind: A rc-test steps= rides=(0,-1);(0,1)" in out
     assert parse(out) == p
-    clear_custom_kinds()
+
+
+def _fairy_file(steps):
+    return (f"period: 3 0\nkind: F fairy-a steps={steps} rides=\n"
+            "grid:\n.. Kv ..\nF^ .. ..\n")
+
+
+FAIRY_STEPS = {"vertical": "(0,1);(0,-1)", "horizontal": "(1,0);(-1,0)"}
+
+
+def _moveset_of(steps):
+    """The moveset a steps= field names, written out for the oracle."""
+    return moveset(steps=[tuple(map(int, v.strip("()").split(",")))
+                          for v in steps.split(";")])
+
+
+@pytest.mark.parametrize("order", [("vertical", "horizontal"),
+                                   ("horizontal", "vertical")])
+def test_one_name_two_movesets_in_one_process(order):
+    patterns = {name: parse(_fairy_file(FAIRY_STEPS[name])) for name in order}
+    a, b = (patterns[name] for name in order)
+    kind_a, kind_b = a.pieces[0].kind, b.pieces[0].kind
+    assert kind_a.name == kind_b.name == "fairy-a" and kind_a != kind_b
+    for p, steps in ((a, order[0]), (b, order[1])):
+        board = oracle.replicate(p, oracle.sufficient_copies(p))
+        own = {kind_a: _moveset_of(FAIRY_STEPS[steps])}
+        st, ost = ncc_status(p), oracle.brute_ncc(board, own)
+        assert (st.verdict, st.uncontrolled_class) == \
+               (ost.verdict, ost.uncontrolled_class)
+        assert st.uncontrolled == {reduce_cell(c, p.t)
+                                   for c in ost.uncontrolled}
+    assert ncc_status(a).uncontrolled != ncc_status(b).uncontrolled
+
+
+@pytest.mark.parametrize("header, message", [
+    ("kind: F king steps=(0,1) rides=", "standard kind"),
+    ("kind: F fairy-a steps=(0,1) rides=\nkind: H fairy-a steps=(1,0) rides=",
+     "declared twice"),
+])
+def test_parse_rejects_kind_headers(header, message, tmp_path, capsys):
+    text = f"period: 3 0\n{header}\ngrid:\nF^ .. ..\n"
+    with pytest.raises(ParseError, match=message):
+        parse(text)
+    path = tmp_path / "bad.pattern"
+    path.write_text(text, encoding="utf-8")
+    assert cli_main(["ncc", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_parse_accepts_identical_redeclaration():
+    text = ("period: 3 0\nkind: F fairy-a steps=(0,1) rides=\n"
+            "kind: H fairy-a steps=(0,1) rides=\ngrid:\nF^ H^ ..\n")
+    p = parse(text)
+    assert p.pieces[0].kind == p.pieces[1].kind
+
+
+def test_serialize_custom_kind_reads_moveset_off_pieces():
+    kind = PieceKind("fairy-b", moveset(steps=[(2, 1)], rides=[(1, -1)]))
+    p = make_pattern([piece((0, 0), kind=kind), piece((1, 1), DOWN)], (3, 0))
+    text = serialize(p)
+    assert "kind: A fairy-b steps=(2,1) rides=(1,-1)" in text
+    assert parse(text) == p
+    assert serialize(parse(text)) == text
+
+
+def test_serialize_rejects_two_kinds_with_one_name():
+    one = PieceKind("fairy-a", moveset(steps=[(0, 1)]))
+    two = PieceKind("fairy-a", moveset(steps=[(1, 0)]))
+    p = make_pattern([piece((0, 0), kind=one), piece((1, 0), kind=two)],
+                     (3, 0))
+    with pytest.raises(PatternError, match="two kinds named"):
+        serialize(p)
+    # a standard name stands for its standard moveset in a file
+    substituted = PieceKind("lance", reverse_chariot_moveset())
+    with pytest.raises(PatternError, match="two kinds named 'lance'"):
+        serialize(make_pattern([piece((0, 0), kind=substituted)], (3, 0)))
 
 
 def test_roundtrip_fixtures():

@@ -3,55 +3,54 @@ import pytest
 from shogi_frieze import (BISHOP, GOLD, KING, KNIGHT, LANCE, PAWN, ROOK,
                           STANDARD_KINDS, Orientation, PieceKind,
                           UnknownKindError, has_horizontal_mirror_symmetry,
-                          moveset, oriented_moveset, register_custom_kind,
-                          standard_moveset)
+                          moveset)
 from shogi_frieze.pieces import (MovesetError, chess_knight_moveset,
-                                 clear_custom_kinds, reverse_chariot_moveset,
+                                 reverse_chariot_moveset,
                                  sideways_silver_moveset)
 
 UP, DOWN = Orientation.UP, Orientation.DOWN
 
 
 def test_gold_moveset():
-    m = standard_moveset(GOLD)
+    m = GOLD.moveset
     assert m.steps == {(0, 1), (1, 1), (-1, 1), (1, 0), (-1, 0), (0, -1)}
     assert m.rides == frozenset()
 
 
 def test_king_moveset():
-    m = standard_moveset(KING)
+    m = KING.moveset
     assert len(m.steps) == 8 and not m.rides
 
 
 def test_lance_moveset():
-    m = standard_moveset(LANCE)
+    m = LANCE.moveset
     assert m.steps == frozenset() and m.rides == {(0, 1)}
 
 
 def test_slider_rides():
-    assert standard_moveset(BISHOP).rides == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
-    assert standard_moveset(ROOK).rides == {(1, 0), (-1, 0), (0, 1), (0, -1)}
+    assert BISHOP.moveset.rides == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+    assert ROOK.moveset.rides == {(1, 0), (-1, 0), (0, 1), (0, -1)}
 
 
 def test_oriented_down_examples():
-    assert oriented_moveset(PAWN, DOWN).steps == {(0, -1)}
-    assert oriented_moveset(KING, DOWN).steps == oriented_moveset(KING, UP).steps
-    assert oriented_moveset(KNIGHT, DOWN).steps == {(1, -2), (-1, -2)}
+    assert PAWN.oriented(DOWN).steps == {(0, -1)}
+    assert KING.oriented(DOWN).steps == KING.oriented(UP).steps
+    assert KNIGHT.oriented(DOWN).steps == {(1, -2), (-1, -2)}
 
 
 def test_oriented_down_is_full_rotation():
     for kind in STANDARD_KINDS:
-        up = oriented_moveset(kind, UP)
-        down = oriented_moveset(kind, DOWN)
+        up = kind.oriented(UP)
+        down = kind.oriented(DOWN)
         assert down.steps == {(-dx, -dy) for dx, dy in up.steps}
         assert down.rides == {(-dx, -dy) for dx, dy in up.rides}
         # pure function: repeated calls agree
-        assert oriented_moveset(kind, DOWN) == down
+        assert kind.oriented(DOWN) == down
 
 
 def test_mirror_symmetry_partition():
     symmetric = {k for k in STANDARD_KINDS
-                 if has_horizontal_mirror_symmetry(standard_moveset(k))}
+                 if has_horizontal_mirror_symmetry(k.moveset)}
     assert symmetric == {KING, ROOK, BISHOP}
 
 
@@ -60,17 +59,32 @@ def test_mirror_symmetry_custom():
     assert not has_horizontal_mirror_symmetry(moveset(steps=[(0, 1)]))
 
 
-def test_register_custom_kind():
-    clear_custom_kinds()
-    rc = register_custom_kind("test-reverse-chariot", reverse_chariot_moveset())
-    assert standard_moveset(rc).rides == {(0, 1), (0, -1)}
-    ck = register_custom_kind("test-chess-knight", chess_knight_moveset())
-    assert len(standard_moveset(ck).steps) == 8
-    with pytest.raises(ValueError):
-        register_custom_kind("test-reverse-chariot", moveset(steps=[(1, 0)]))
+def test_kind_is_name_and_moveset():
+    assert PieceKind("king") == KING
+    assert hash(PieceKind("king")) == hash(KING)
+    assert PieceKind("king", KING.moveset) == KING
+    rc = PieceKind("lance", reverse_chariot_moveset())
+    assert rc != LANCE and rc.name == LANCE.name
+    assert rc.moveset.rides == {(0, 1), (0, -1)}
+    ck = PieceKind("test-chess-knight", chess_knight_moveset())
+    assert len(ck.moveset.steps) == 8
+    assert ck == PieceKind("test-chess-knight", chess_knight_moveset())
+    assert ck != PieceKind("test-chess-knight", moveset(steps=[(1, 0)]))
+
+
+def test_custom_kind_without_moveset():
+    unknown = PieceKind("never-declared")  # building it is fine
+    assert unknown == PieceKind("never-declared")
+    assert unknown != PieceKind("never-declared", moveset(steps=[(1, 0)]))
     with pytest.raises(UnknownKindError):
-        standard_moveset(PieceKind("never-registered"))
-    clear_custom_kinds()
+        unknown.moveset
+    with pytest.raises(UnknownKindError):
+        unknown.oriented(DOWN)
+
+
+def test_kind_is_immutable():
+    with pytest.raises(AttributeError):
+        KING.name = "queen"
 
 
 def test_malformed_movesets():

@@ -5,10 +5,9 @@ import pytest
 from shogi_frieze import (PAWN, FriezeGroup, Isometry,
                           apply, classify_frieze, detect_symmetries, dual,
                           generate_from_recipe, is_symmetry, make_pattern,
-                          ncc_status, standard_moveset)
+                          ncc_status)
 from shogi_frieze.pattern import PatternError
-from shogi_frieze.pieces import STANDARD_KINDS
-from conftest import DOWN, UP, piece, random_pattern
+from conftest import DOWN, UP, piece, random_pattern, rotated_dual
 
 
 def test_apply_reflect_v_wraparound():
@@ -179,6 +178,8 @@ def test_recipe_rejects_incompatible_period():
         generate_from_recipe([piece((0, 0))], FriezeGroup.P2MM, (2, 1))
     with pytest.raises(PatternError):
         generate_from_recipe([piece((0, 0))], FriezeGroup.P11G, (3, 0))
+    with pytest.raises(PatternError):
+        generate_from_recipe([piece((0, 0))], FriezeGroup.P11G, (0, 3))
 
 
 def test_recipe_collision():
@@ -204,7 +205,6 @@ def test_decoration_does_not_affect_control():
 
 def test_metamorphic_dual_with_rotated_movesets():
     rng = random.Random(59)
-    rotated = {k: standard_moveset(k).rotated() for k in STANDARD_KINDS}
     for _ in range(40):
         p = random_pattern(rng)
-        assert ncc_status(dual(p), overrides=rotated) == ncc_status(p)
+        assert ncc_status(rotated_dual(p)) == ncc_status(p)
