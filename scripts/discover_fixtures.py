@@ -4,9 +4,9 @@
 Five of the seven rows fall out of the generic bounded search quickly once
 the right orientations are allowed (the p2 row needs a diagonal
 translation vector, which the search enumerates).  The p11m row sits in a
-larger space, so it is hunted through mirror-closed candidates only: a
-basic motif above the axis is reflected to build each candidate, and the
-classifier rejects the ones with accidental extra symmetry.
+larger space, so it is hunted through mirror-closed candidates only: each
+candidate is the p11m recipe closure of a basic motif above the axis, and
+the classifier rejects the ones with accidental extra symmetry.
 
 Run from the repository root:
 
@@ -27,14 +27,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from shogi_frieze import (  # noqa: E402
-    KIND_COLUMNS, KING, Orientation, PeriodicPattern, PlacedPiece,
-    SearchBounds, classify_frieze, find_crystal, form_of, make_pattern,
-    ncc_vector, parse, serialize)
+    KIND_COLUMNS, KING, FriezeGroup, Orientation, PatternError,
+    PeriodicPattern, PlacedPiece, SearchBounds, classify_frieze, find_crystal,
+    form_of, generate_from_recipe, ncc_vector, parse, serialize)
 from shogi_frieze.search import ROW_ORDER, staircase_target  # noqa: E402
-from shogi_frieze.symmetry import FriezeGroup, Isometry, apply  # noqa: E402
 
 UP, DOWN = Orientation.UP, Orientation.DOWN
-BOTH = frozenset((UP, DOWN))
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / \
     "src" / "shogi_frieze" / "fixtures" / "crystals"
@@ -58,7 +56,6 @@ def hunt_generic(group: FriezeGroup, idx: int,
 def hunt_p11m(idx: int, max_basic: int = 4, max_T: int = 4,
               rows: int = 3) -> PeriodicPattern | None:
     """Enumerate candidates closed under reflect_h(y=-1/2) only."""
-    mirror = Isometry.reflect_h(-0.5)
     want = want_string(idx)
     seen: set[PeriodicPattern] = set()
     for n in range(1, max_basic + 1):
@@ -69,10 +66,9 @@ def hunt_p11m(idx: int, max_basic: int = 4, max_T: int = 4,
                     basic = [PlacedPiece(c, KING, o)
                              for c, o in zip(cells, orients)]
                     try:
-                        half = make_pattern(basic, (T, 0))
-                        p = make_pattern(
-                            half.pieces + apply(mirror, half).pieces, (T, 0))
-                    except Exception:
+                        p = generate_from_recipe(basic, FriezeGroup.P11M,
+                                                 (T, 0), axis_y=-0.5)
+                    except PatternError:
                         continue
                     if p in seen:
                         continue

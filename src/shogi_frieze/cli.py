@@ -303,8 +303,9 @@ def main(argv=None) -> int:
     except (ParseError, PatternError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"internal error: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return 1
 
 

@@ -5,7 +5,7 @@ y grows upward.  All periodic computations quotient the lattice by the
 subgroup generated by a nonzero translation vector ``t``; the helpers here
 implement that reduction and the two linear coordinates used throughout:
 
-* ``proj(c, t) = c . t``       position along the translation axis,
+* ``dot(c, t) = c . t``        position along the translation axis,
 * ``cross(c, t) = x*ty - y*tx`` position across it (invariant under +t).
 """
 

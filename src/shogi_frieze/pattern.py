@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
-from .geometry import (Vec, add, canonical_sign, cross, dot, is_unit, neg,
+from .geometry import (Vec, canonical_sign, cross, dot, is_unit, neg,
                        reduce_cell, sub)
 from .pieces import KIND_LETTERS, Orientation, PieceKind, moveset
 
@@ -95,14 +95,28 @@ def _minimal_period(by_class: dict[Vec, PlacedPiece], t: Vec) -> Vec:
                 shifts.add(s)
     for s in sorted(shifts):
         v = (u[0] * s, u[1] * s)
-        if all(_same_attrs(by_class.get(reduce_cell(add(cell, v), t)), piece)
-               for cell, piece in by_class.items()):
+        if maps_onto(by_class, (1, 1), v, t):
             return v
     return t
 
 
-def _same_attrs(hit: Optional[PlacedPiece], piece: PlacedPiece) -> bool:
-    return hit is not None and hit.attrs() == piece.attrs()
+def maps_onto(by_class: dict[Vec, PlacedPiece], S: Vec, o: Vec,
+              t: Vec) -> bool:
+    """Does c -> S c + o map every piece of the reduced motif ``by_class``
+    (modulo t) onto a piece of the same kind, turned over when S flips y,
+    with its decoration mapped by S?"""
+    flips = S[1] < 0
+    for (x, y), piece in by_class.items():
+        hit = by_class.get(reduce_cell((S[0] * x + o[0], S[1] * y + o[1]), t))
+        if hit is None or hit.kind != piece.kind:
+            return False
+        if (hit.orientation is piece.orientation) == flips:
+            return False
+        deco = piece.decoration
+        if hit.decoration != (None if deco is None
+                              else (S[0] * deco[0], S[1] * deco[1])):
+            return False
+    return True
 
 
 def canonicalize(p: PeriodicPattern) -> PeriodicPattern:

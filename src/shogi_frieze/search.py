@@ -23,7 +23,7 @@ from .control import (NccStatus, RegionClass, Verdict, _verdict_from_parts,
                       control_of_pattern, neighborhood,
                       partition_neighborhood)
 from .geometry import UNIT_DIRS, Vec, canonical_sign, reduce_cell, sub
-from .pattern import Form, PatternError, PeriodicPattern
+from .pattern import Form, PatternError, PeriodicPattern, form_of
 from .pieces import (BISHOP, GOLD, KING, KNIGHT, LANCE, PAWN, ROOK, SILVER,
                      Moveset, Orientation, PieceKind)
 from .symmetry import FriezeGroup, classify_frieze
@@ -343,10 +343,7 @@ def satisfies_table(fixtures: Mapping[FriezeGroup, PeriodicPattern],
     """Full per-kind verdicts for each fixture crystal, one per column."""
     out: dict[FriezeGroup, dict[PieceKind, NccStatus]] = {}
     for group in ROW_ORDER:
-        p = fixtures[group]
-        form = Form(tuple((x.cell, x.orientation, x.decoration)
-                          for x in p.pieces), p.t)
-        out[group] = ncc_vector(form, columns)
+        out[group] = ncc_vector(form_of(fixtures[group]), columns)
     return out
 
 

@@ -1,18 +1,19 @@
 """Lattice isometries, symmetry detection and frieze-group classification.
 
-The isometry alphabet is the one relevant to one-directional patterns with
-an up/down piece alphabet: translations, 180-degree rotations, horizontal
-and vertical reflections, and horizontal and vertical glide reflections.
-Axis and center coordinates live on the half-integer grid so integer cells
-map to integer cells.
+An isometry is the affine map c -> S c + o with a linear part
+S = diag(+-1, +-1) and an integer offset o.  S = 1 is a translation by o,
+S = -1 a 180-degree rotation about o / 2, S = diag(1, -1) a mirror (o_x = 0)
+or a glide (o_x != 0) with the horizontal axis y = o_y / 2, and
+S = diag(-1, 1) a mirror or glide with the vertical axis x = o_x / 2.  Axes
+and centers therefore lie on the half-integer grid and integer cells map to
+integer cells.  A map turns a piece over when S flips y.
 
 Reflections about diagonal axes are excluded: they would map up/down
-pieces to sideways ones, which do not exist.  Every other isometry has a
-linear part S = diag(+-1, +-1), and it can map a frieze onto itself only if
-S t = +-t.  A horizontal or a vertical minimal translation therefore
-admits mirrors and glides (for a vertical t the mirror along t has a
-vertical axis), while any other translation admits only rotations and
-always classifies as p1 or p2.
+pieces to sideways ones, which do not exist.  An isometry c -> S c + o can
+map a frieze onto itself only if S t = +-t.  A horizontal or a vertical
+minimal translation therefore admits mirrors and glides (for a vertical t
+the mirror along t has a vertical axis), while any other translation admits
+only rotations and always classifies as p1 or p2.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterable
 from .geometry import (Vec, add, canonical_sign, dot, neg, reduce_cell, scale,
                        sub)
 from .pattern import (PatternError, PeriodicPattern, PlacedPiece,
-                      canonicalize, make_pattern)
+                      canonicalize, make_pattern, maps_onto)
 
 
 class IsometryKind(enum.Enum):
@@ -36,100 +37,108 @@ class IsometryKind(enum.Enum):
     GLIDE_V = "glide_v"
 
 
-_FLIPS_ORIENTATION = {
-    IsometryKind.ROTATE180: True,
-    IsometryKind.REFLECT_H: True,
-    IsometryKind.GLIDE_H: True,
-    IsometryKind.TRANSLATE: False,
-    IsometryKind.REFLECT_V: False,
-    IsometryKind.GLIDE_V: False,
-}
-
-
-def _half(value: float, what: str) -> float:
+def _twice(value: float, what: str) -> int:
     if round(2 * value) != 2 * value:
         raise PatternError(f"{what} must lie on the half-integer grid")
-    return float(value)
+    return int(2 * value)
 
 
 @dataclass(frozen=True)
 class Isometry:
-    """One lattice isometry.  Parameters by kind:
+    """The lattice isometry c -> S c + o, with S = diag(*linear) and
+    o = offset.  Its kind and parameters are read off the pair:
 
     TRANSLATE: shift;  ROTATE180: center;  REFLECT_H: axis y = axis_y;
     REFLECT_V: axis x = axis_x;  GLIDE_H: axis y = axis_y plus a nonzero
     horizontal integer shift;  GLIDE_V: axis x = axis_x plus a nonzero
-    vertical integer shift.
+    vertical integer shift.  A parameter of another kind reads as zero.
     """
-    kind: IsometryKind
-    shift: Vec = (0, 0)
-    center: tuple[float, float] = (0.0, 0.0)
-    axis_x: float = 0.0
-    axis_y: float = 0.0
+    linear: Vec
+    offset: Vec
+
+    def __post_init__(self) -> None:
+        if abs(self.linear[0]) != 1 or abs(self.linear[1]) != 1:
+            raise PatternError(f"linear part {self.linear} is not +-1, +-1")
 
     @staticmethod
     def translate(v: Vec) -> "Isometry":
-        return Isometry(IsometryKind.TRANSLATE, shift=v)
+        return Isometry((1, 1), v)
 
     @staticmethod
     def rotate180(center: tuple[float, float]) -> "Isometry":
-        cx = _half(center[0], "rotation center x")
-        cy = _half(center[1], "rotation center y")
-        return Isometry(IsometryKind.ROTATE180, center=(cx, cy))
+        return Isometry((-1, -1), (_twice(center[0], "rotation center x"),
+                                   _twice(center[1], "rotation center y")))
 
     @staticmethod
     def reflect_h(axis_y: float) -> "Isometry":
-        return Isometry(IsometryKind.REFLECT_H,
-                        axis_y=_half(axis_y, "mirror axis"))
+        return Isometry((1, -1), (0, _twice(axis_y, "mirror axis")))
 
     @staticmethod
     def reflect_v(axis_x: float) -> "Isometry":
-        return Isometry(IsometryKind.REFLECT_V,
-                        axis_x=_half(axis_x, "mirror axis"))
+        return Isometry((-1, 1), (_twice(axis_x, "mirror axis"), 0))
 
     @staticmethod
     def glide_h(axis_y: float, shift: Vec) -> "Isometry":
         if shift[1] != 0 or shift[0] == 0:
             raise PatternError("glide shift must be horizontal and nonzero")
-        return Isometry(IsometryKind.GLIDE_H, shift=shift,
-                        axis_y=_half(axis_y, "glide axis"))
+        return Isometry((1, -1), (shift[0], _twice(axis_y, "glide axis")))
 
     @staticmethod
     def glide_v(axis_x: float, shift: Vec) -> "Isometry":
         if shift[0] != 0 or shift[1] == 0:
             raise PatternError("glide shift must be vertical and nonzero")
-        return Isometry(IsometryKind.GLIDE_V, shift=shift,
-                        axis_x=_half(axis_x, "glide axis"))
+        return Isometry((-1, 1), (_twice(axis_x, "glide axis"), shift[1]))
+
+    @property
+    def kind(self) -> IsometryKind:
+        K = IsometryKind
+        sx, sy = self.linear
+        if sx == sy:
+            return K.TRANSLATE if sx > 0 else K.ROTATE180
+        if sy < 0:
+            return K.GLIDE_H if self.offset[0] else K.REFLECT_H
+        return K.GLIDE_V if self.offset[1] else K.REFLECT_V
+
+    @property
+    def axis_x(self) -> float:
+        return self.offset[0] / 2 if self.linear == (-1, 1) else 0.0
+
+    @property
+    def axis_y(self) -> float:
+        return self.offset[1] / 2 if self.linear == (1, -1) else 0.0
+
+    @property
+    def center(self) -> tuple[float, float]:
+        if self.linear != (-1, -1):
+            return (0.0, 0.0)
+        return (self.offset[0] / 2, self.offset[1] / 2)
+
+    @property
+    def shift(self) -> Vec:
+        """The offset along the directions S fixes."""
+        (sx, sy), (ox, oy) = self.linear, self.offset
+        return (ox if sx > 0 else 0, oy if sy > 0 else 0)
 
     def map_cell(self, c: Vec) -> Vec:
-        k = self.kind
-        if k is IsometryKind.TRANSLATE:
-            return add(c, self.shift)
-        if k is IsometryKind.ROTATE180:
-            return (int(2 * self.center[0] - c[0]),
-                    int(2 * self.center[1] - c[1]))
-        if k is IsometryKind.REFLECT_H:
-            return (c[0], int(2 * self.axis_y - c[1]))
-        if k is IsometryKind.REFLECT_V:
-            return (int(2 * self.axis_x - c[0]), c[1])
-        if k is IsometryKind.GLIDE_V:
-            return (int(2 * self.axis_x - c[0]), c[1] + self.shift[1])
-        return (c[0] + self.shift[0], int(2 * self.axis_y - c[1]))
+        return (self.linear[0] * c[0] + self.offset[0],
+                self.linear[1] * c[1] + self.offset[1])
 
     def map_direction(self, d: Vec) -> Vec:
         """Linear part applied to a displacement (for decorations and t)."""
-        k = self.kind
-        if k is IsometryKind.TRANSLATE:
-            return d
-        if k is IsometryKind.ROTATE180:
-            return neg(d)
-        if k in (IsometryKind.REFLECT_V, IsometryKind.GLIDE_V):
-            return (-d[0], d[1])
-        return (d[0], -d[1])
+        return (self.linear[0] * d[0], self.linear[1] * d[1])
 
     @property
     def flips_orientation(self) -> bool:
-        return _FLIPS_ORIENTATION[self.kind]
+        return self.linear[1] < 0
+
+    def image(self, piece: PlacedPiece) -> PlacedPiece:
+        """The piece moved: its cell mapped, turned over when S flips y,
+        its decoration mapped by the linear part."""
+        o = piece.orientation
+        deco = piece.decoration
+        return PlacedPiece(self.map_cell(piece.cell), piece.kind,
+                           o.flipped if self.flips_orientation else o,
+                           None if deco is None else self.map_direction(deco))
 
 
 class FriezeGroup(enum.Enum):
@@ -147,17 +156,9 @@ class FriezeGroup(enum.Enum):
 
 
 def apply(sigma: Isometry, p: PeriodicPattern) -> PeriodicPattern:
-    """Transform a pattern; orientations flip under rotation, horizontal
-    reflection and horizontal glide; decorations follow the linear part."""
-    pieces = []
-    for piece in p.pieces:
-        cell = sigma.map_cell(piece.cell)
-        o = (piece.orientation.flipped if sigma.flips_orientation
-             else piece.orientation)
-        deco = (sigma.map_direction(piece.decoration)
-                if piece.decoration is not None else None)
-        pieces.append(PlacedPiece(cell, piece.kind, o, deco))
-    return make_pattern(pieces, sigma.map_direction(p.t))
+    """Transform a pattern piece by piece (``Isometry.image``); t follows
+    the linear part."""
+    return make_pattern(map(sigma.image, p.pieces), sigma.map_direction(p.t))
 
 
 def is_symmetry(p: PeriodicPattern, sigma: Isometry) -> bool:
@@ -177,7 +178,7 @@ class SymmetryFlags:
     witnesses: tuple[Isometry, ...]
 
 
-# Linear parts diag(sx, sy) of the isometries that keep pieces upright.
+# Linear parts diag(sx, sy) of the isometries other than translations.
 _LINEAR_PARTS: tuple[Vec, ...] = ((-1, -1), (1, -1), (-1, 1))
 
 _WITNESS_ORDER = {IsometryKind.REFLECT_H: 0, IsometryKind.REFLECT_V: 1,
@@ -204,20 +205,15 @@ def _listed_offsets(S: Vec, o: Vec, t: Vec) -> list[Vec]:
     return []
 
 
-def _witness(S: Vec, o: Vec, t: Vec) -> tuple[Isometry, str]:
-    """The symmetry c -> S c + o as an isometry, with its flag.  Squared, a
-    symmetry is a translation by a multiple of t, so a mirror across t
-    shifts nothing along its axis, and a shift along t makes a glide."""
-    if S == (-1, -1):
-        return Isometry.rotate180((o[0] / 2, o[1] / 2)), "r"
-    flag = "h" if (S[0] * t[0], S[1] * t[1]) == t else "v"
-    if S == (1, -1):  # horizontal axis y = o[1] / 2
-        if o[0] == 0:
-            return Isometry.reflect_h(o[1] / 2), flag
-        return Isometry.glide_h(o[1] / 2, (o[0], 0)), "g"
-    if o[1] == 0:  # vertical axis x = o[0] / 2
-        return Isometry.reflect_v(o[0] / 2), flag
-    return Isometry.glide_v(o[0] / 2, (0, o[1])), "g"
+def _flag(sigma: Isometry, t: Vec) -> str:
+    """The role of a symmetry relative to t.  Squared, a symmetry is a
+    translation by a multiple of t, so a mirror across t shifts nothing
+    along its axis, and a shift along t makes a glide."""
+    if sigma.linear == (-1, -1):
+        return "r"
+    if sigma.shift != (0, 0):
+        return "g"
+    return "h" if sigma.map_direction(t) == t else "v"
 
 
 def detect_symmetries(p: PeriodicPattern) -> SymmetryFlags:
@@ -242,32 +238,14 @@ def detect_symmetries(p: PeriodicPattern) -> SymmetryFlags:
         image = (S[0] * first[0], S[1] * first[1])
         for piece in p.pieces:
             for o in _listed_offsets(S, sub(piece.cell, image), t):
-                if _maps_onto(by_class, S, o, t):
-                    witness, flag = _witness(S, o, t)
+                if maps_onto(by_class, S, o, t):
+                    witness = Isometry(S, o)
                     witnesses.append(witness)
-                    found.add(flag)
+                    found.add(_flag(witness, t))
     witnesses.sort(key=lambda w: (_WITNESS_ORDER[w.kind], w.axis_x,
                                   w.axis_y, w.center, w.shift))
     return SymmetryFlags("h" in found, "v" in found, "g" in found,
                          "r" in found, tuple(witnesses))
-
-
-def _maps_onto(by_class: dict[Vec, PlacedPiece], S: Vec, o: Vec,
-               t: Vec) -> bool:
-    """Does c -> S c + o map every piece onto a piece of the same kind,
-    turned over when S flips y, with its decoration mapped by S?"""
-    flips = S[1] < 0
-    for (x, y), piece in by_class.items():
-        hit = by_class.get(reduce_cell((S[0] * x + o[0], S[1] * y + o[1]), t))
-        if hit is None or hit.kind != piece.kind:
-            return False
-        if (hit.orientation is piece.orientation) == flips:
-            return False
-        deco = piece.decoration
-        if hit.decoration != (None if deco is None
-                              else (S[0] * deco[0], S[1] * deco[1])):
-            return False
-    return True
 
 
 def group_of(flags: SymmetryFlags) -> FriezeGroup:
@@ -341,36 +319,15 @@ def generate_from_recipe(basic: Iterable[PlacedPiece], group: FriezeGroup,
         gens.append(Isometry.rotate180(center))
 
     by_class: dict[Vec, PlacedPiece] = {}
-
-    def insert(piece: PlacedPiece) -> bool:
+    work = list(basic)
+    while work:
+        piece = work.pop()
         cls = reduce_cell(piece.cell, period)
-        moved = replace(piece, cell=cls)
         prev = by_class.get(cls)
         if prev is None:
-            by_class[cls] = moved
-            return True
-        if prev.attrs() != moved.attrs():
+            by_class[cls] = moved = replace(piece, cell=cls)
+            work.extend(sigma.image(moved) for sigma in gens)
+        elif prev.attrs() != piece.attrs():
             raise PatternError(f"recipe orbit collision in class {cls}")
-        return False
-
-    for piece in basic:
-        insert(piece)
-
-    changed = True
-    rounds = 0
-    while changed:
-        changed = False
-        rounds += 1
-        if rounds > 64:
-            raise PatternError("recipe closure did not stabilize")
-        for sigma in gens:
-            for piece in list(by_class.values()):
-                cell = sigma.map_cell(piece.cell)
-                o = (piece.orientation.flipped if sigma.flips_orientation
-                     else piece.orientation)
-                deco = (sigma.map_direction(piece.decoration)
-                        if piece.decoration is not None else None)
-                if insert(PlacedPiece(cell, piece.kind, o, deco)):
-                    changed = True
 
     return make_pattern(by_class.values(), period)

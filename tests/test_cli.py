@@ -193,3 +193,16 @@ def test_classify_vertical_translation(tmp_path, capsys):
     f.write_text("period: 0 2\ngrid:\n.. K^\nK^ ..\n", encoding="utf-8")
     assert run(capsys, "classify", str(f))[1].splitlines() == [
         "group=p11g", "g x=0.5 shift=1"]
+
+
+def test_internal_error_with_empty_message_names_its_type(monkeypatch,
+                                                          capsys):
+    from shogi_frieze import cli
+
+    def fail(p):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "detect_symmetries", fail)
+    code, out, err = run(capsys, "classify", str(FIXTURE_DIR / "p2.pattern"))
+    assert code == 1 and out == ""
+    assert "MemoryError" in err

@@ -1,8 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
-from shogi_frieze import (PAWN, FriezeGroup, Isometry,
+from shogi_frieze import (PAWN, FriezeGroup, Isometry, IsometryKind,
                           apply, classify_frieze, detect_symmetries, dual,
                           generate_from_recipe, is_symmetry, make_pattern,
                           ncc_status)
@@ -35,6 +36,49 @@ def test_apply_validates_half_integers():
         Isometry.reflect_h(0.25)
     with pytest.raises(PatternError):
         Isometry.glide_h(0.5, (0, 0))
+
+
+def test_isometry_is_linear_part_and_offset():
+    assert [f.name for f in dataclasses.fields(Isometry)] == ["linear",
+                                                              "offset"]
+    assert Isometry.glide_h(1.5, (2, 0)) == Isometry((1, -1), (2, 3))
+
+
+@pytest.mark.parametrize("iso, kind, params", [
+    (Isometry.translate((3, -1)), IsometryKind.TRANSLATE,
+     dict(shift=(3, -1))),
+    (Isometry.rotate180((0.5, -1.0)), IsometryKind.ROTATE180,
+     dict(center=(0.5, -1.0))),
+    (Isometry.reflect_h(1.5), IsometryKind.REFLECT_H, dict(axis_y=1.5)),
+    (Isometry.reflect_v(-0.5), IsometryKind.REFLECT_V, dict(axis_x=-0.5)),
+    (Isometry.glide_h(0.5, (2, 0)), IsometryKind.GLIDE_H,
+     dict(axis_y=0.5, shift=(2, 0))),
+    (Isometry.glide_v(-1.0, (0, -3)), IsometryKind.GLIDE_V,
+     dict(axis_x=-1.0, shift=(0, -3))),
+])
+def test_constructors_read_back_kind_and_parameters(iso, kind, params):
+    assert iso.kind is kind
+    unset = dict(axis_x=0.0, axis_y=0.0, center=(0.0, 0.0), shift=(0, 0))
+    for name, value in {**unset, **params}.items():
+        assert getattr(iso, name) == value, name
+
+
+def test_map_cell_matches_formulas():
+    cells = [(0, 0), (3, -2), (-1, 5)]
+    a, b, s = 1.5, -0.5, 2
+    formulas = [
+        (Isometry.translate((s, -1)), lambda x, y: (x + s, y - 1), False),
+        (Isometry.rotate180((a, b)), lambda x, y: (2 * a - x, 2 * b - y),
+         True),
+        (Isometry.reflect_h(b), lambda x, y: (x, 2 * b - y), True),
+        (Isometry.reflect_v(a), lambda x, y: (2 * a - x, y), False),
+        (Isometry.glide_h(b, (s, 0)), lambda x, y: (x + s, 2 * b - y), True),
+        (Isometry.glide_v(a, (0, s)), lambda x, y: (2 * a - x, y + s), False),
+    ]
+    for iso, formula, flips in formulas:
+        assert iso.flips_orientation is flips
+        for c in cells:
+            assert iso.map_cell(c) == formula(*c), (iso.kind, c)
 
 
 def test_is_symmetry_translate():
@@ -180,6 +224,13 @@ def test_recipe_rejects_incompatible_period():
         generate_from_recipe([piece((0, 0))], FriezeGroup.P11G, (3, 0))
     with pytest.raises(PatternError):
         generate_from_recipe([piece((0, 0))], FriezeGroup.P11G, (0, 3))
+
+
+def test_recipe_closes_basic_motif_with_shorter_period():
+    # the basic motif repeats every (1,0), half the recipe's period
+    p = generate_from_recipe([piece((0, 0)), piece((1, 0))],
+                             FriezeGroup.P11M, (2, 0))
+    assert p == make_pattern([piece((0, 0)), piece((0, -1), DOWN)], (1, 0))
 
 
 def test_recipe_collision():
