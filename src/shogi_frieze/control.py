@@ -14,6 +14,16 @@ regions:
 * an empty region is unbounded iff it reaches a class whose ``cross`` lies
   outside the occupied band (the half-plane beyond the band is one empty,
   connected, infinite region).
+
+Verdicts come from one ``VerdictKernel`` per geometry (cells and period):
+it computes the neighborhood and partition once, memoizes what each
+(piece, step) and (piece, ride) controls as a bit mask over the
+neighborhood, and judges any assignment of kinds to the pieces as the
+union of their moves' masks followed by ``_verdict_from_parts``, the one
+verdict rule (which the oracle shares).  ``ncc_status`` is the kernel with
+each piece's own kind; a search keeps one kernel for all the uniform kinds
+of a form.  ``control_of_pattern`` lists the control set itself, for the
+CLI and rendering.
 """
 
 from __future__ import annotations
@@ -22,12 +32,13 @@ import enum
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional
+from operator import countOf
+from typing import Mapping, Optional, Sequence
 
 from .geometry import (ORTHO_DIRS, UNIT_DIRS, Vec, add, cross, dot, is_unit,
-                       reduce_cell, scale, sub)
-from .pattern import PatternError, PeriodicPattern
-from .pieces import Orientation
+                       reduce_cell)
+from .pattern import PatternError, PeriodicPattern, PlacedPiece
+from .pieces import Orientation, PieceKind
 
 
 class RegionClass(enum.Enum):
@@ -56,19 +67,20 @@ def _steps_to(cls: Vec, anchor: Vec, direction: Vec, t: Vec) -> Optional[int]:
     ray runs round the L = |t| / |direction| classes of its own line, and k
     is the offset along the line modulo L, taken in [1, L].
     """
-    delta = sub(cls, anchor)
-    qd = cross(direction, t)
-    q = cross(delta, t)
+    (tx, ty), (dx, dy) = t, direction
+    ex, ey = cls[0] - anchor[0], cls[1] - anchor[1]
+    qd = dx * ty - dy * tx  # cross(direction, t)
+    q = ex * ty - ey * tx  # cross(cls - anchor, t)
     if qd == 0:
         if q != 0:
             return None
-        dd = dot(direction, direction)
-        line = abs(dot(t, direction)) // dd
-        return (dot(delta, direction) // dd - 1) % line + 1
+        dd = dx * dx + dy * dy
+        line = abs(tx * dx + ty * dy) // dd
+        return ((ex * dx + ey * dy) // dd - 1) % line + 1
     if q % qd != 0 or q // qd < 1:
         return None
     k = q // qd
-    if dot(sub(delta, scale(direction, k)), t) % dot(t, t) != 0:
+    if ((ex - k * dx) * tx + (ey - k * dy) * ty) % (tx * tx + ty * ty) != 0:
         return None
     return k
 
@@ -122,7 +134,8 @@ class RayMarch:
 # Rides passing at most this many classes are listed in a control set; a
 # longer one (parallel or nearly parallel to t, up to |t| classes) stays a
 # segment.  Listing a short ride makes each later membership test a set
-# lookup, which is what verdicts on small patterns spend their time on.
+# lookup.  A kernel's ride mask is likewise built by listing a short ride's
+# classes and by testing each neighborhood class against a longer one.
 _LISTED_MAX = 32
 
 
@@ -214,11 +227,10 @@ def partition_neighborhood(p: PeriodicPattern) -> dict[Vec, RegionClass]:
                            else RegionClass.OUTSIDE)
             continue
         lift: dict[Vec, Vec] = {}
-        frontier = deque([cls])
+        frontier = deque([(cls, cls)])  # (plane cell, its class)
         bounded = True
         while frontier and bounded:
-            cur = frontier.popleft()
-            cur_cls = reduce_cell(cur, t)
+            cur, cur_cls = frontier.popleft()
             prev = lift.get(cur_cls)
             if prev is not None:
                 if prev != cur:
@@ -237,7 +249,7 @@ def partition_neighborhood(p: PeriodicPattern) -> dict[Vec, RegionClass]:
                 if prev is not None and prev != nxt:
                     bounded = False
                     break
-                frontier.append(nxt)
+                frontier.append((nxt, nxt_cls))
         for c in lift:
             component_bounded[c] = bounded
         result[cls] = (RegionClass.INSIDE if bounded else RegionClass.OUTSIDE)
@@ -320,32 +332,118 @@ def control_of_pattern(p: PeriodicPattern) -> PeriodicCellSet:
                            tuple(sorted(free_lines, key=key)), t)
 
 
-def ncc_status(p: PeriodicPattern) -> NccStatus:
-    """Verdict of the neighborhood control conditions.
+class VerdictKernel:
+    """The control-condition verdicts of one pattern's geometry, for any
+    kinds on its pieces.
 
-    Complete: every neighborhood class is controlled.  Nearly complete:
-    some neighborhood class is controlled and the uncontrolled set equals
-    exactly one nonempty region (base, inside, or outside).  Anything else
-    fails, with a witness cell.
+    Neighborhood and partition depend only on the occupied classes, and
+    what a move controls depends only on the piece making it (cell and
+    orientation), never on the kinds of the others.  So both are computed
+    once: the neighborhood classes a (piece, step) or (piece, ride)
+    controls are memoized as a bit mask over the neighborhood, each ride
+    marched once on first use.  A verdict is the union of the masks of its
+    kinds' moves, then ``_verdict_from_parts``.  ``status`` takes one kind
+    per piece of ``pattern``, in its order, so one kernel judges every
+    pattern with the same cells and period: each uniform instantiation of
+    a form, or the same pieces with other kinds.
     """
-    nbhd = neighborhood(p)
-    regions = partition_neighborhood(p)
-    ctrl = control_of_pattern(p)
-    return _verdict_from_parts(nbhd, regions, ctrl)
+
+    def __init__(self, pattern: PeriodicPattern) -> None:
+        self.pattern = pattern
+        self.partition = partition_neighborhood(pattern)
+        # the partition's classes are the neighborhood's
+        self._bits = {c: 1 << i for i, c in enumerate(self.partition)}
+        qs = [cross(c, pattern.t) for c in self.partition]
+        self._qlo, self._qhi = min(qs), max(qs)
+        self._occupied = pattern.class_map()
+        # per piece: its step or ride displacement -> mask
+        self._steps: list[dict[Vec, int]] = [{} for _ in pattern.pieces]
+        self._rides: list[dict[Vec, int]] = [{} for _ in pattern.pieces]
+
+    def uniform(self, kind: PieceKind) -> NccStatus:
+        """The verdict with ``kind`` on every piece."""
+        return self.status((kind,) * len(self.pattern.pieces))
+
+    def status(self, kinds: Sequence[PieceKind]) -> NccStatus:
+        """The verdict with ``kinds[i]`` on the i-th piece."""
+        controlled = 0
+        for piece, kind, steps, rides in zip(
+                self.pattern.pieces, kinds, self._steps, self._rides,
+                strict=True):
+            m = kind.oriented(piece.orientation)
+            for step in m.steps:
+                mask = steps.get(step)
+                if mask is None:
+                    mask = steps[step] = self._step_mask(piece, step)
+                controlled |= mask
+            for ride in m.rides:
+                mask = rides.get(ride)
+                if mask is None:
+                    mask = rides[ride] = self._ride_mask(piece, ride)
+                controlled |= mask
+        return _verdict_from_parts(self.partition, frozenset(
+            c for c, bit in self._bits.items() if not controlled & bit))
+
+    def _step_mask(self, piece: PlacedPiece, step: Vec) -> int:
+        cls = reduce_cell(add(piece.cell, step), self.pattern.t)
+        hit = self._occupied.get(cls)
+        if hit is not None and hit.orientation is piece.orientation:
+            return 0
+        return self._bits.get(cls, 0)
+
+    def _ride_mask(self, piece: PlacedPiece, ride: Vec) -> int:
+        res = ray_march(self.pattern, piece.cell, ride, piece.orientation)
+        t, (ax, ay) = self.pattern.t, res.passed.anchor
+        length = res.passed.length
+        qd = cross(ride, t)
+        if res.free_line is not None and qd != 0:
+            # Past the pieces a free ray drifting across t still meets
+            # neighborhood classes until its ``cross`` leaves their band;
+            # the rest of its line is off the neighborhood.  (A free ray
+            # parallel to t has passed its whole line already.)
+            q = cross(piece.cell, t)
+            length = ((self._qhi - q) // qd if qd > 0
+                      else (q - self._qlo) // -qd)
+        bits = self._bits
+        mask = bits.get(res.capture, 0)  # 0 when nothing is captured
+        if length <= _LISTED_MAX:
+            dx, dy = ride
+            for k in range(1, length + 1):
+                cls = reduce_cell((ax + k * dx, ay + k * dy), t)
+                mask |= bits.get(cls, 0)
+        else:
+            seg = Segment((ax, ay), ride, length, t)
+            for cls, bit in bits.items():
+                if seg.contains(cls):
+                    mask |= bit
+        return mask
 
 
-def _verdict_from_parts(nbhd: frozenset[Vec],
-                        regions: Mapping[Vec, RegionClass],
-                        ctrl: PeriodicCellSet) -> NccStatus:
-    uncontrolled = frozenset(c for c in nbhd if not ctrl.contains(c))
+def ncc_status(p: PeriodicPattern) -> NccStatus:
+    """Verdict of the neighborhood control conditions for the pattern's own
+    kinds (see ``_verdict_from_parts`` for the rule)."""
+    return VerdictKernel(p).status([x.kind for x in p.pieces])
+
+
+def _verdict_from_parts(regions: Mapping[Vec, RegionClass],
+                        uncontrolled: frozenset[Vec]) -> NccStatus:
+    """The one verdict rule, shared with the oracle.  ``regions`` maps each
+    neighborhood class to its region; ``uncontrolled`` is the subset of
+    them that no piece controls.
+
+    Complete: nothing is uncontrolled.  Nearly complete: some neighborhood
+    class is controlled and the uncontrolled set equals exactly one
+    nonempty region (base, inside, or outside).  Anything else fails, with
+    the least uncontrolled class as witness.
+    """
     if not uncontrolled:
         return NccStatus(Verdict.COMPLETE, uncontrolled=uncontrolled)
-    if len(uncontrolled) < len(nbhd):
-        for region in RegionClass:
-            cells = frozenset(c for c, r in regions.items() if r is region)
-            if cells and cells == uncontrolled:
-                return NccStatus(Verdict.NEARLY_COMPLETE,
-                                 uncontrolled_class=region,
-                                 uncontrolled=uncontrolled)
+    if len(uncontrolled) < len(regions):
+        region = regions[next(iter(uncontrolled))]
+        if (all(regions[c] is region for c in uncontrolled)
+                and countOf(regions.values(), region) == len(uncontrolled)):
+            return NccStatus(Verdict.NEARLY_COMPLETE,
+                             uncontrolled_class=region,
+                             uncontrolled=uncontrolled)
     return NccStatus(Verdict.FAILS, witness=min(uncontrolled),
                      uncontrolled=uncontrolled)

@@ -178,9 +178,4 @@ def brute_ncc(b: FiniteBoard,
     nbhd = brute_neighborhood(b) & window
     partition = {c: r for c, r in brute_partition(b).items() if c in window}
     control = brute_control(b, overrides)
-
-    class _Wrap:
-        def contains(self, cls):
-            return cls in control
-
-    return _verdict_from_parts(frozenset(nbhd), partition, _Wrap())
+    return _verdict_from_parts(partition, frozenset(nbhd - control))

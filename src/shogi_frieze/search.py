@@ -19,10 +19,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .control import (NccStatus, RegionClass, Verdict, _verdict_from_parts,
-                      control_of_pattern, neighborhood,
-                      partition_neighborhood)
-from .geometry import UNIT_DIRS, Vec, canonical_sign, reduce_cell, sub
+from .control import NccStatus, RegionClass, Verdict, VerdictKernel
+from .geometry import UNIT_DIRS, Vec, canonical_sign, reduce_cell
 from .pattern import Form, PatternError, PeriodicPattern, form_of
 from .pieces import (BISHOP, GOLD, KING, KNIGHT, LANCE, PAWN, ROOK, SILVER,
                      Moveset, Orientation, PieceKind)
@@ -77,19 +75,13 @@ class CrystalReport:
 
 
 # ---------------------------------------------------------------------------
-# Fast per-form evaluation: neighborhood and partition depend only on the
-# occupied cells, so they are computed once and reused for every kind.
-
-def _form_geometry(form: Form):
-    pattern = form.instantiate(KING)
-    return pattern, neighborhood(pattern), partition_neighborhood(pattern)
-
-
-def _status_for_kind(form: Form, kind: PieceKind, nbhd,
-                     partition) -> NccStatus:
-    p = form.instantiate(kind)
-    return _verdict_from_parts(nbhd, partition, control_of_pattern(p))
-
+# Per-form evaluation: a form instantiated uniformly with any kind has the
+# cells and period of its all-king pattern (canonicalization never looks at
+# which kind a uniform motif carries), so one ``VerdictKernel`` built on
+# that pattern judges every kind column: each column is a union of memoized
+# move masks and one verdict, with no instantiation, canonicalization or
+# control set per column.  Searches build the kernel only for forms that
+# pass their cheaper filters (period, group).
 
 def ncc_vector(form: Form, kinds: Iterable[PieceKind] = KIND_COLUMNS,
                ) -> dict[PieceKind, NccStatus]:
@@ -97,8 +89,8 @@ def ncc_vector(form: Form, kinds: Iterable[PieceKind] = KIND_COLUMNS,
     kinds = tuple(kinds)
     if not kinds:
         return {}
-    _, nbhd, partition = _form_geometry(form)
-    return {k: _status_for_kind(form, k, nbhd, partition) for k in kinds}
+    kernel = VerdictKernel(form.instantiate(KING))
+    return {k: kernel.uniform(k) for k in kinds}
 
 
 # ---------------------------------------------------------------------------
@@ -147,22 +139,24 @@ def _enumerate_forms(bounds: SearchBounds,
                         yield Form(tuple(zip(reduced, os, ds)), t)
 
 
-def _translation_key(form: Form):
-    """Lexicographically minimal re-anchoring of the form's motif."""
+def _translation_key(t: Vec, cells: list[tuple[int, int, tuple]]):
+    """Lexicographically minimal re-anchoring of a motif with period ``t``
+    given as ``(x, y, attrs)`` cells: over every anchor a, the sorted
+    entries ``(reduce_cell(c - a, t),) + attrs``, with the reduction
+    written out on the projections ``c . t``."""
+    tx, ty = t
+    tt = tx * tx + ty * ty
+    proj = [(x, y, x * tx + y * ty, attrs) for x, y, attrs in cells]
     best = None
-    for (anchor, _, _) in form.cells:
-        moved = sorted(
-            ((reduce_cell(sub(c, anchor), form.t), o.value, d is not None,
-              d or (0, 0)) for c, o, d in form.cells))
+    for ax, ay, ap, _ in proj:
+        moved = []
+        for x, y, p, attrs in proj:
+            k = (p - ap) // tt
+            moved.append(((x - ax - k * tx, y - ay - k * ty),) + attrs)
+        moved.sort()
         if best is None or moved < best:
             best = moved
-    return (form.t, tuple(best))
-
-
-def _mirrored(form: Form) -> Form:
-    cells = tuple(((-c[0], c[1]), o, (-d[0], d[1]) if d else None)
-                  for c, o, d in form.cells)
-    return Form(cells, canonical_sign((-form.t[0], form.t[1])))
+    return (t, tuple(best))
 
 
 def _kinds_mirror_safe(kinds: Sequence[PieceKind]) -> bool:
@@ -173,16 +167,24 @@ def _kinds_mirror_safe(kinds: Sequence[PieceKind]) -> bool:
 
 
 def orbit_key(form: Form, use_mirror: bool):
-    key = _translation_key(form)
+    """The least translation key of the form and, with ``use_mirror``, of
+    its vertical mirror image (x -> -x)."""
+    cells = [(x, y, (o.value, d is not None, d or (0, 0)))
+             for (x, y), o, d in form.cells]
+    key = _translation_key(form.t, cells)
     if use_mirror:
-        key = min(key, _translation_key(_mirrored(form)))
+        mirrored = [(-x, y, (ov, has, (-d[0], d[1])))
+                    for x, y, (ov, has, d) in cells]
+        key = min(key, _translation_key(
+            canonical_sign((-form.t[0], form.t[1])), mirrored))
     return key
 
 
 def _scan(bounds: SearchBounds, *, horizontal_only: bool = False,
-          use_mirror: bool = True, prune: bool = True) -> Iterator[tuple]:
+          use_mirror: bool = True, prune: bool = True,
+          ) -> Iterator[tuple[Form, PeriodicPattern]]:
     """The forms of the bounded space in enumeration order, each with its
-    geometry: ``(form, pattern, nbhd, partition)``.  With ``prune`` only
+    canonical all-king pattern: ``(form, pattern)``.  With ``prune`` only
     the first form of each orbit is yielded; forms that make no valid
     pattern are skipped."""
     seen: set = set()
@@ -193,10 +195,10 @@ def _scan(bounds: SearchBounds, *, horizontal_only: bool = False,
                 continue
             seen.add(key)
         try:
-            pattern, nbhd, partition = _form_geometry(form)
+            pattern = form.instantiate(KING)
         except PatternError:
             continue
-        yield form, pattern, nbhd, partition
+        yield form, pattern
 
 
 def find_crystal(group: FriezeGroup, target: Mapping[PieceKind, bool],
@@ -213,15 +215,16 @@ def find_crystal(group: FriezeGroup, target: Mapping[PieceKind, bool],
     scan = _scan(bounds,
                  horizontal_only=group not in (FriezeGroup.P1, FriezeGroup.P2),
                  use_mirror=_kinds_mirror_safe(kinds), prune=prune)
-    for form, pattern, nbhd, partition in scan:
+    for form, pattern in scan:
         if pattern.t != form.t:
             continue  # motif was redundant; the smaller period is its rep
         if classify_frieze(pattern) is not group:
             continue
+        kernel = VerdictKernel(pattern)
         details: dict[PieceKind, NccStatus] = {}
         ok = True
         for kind in kinds:
-            st = _status_for_kind(form, kind, nbhd, partition)
+            st = kernel.uniform(kind)
             details[kind] = st
             if st.satisfies != target[kind]:
                 ok = False
@@ -259,20 +262,21 @@ def find_special_form(bounds: SearchBounds, *,
     predicate, annotated with the region partition for comparing which
     region each kind leaves uncontrolled."""
     out: list[SpecialFormReport] = []
-    for form, pattern, nbhd, partition in _scan(bounds):
+    for form, pattern in _scan(bounds):
         if pattern.t != form.t:
             continue
+        kernel = VerdictKernel(pattern)
         statuses: dict[PieceKind, NccStatus] = {}
         ok = True
         for kind in KIND_COLUMNS:
-            st = _status_for_kind(form, kind, nbhd, partition)
+            st = kernel.uniform(kind)
             statuses[kind] = st
             if not st.satisfies:
                 ok = False
                 break
         if not ok:
             continue
-        out.append(SpecialFormReport(form, statuses, partition))
+        out.append(SpecialFormReport(form, statuses, kernel.partition))
         if limit is not None and len(out) >= limit:
             break
     return out
@@ -284,6 +288,16 @@ class DualityExhibits:
     silver_nearly: Optional[Form] = None
     gold_rook: Optional[PeriodicPattern] = None
     silver_bishop: Optional[PeriodicPattern] = None
+
+
+def _mixed_status(kernel: VerdictKernel, p: PeriodicPattern) -> NccStatus:
+    """The verdict of ``p``, an instantiation of the kernel's form with
+    mixed kinds.  Mixed kinds can lengthen the period of a redundant motif
+    (the all-king pattern has the shortest), and then ``p`` is judged on
+    its own geometry."""
+    if p.t != kernel.pattern.t:
+        kernel = VerdictKernel(p)
+    return kernel.status([x.kind for x in p.pieces])
 
 
 def find_duality(bounds: SearchBounds) -> DualityExhibits:
@@ -298,10 +312,11 @@ def find_duality(bounds: SearchBounds) -> DualityExhibits:
     silver_form: Optional[Form] = None
     pair: Optional[tuple[PeriodicPattern, PeriodicPattern]] = None
 
-    for form, _, nbhd, partition in _scan(bounds):
+    for form, pattern in _scan(bounds):
+        kernel = VerdictKernel(pattern)
         if gold_form is None or silver_form is None:
-            g = _status_for_kind(form, GOLD, nbhd, partition)
-            s = _status_for_kind(form, SILVER, nbhd, partition)
+            g = kernel.uniform(GOLD)
+            s = kernel.uniform(SILVER)
             if (g.verdict is Verdict.COMPLETE
                     and s.verdict is Verdict.NEARLY_COMPLETE):
                 gold_form = gold_form or form
@@ -318,13 +333,10 @@ def find_duality(bounds: SearchBounds) -> DualityExhibits:
                     d = form.instantiate_kinds(kinds_d)
                 except PatternError:
                     continue
-                st_c = _verdict_from_parts(nbhd, partition,
-                                           control_of_pattern(c))
-                if st_c.verdict is not Verdict.COMPLETE:
+                if _mixed_status(kernel, c).verdict is not Verdict.COMPLETE:
                     continue
-                st_d = _verdict_from_parts(nbhd, partition,
-                                           control_of_pattern(d))
-                if st_d.verdict is Verdict.NEARLY_COMPLETE:
+                if (_mixed_status(kernel, d).verdict
+                        is Verdict.NEARLY_COMPLETE):
                     pair = (c, d)
                     break
 

@@ -1,14 +1,18 @@
 import pytest
 
 from shogi_frieze import (BISHOP, GOLD, KING, KNIGHT, LANCE, PAWN, ROOK,
-                          SILVER, FriezeGroup, RegionClass,
+                          SILVER, FriezeGroup, PieceKind, RegionClass,
                           SearchBounds, Verdict, classify_frieze,
-                          find_crystal, find_duality, find_special_form,
-                          form_of, fragility_check, make_pattern, ncc_vector)
-from shogi_frieze.pattern import Form
+                          control_of_pattern, find_crystal, find_duality,
+                          find_special_form, form_of, fragility_check,
+                          make_pattern, ncc_status, ncc_vector, oracle)
+from shogi_frieze.control import VerdictKernel, _verdict_from_parts
+from shogi_frieze.geometry import canonical_sign, reduce_cell, sub
+from shogi_frieze.pattern import Form, PatternError
 from shogi_frieze.pieces import (chess_knight_moveset, reverse_chariot_moveset,
                                  sideways_silver_moveset)
 from shogi_frieze.search import (EXPECTED_TABLE, KIND_COLUMNS, ROW_ORDER,
+                                 _enumerate_forms, _mixed_status, _scan,
                                  orbit_key, staircase_target)
 from conftest import UP, piece
 
@@ -163,3 +167,86 @@ def test_fragility_substitutions_break_table(crystal_fixtures, kind, builder):
     changed = fragility_check(crystal_fixtures, {kind: builder()})
     assert changed
     assert all(k == kind for _, k in changed)
+
+
+FRAGILE_KINDS = (PieceKind(LANCE.name, reverse_chariot_moveset()),
+                 PieceKind(SILVER.name, sideways_silver_moveset()),
+                 PieceKind(KNIGHT.name, chess_knight_moveset()))
+
+
+@pytest.mark.parametrize("bounds", [
+    SearchBounds(3, (3, 2), 2),
+    SearchBounds(2, (2, 2), 2, allow_decorations=True),
+], ids=["plain", "decorated"])
+def test_kernel_matches_ncc_status_on_every_form(bounds):
+    # one kernel per form, built on its all-king pattern, against a fresh
+    # pattern per kind; on undecorated forms also against the verdict
+    # read off control_of_pattern, which shares no mask code with the kernel
+    checked = 0
+    for form in _enumerate_forms(bounds):
+        try:
+            kernel = VerdictKernel(form.instantiate(KING))
+        except PatternError:
+            continue
+        for kind in KIND_COLUMNS + FRAGILE_KINDS:
+            p = form.instantiate(kind)
+            expected = ncc_status(p)
+            assert kernel.uniform(kind) == expected, (form, kind)
+            if not bounds.allow_decorations:
+                ctrl = control_of_pattern(p)
+                assert _verdict_from_parts(kernel.partition, frozenset(
+                    c for c in kernel.partition if not ctrl.contains(c))) \
+                    == expected, (form, kind)
+            checked += 1
+    assert checked > 20_000
+
+
+def _plain_orbit_key(form, use_mirror):
+    """orbit_key written with the lattice helpers, for comparison."""
+    def translation_key(cells, t):
+        return (t, min(tuple(sorted(
+            (reduce_cell(sub(c, a), t), o.value, d is not None, d or (0, 0))
+            for c, o, d in cells)) for a, _, _ in cells))
+    key = translation_key(form.cells, form.t)
+    if use_mirror:
+        mirrored = [((-c[0], c[1]), o, (-d[0], d[1]) if d else None)
+                    for c, o, d in form.cells]
+        key = min(key, translation_key(
+            mirrored, canonical_sign((-form.t[0], form.t[1]))))
+    return key
+
+
+def test_p1_space_counts_and_orbit_keys():
+    bounds = SearchBounds(3, (3, 3), 3)
+    forms = list(_enumerate_forms(bounds))
+    assert len(forms) == 16_766
+    keys = [orbit_key(f, True) for f in forms]
+    assert len(set(keys)) == 2_522
+    assert keys[::7] == [_plain_orbit_key(f, True) for f in forms[::7]]
+    assert [orbit_key(f, False) for f in forms[::7]] \
+        == [_plain_orbit_key(f, False) for f in forms[::7]]
+    reps = list(_scan(bounds))
+    assert len(reps) == 2_522
+    assert sum(pattern.t != form.t for form, pattern in reps) == 12
+
+
+def test_duality_judges_mixed_kinds_on_their_own_period():
+    # the all-king pattern of this form has period (1,-1), half of t; a
+    # rook+gold instantiation keeps (2,-2), and its neighborhood and
+    # partition reduced modulo (1,-1) would call it nearly complete
+    form = Form((((2, -1), UP, None), ((1, 0), UP, None)), (2, -2))
+    king = form.instantiate(KING)
+    kernel = VerdictKernel(king)
+    assert king.t == (1, -1)
+    for kinds in ([ROOK, GOLD], [GOLD, ROOK], [BISHOP, SILVER],
+                  [SILVER, BISHOP]):
+        mixed = form.instantiate_kinds(kinds)
+        assert mixed.t == (2, -2)
+        st = _mixed_status(kernel, mixed)
+        assert st == ncc_status(mixed), kinds
+        board = oracle.replicate(mixed, oracle.sufficient_copies(mixed))
+        assert st.verdict is oracle.brute_ncc(board).verdict, kinds
+    assert _mixed_status(
+        kernel, form.instantiate_kinds([ROOK, GOLD])).verdict is Verdict.FAILS
+    with pytest.raises(ValueError):  # kinds for a pattern of two pieces
+        kernel.status([ROOK, GOLD])
