@@ -15,15 +15,16 @@ regions:
   outside the occupied band (the half-plane beyond the band is one empty,
   connected, infinite region).
 
-Verdicts come from one ``VerdictKernel`` per geometry (cells and period):
-it computes the neighborhood and partition once, memoizes what each
-(piece, step) and (piece, ride) controls as a bit mask over the
-neighborhood, and judges any assignment of kinds to the pieces as the
-union of their moves' masks followed by ``_verdict_from_parts``, the one
-verdict rule (which the oracle shares).  ``ncc_status`` is the kernel with
-each piece's own kind; a search keeps one kernel for all the uniform kinds
-of a form.  ``control_of_pattern`` lists the control set itself, for the
-CLI and rendering.
+What one step or ride of a piece controls is ``_move_control``, the one
+move rule.  ``control_of_pattern`` unions it over all moves into a control
+set, for the CLI and rendering.  Verdicts come from one ``VerdictKernel``
+per geometry (cells and period): it computes the neighborhood and
+partition once, memoizes what each (piece, move) controls as a bit mask
+over the neighborhood, and judges any assignment of kinds to the pieces as
+the union of their moves' masks followed by ``_verdict_from_parts``, the
+one verdict rule (which the oracle shares).  ``ncc_status`` is the kernel
+with each piece's own kind; a search keeps one kernel for all the uniform
+kinds of a form.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import cached_property
 from operator import countOf
 from typing import Mapping, Optional, Sequence
 
-from .geometry import (ORTHO_DIRS, UNIT_DIRS, Vec, add, cross, dot, is_unit,
+from .geometry import (ORTHO_DIRS, UNIT_DIRS, Vec, add, cross, is_unit,
                        reduce_cell)
 from .pattern import PatternError, PeriodicPattern, PlacedPiece
 from .pieces import Orientation, PieceKind
@@ -95,6 +96,19 @@ class FreeLine:
     anchor: Vec
     direction: Vec
 
+    def within(self, t: Vec, qlo: int, qhi: int) -> Segment:
+        """The steps of the line before its ``cross`` leaves [qlo, qhi],
+        as a segment; one round of the line if it is parallel to t, where
+        ``cross`` stays put."""
+        (ax, ay), (dx, dy), (tx, ty) = self.anchor, self.direction, t
+        qd = dx * ty - dy * tx  # cross(direction, t)
+        if qd == 0:
+            length = abs(tx * dx + ty * dy) // (dx * dx + dy * dy)
+        else:
+            q = ax * ty - ay * tx  # cross(anchor, t)
+            length = max(0, (qhi - q if qd > 0 else q - qlo) // abs(qd))
+        return Segment(self.anchor, self.direction, length, t)
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -109,9 +123,14 @@ class Segment:
 
     def classes(self) -> tuple[Vec, ...]:
         """The member classes in the order the ride passes them."""
-        (ax, ay), (dx, dy), t = self.anchor, self.direction, self.t
-        return tuple(reduce_cell((ax + k * dx, ay + k * dy), t)
-                     for k in range(1, self.length + 1))
+        (ax, ay), (dx, dy), (tx, ty) = self.anchor, self.direction, self.t
+        tt = tx * tx + ty * ty
+        out = []
+        for k in range(1, self.length + 1):  # reduce_cell, written out
+            x, y = ax + k * dx, ay + k * dy
+            n = (x * tx + y * ty) // tt
+            out.append((x - n * tx, y - n * ty))
+        return tuple(out)
 
     def contains(self, cls: Vec) -> bool:
         k = _steps_to(cls, self.anchor, self.direction, self.t)
@@ -134,9 +153,16 @@ class RayMarch:
 # Rides passing at most this many classes are listed in a control set; a
 # longer one (parallel or nearly parallel to t, up to |t| classes) stays a
 # segment.  Listing a short ride makes each later membership test a set
-# lookup.  A kernel's ride mask is likewise built by listing a short ride's
-# classes and by testing each neighborhood class against a longer one.
+# lookup.
 _LISTED_MAX = 32
+
+
+def _listed_or_segment(seg: Segment,
+                       ) -> tuple[tuple[Vec, ...], Optional[Segment]]:
+    """A segment's classes if it is short enough to list, else itself."""
+    if seg.length <= _LISTED_MAX:
+        return seg.classes(), None
+    return (), seg
 
 
 @dataclass(frozen=True)
@@ -281,27 +307,38 @@ def ray_march(p: PeriodicPattern, origin: Vec, direction: Vec,
         if hit.orientation is origin_orientation:
             return RayMarch(passed, RayEvent.BLOCKED_BY_ALLY)
         return RayMarch(passed, RayEvent.CAPTURE_ENEMY, capture=hit.cell)
-    qd = cross(direction, t)
-    if qd == 0:
-        length = abs(dot(t, direction)) // dot(direction, direction)
-    else:
-        qlo, qhi = _occupied_band(p)
-        q = cross(origin, t)
-        room = qhi - q if qd > 0 else q - qlo
-        length = max(0, room // abs(qd))
-    return RayMarch(Segment(anchor, direction, length, t),
-                    RayEvent.FREE_INFINITE,
-                    free_line=FreeLine(anchor, direction))
+    line = FreeLine(anchor, direction)
+    return RayMarch(line.within(t, *_occupied_band(p)),
+                    RayEvent.FREE_INFINITE, free_line=line)
+
+
+def _move_control(p: PeriodicPattern, occupied: Mapping[Vec, PlacedPiece],
+                  piece: PlacedPiece, move: Vec, ride: bool,
+                  ) -> tuple[Optional[Vec], Optional[Segment],
+                             Optional[FreeLine]]:
+    """What one step or ride of ``piece`` controls: a class (a step's
+    target or a ride's capture), the segment a ride passes, and a free
+    ride's free line.
+
+    A step controls its target class unless an ally stands on it.  A ride
+    controls the classes it passes and the enemy it captures, and a free
+    ride its free line.
+    """
+    if not ride:
+        cls = reduce_cell(add(piece.cell, move), p.t)
+        hit = occupied.get(cls)
+        if hit is not None and hit.orientation is piece.orientation:
+            return None, None, None
+        return cls, None, None
+    res = ray_march(p, piece.cell, move, piece.orientation)
+    return res.capture, res.passed, res.free_line
 
 
 def control_of_pattern(p: PeriodicPattern) -> PeriodicCellSet:
     """Classes (and free lines) of all squares the pattern's pieces can
-    move to.  Step targets on ally squares are excluded; enemy squares are
-    included for both steps and rides.  The squares a ride passes are
-    listed when they are few and otherwise kept as a segment, so a ride
-    parallel (or nearly parallel) to a long t costs no more than a short
-    one."""
-    t = p.t
+    move to: the union of ``_move_control`` over every step and ride.  A
+    ride parallel (or nearly parallel) to a long t stays a segment, so it
+    costs no more than a short one."""
     occupied = p.class_map()
     classes: set[Vec] = set()
     segments: set[Segment] = set()
@@ -309,27 +346,24 @@ def control_of_pattern(p: PeriodicPattern) -> PeriodicCellSet:
 
     for piece in p.pieces:
         m = piece.kind.oriented(piece.orientation)
-        for step in m.steps:
-            cls = reduce_cell(add(piece.cell, step), t)
-            hit = occupied.get(cls)
-            if hit is not None and hit.orientation is piece.orientation:
-                continue
-            classes.add(cls)
-        for ride in m.rides:
-            res = ray_march(p, piece.cell, ride, piece.orientation)
-            if res.passed.length <= _LISTED_MAX:
-                classes.update(res.passed.classes())
-            else:
-                segments.add(res.passed)
-            if res.capture is not None:
-                classes.add(res.capture)
-            if res.free_line is not None:
-                free_lines.add(res.free_line)
+        for ride, moves in ((False, m.steps), (True, m.rides)):
+            for move in moves:
+                cls, passed, line = _move_control(p, occupied, piece, move,
+                                                  ride)
+                if cls is not None:
+                    classes.add(cls)
+                if passed is not None:
+                    listed, segment = _listed_or_segment(passed)
+                    classes.update(listed)
+                    if segment is not None:
+                        segments.add(segment)
+                if line is not None:
+                    free_lines.add(line)
 
     key = lambda x: (x.anchor, x.direction)
     return PeriodicCellSet(frozenset(classes),
                            tuple(sorted(segments, key=key)),
-                           tuple(sorted(free_lines, key=key)), t)
+                           tuple(sorted(free_lines, key=key)), p.t)
 
 
 class VerdictKernel:
@@ -340,12 +374,12 @@ class VerdictKernel:
     what a move controls depends only on the piece making it (cell and
     orientation), never on the kinds of the others.  So both are computed
     once: the neighborhood classes a (piece, step) or (piece, ride)
-    controls are memoized as a bit mask over the neighborhood, each ride
-    marched once on first use.  A verdict is the union of the masks of its
-    kinds' moves, then ``_verdict_from_parts``.  ``status`` takes one kind
-    per piece of ``pattern``, in its order, so one kernel judges every
-    pattern with the same cells and period: each uniform instantiation of
-    a form, or the same pieces with other kinds.
+    controls (``_move_control``) are memoized as a bit mask over the
+    neighborhood, each ride marched once on first use.  A verdict is the
+    union of the masks of its kinds' moves, then ``_verdict_from_parts``.
+    ``status`` takes one kind per piece of ``pattern``, in its order, so
+    one kernel judges every pattern with the same cells and period: each
+    uniform instantiation of a form, or the same pieces with other kinds.
     """
 
     def __init__(self, pattern: PeriodicPattern) -> None:
@@ -354,7 +388,7 @@ class VerdictKernel:
         # the partition's classes are the neighborhood's
         self._bits = {c: 1 << i for i, c in enumerate(self.partition)}
         qs = [cross(c, pattern.t) for c in self.partition]
-        self._qlo, self._qhi = min(qs), max(qs)
+        self._band = min(qs), max(qs)
         self._occupied = pattern.class_map()
         # per piece: its step or ride displacement -> mask
         self._steps: list[dict[Vec, int]] = [{} for _ in pattern.pieces]
@@ -374,48 +408,34 @@ class VerdictKernel:
             for step in m.steps:
                 mask = steps.get(step)
                 if mask is None:
-                    mask = steps[step] = self._step_mask(piece, step)
+                    mask = steps[step] = self._mask(piece, step, False)
                 controlled |= mask
             for ride in m.rides:
                 mask = rides.get(ride)
                 if mask is None:
-                    mask = rides[ride] = self._ride_mask(piece, ride)
+                    mask = rides[ride] = self._mask(piece, ride, True)
                 controlled |= mask
         return _verdict_from_parts(self.partition, frozenset(
             c for c, bit in self._bits.items() if not controlled & bit))
 
-    def _step_mask(self, piece: PlacedPiece, step: Vec) -> int:
-        cls = reduce_cell(add(piece.cell, step), self.pattern.t)
-        hit = self._occupied.get(cls)
-        if hit is not None and hit.orientation is piece.orientation:
-            return 0
-        return self._bits.get(cls, 0)
-
-    def _ride_mask(self, piece: PlacedPiece, ride: Vec) -> int:
-        res = ray_march(self.pattern, piece.cell, ride, piece.orientation)
-        t, (ax, ay) = self.pattern.t, res.passed.anchor
-        length = res.passed.length
-        qd = cross(ride, t)
-        if res.free_line is not None and qd != 0:
-            # Past the pieces a free ray drifting across t still meets
-            # neighborhood classes until its ``cross`` leaves their band;
-            # the rest of its line is off the neighborhood.  (A free ray
-            # parallel to t has passed its whole line already.)
-            q = cross(piece.cell, t)
-            length = ((self._qhi - q) // qd if qd > 0
-                      else (q - self._qlo) // -qd)
+    def _mask(self, piece: PlacedPiece, move: Vec, ride: bool) -> int:
+        cls, passed, line = _move_control(self.pattern, self._occupied,
+                                          piece, move, ride)
         bits = self._bits
-        mask = bits.get(res.capture, 0)  # 0 when nothing is captured
-        if length <= _LISTED_MAX:
-            dx, dy = ride
-            for k in range(1, length + 1):
-                cls = reduce_cell((ax + k * dx, ay + k * dy), t)
+        mask = bits.get(cls, 0)  # 0 for None
+        if line is not None:
+            # Past the pieces a free line still meets neighborhood classes
+            # until its ``cross`` leaves their band, and none after; this
+            # part of it contains the passed segment.
+            passed = line.within(self.pattern.t, *self._band)
+        if passed is not None:
+            listed, segment = _listed_or_segment(passed)
+            for cls in listed:
                 mask |= bits.get(cls, 0)
-        else:
-            seg = Segment((ax, ay), ride, length, t)
-            for cls, bit in bits.items():
-                if seg.contains(cls):
-                    mask |= bit
+            if segment is not None:
+                for cls, bit in bits.items():
+                    if segment.contains(cls):
+                        mask |= bit
         return mask
 
 

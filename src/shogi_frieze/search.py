@@ -19,7 +19,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .control import NccStatus, RegionClass, Verdict, VerdictKernel
+from .control import (NccStatus, RegionClass, Verdict, VerdictKernel,
+                      ncc_status)
 from .geometry import UNIT_DIRS, Vec, canonical_sign, reduce_cell
 from .pattern import Form, PatternError, PeriodicPattern, form_of
 from .pieces import (BISHOP, GOLD, KING, KNIGHT, LANCE, PAWN, ROOK, SILVER,
@@ -290,16 +291,6 @@ class DualityExhibits:
     silver_bishop: Optional[PeriodicPattern] = None
 
 
-def _mixed_status(kernel: VerdictKernel, p: PeriodicPattern) -> NccStatus:
-    """The verdict of ``p``, an instantiation of the kernel's form with
-    mixed kinds.  Mixed kinds can lengthen the period of a redundant motif
-    (the all-king pattern has the shortest), and then ``p`` is judged on
-    its own geometry."""
-    if p.t != kernel.pattern.t:
-        kernel = VerdictKernel(p)
-    return kernel.status([x.kind for x in p.pieces])
-
-
 def find_duality(bounds: SearchBounds) -> DualityExhibits:
     """Search both duality exhibits.
 
@@ -313,8 +304,8 @@ def find_duality(bounds: SearchBounds) -> DualityExhibits:
     pair: Optional[tuple[PeriodicPattern, PeriodicPattern]] = None
 
     for form, pattern in _scan(bounds):
-        kernel = VerdictKernel(pattern)
         if gold_form is None or silver_form is None:
+            kernel = VerdictKernel(pattern)
             g = kernel.uniform(GOLD)
             s = kernel.uniform(SILVER)
             if (g.verdict is Verdict.COMPLETE
@@ -333,10 +324,11 @@ def find_duality(bounds: SearchBounds) -> DualityExhibits:
                     d = form.instantiate_kinds(kinds_d)
                 except PatternError:
                     continue
-                if _mixed_status(kernel, c).verdict is not Verdict.COMPLETE:
+                # judged on their own geometry: mixed kinds can keep the
+                # longer period of a motif that is redundant for one kind
+                if ncc_status(c).verdict is not Verdict.COMPLETE:
                     continue
-                if (_mixed_status(kernel, d).verdict
-                        is Verdict.NEARLY_COMPLETE):
+                if ncc_status(d).verdict is Verdict.NEARLY_COMPLETE:
                     pair = (c, d)
                     break
 

@@ -1,20 +1,22 @@
 import pytest
 
+from shogi_frieze import search
 from shogi_frieze import (BISHOP, GOLD, KING, KNIGHT, LANCE, PAWN, ROOK,
                           SILVER, FriezeGroup, PieceKind, RegionClass,
                           SearchBounds, Verdict, classify_frieze,
                           control_of_pattern, find_crystal, find_duality,
                           find_special_form, form_of, fragility_check,
-                          make_pattern, ncc_status, ncc_vector, oracle)
+                          make_pattern, ncc_status, ncc_vector, oracle,
+                          partition_neighborhood)
 from shogi_frieze.control import VerdictKernel, _verdict_from_parts
 from shogi_frieze.geometry import canonical_sign, reduce_cell, sub
 from shogi_frieze.pattern import Form, PatternError
 from shogi_frieze.pieces import (chess_knight_moveset, reverse_chariot_moveset,
                                  sideways_silver_moveset)
 from shogi_frieze.search import (EXPECTED_TABLE, KIND_COLUMNS, ROW_ORDER,
-                                 _enumerate_forms, _mixed_status, _scan,
+                                 _enumerate_forms, _scan,
                                  orbit_key, staircase_target)
-from conftest import UP, piece
+from conftest import DOWN, UP, piece
 
 
 def singleton_form(orientation=UP, t=(9, 0)):
@@ -174,31 +176,54 @@ FRAGILE_KINDS = (PieceKind(LANCE.name, reverse_chariot_moveset()),
                  PieceKind(KNIGHT.name, chess_knight_moveset()))
 
 
+def _oracle_status(p):
+    """The oracle's verdict with its uncontrolled window cells reduced to
+    classes (the window holds one cell per class)."""
+    st = oracle.brute_ncc(oracle.replicate(p, oracle.sufficient_copies(p)))
+    return (st.verdict, st.uncontrolled_class,
+            frozenset(reduce_cell(c, p.t) for c in st.uncontrolled))
+
+
 @pytest.mark.parametrize("bounds", [
     SearchBounds(3, (3, 2), 2),
     SearchBounds(2, (2, 2), 2, allow_decorations=True),
 ], ids=["plain", "decorated"])
 def test_kernel_matches_ncc_status_on_every_form(bounds):
-    # one kernel per form, built on its all-king pattern, against a fresh
-    # pattern per kind; on undecorated forms also against the verdict
-    # read off control_of_pattern, which shares no mask code with the kernel
+    # One kernel per form, built on its all-king pattern, judges every kind
+    # column.  Each column is compared, every field, with the verdict read
+    # off that kind's own pattern: its control set (control_of_pattern, no
+    # masks or memo) and partition, ncc_status, and on every 16th reference
+    # the oracle, which shares no code with either engine.  The references
+    # read only the kind, the cells, their orientations and the period, so
+    # each is computed once per such key (decorated forms repeat many).
+    reference = {}
     checked = 0
     for form in _enumerate_forms(bounds):
         try:
             kernel = VerdictKernel(form.instantiate(KING))
         except PatternError:
             continue
+        geometry = (kernel.pattern.t, tuple(
+            (x.cell, x.orientation) for x in kernel.pattern.pieces))
         for kind in KIND_COLUMNS + FRAGILE_KINDS:
             p = form.instantiate(kind)
-            expected = ncc_status(p)
-            assert kernel.uniform(kind) == expected, (form, kind)
-            if not bounds.allow_decorations:
+            assert (p.t, tuple((x.cell, x.orientation) for x in p.pieces)) \
+                == geometry, (form, kind)
+            expected = reference.get((kind, geometry))
+            if expected is None:
                 ctrl = control_of_pattern(p)
-                assert _verdict_from_parts(kernel.partition, frozenset(
-                    c for c in kernel.partition if not ctrl.contains(c))) \
-                    == expected, (form, kind)
+                regions = partition_neighborhood(p)
+                expected = _verdict_from_parts(regions, frozenset(
+                    c for c in regions if not ctrl.contains(c)))
+                assert ncc_status(p) == expected, (form, kind)
+                if len(reference) % 16 == 0:
+                    assert (expected.verdict, expected.uncontrolled_class,
+                            expected.uncontrolled) == _oracle_status(p), \
+                        (form, kind)
+                reference[kind, geometry] = expected
+            assert kernel.uniform(kind) == expected, (form, kind)
             checked += 1
-    assert checked > 20_000
+    assert checked > 20_000 and len(reference) > 3_000
 
 
 def _plain_orbit_key(form, use_mirror):
@@ -230,23 +255,32 @@ def test_p1_space_counts_and_orbit_keys():
     assert sum(pattern.t != form.t for form, pattern in reps) == 12
 
 
-def test_duality_judges_mixed_kinds_on_their_own_period():
-    # the all-king pattern of this form has period (1,-1), half of t; a
-    # rook+gold instantiation keeps (2,-2), and its neighborhood and
-    # partition reduced modulo (1,-1) would call it nearly complete
-    form = Form((((2, -1), UP, None), ((1, 0), UP, None)), (2, -2))
-    king = form.instantiate(KING)
-    kernel = VerdictKernel(king)
-    assert king.t == (1, -1)
+def test_duality_judges_mixed_kinds_on_their_own_period(monkeypatch):
+    # The all-king patterns of these forms have period (1,-1), half of t,
+    # while mixed instantiations can keep (2,-2).  Judged on the all-king
+    # neighborhood and partition, rook+gold on the first form reads nearly
+    # complete and gold+rook+rook+rook on the second complete; both fail.
+    two = Form((((2, -1), UP, None), ((1, 0), UP, None)), (2, -2))
+    assert two.instantiate(KING).t == (1, -1)
     for kinds in ([ROOK, GOLD], [GOLD, ROOK], [BISHOP, SILVER],
                   [SILVER, BISHOP]):
-        mixed = form.instantiate_kinds(kinds)
+        mixed = two.instantiate_kinds(kinds)
         assert mixed.t == (2, -2)
-        st = _mixed_status(kernel, mixed)
-        assert st == ncc_status(mixed), kinds
-        board = oracle.replicate(mixed, oracle.sufficient_copies(mixed))
-        assert st.verdict is oracle.brute_ncc(board).verdict, kinds
-    assert _mixed_status(
-        kernel, form.instantiate_kinds([ROOK, GOLD])).verdict is Verdict.FAILS
+        st = ncc_status(mixed)
+        assert (st.verdict, st.uncontrolled_class, st.uncontrolled) \
+            == _oracle_status(mixed), kinds
+    assert ncc_status(two.instantiate_kinds([ROOK, GOLD])).verdict \
+        is Verdict.FAILS
     with pytest.raises(ValueError):  # kinds for a pattern of two pieces
-        kernel.status([ROOK, GOLD])
+        VerdictKernel(two.instantiate(KING)).status([ROOK, GOLD])
+
+    # No small bounds scans the second form before a true pair, so the
+    # scan is cut to that form alone; the pair found must hold.
+    four = Form((((2, -1), DOWN, None), ((2, 0), UP, None),
+                 ((1, 0), DOWN, None), ((1, 1), UP, None)), (2, -2))
+    assert four.instantiate(KING).t == (1, -1)
+    monkeypatch.setattr(search, "_scan", lambda bounds: iter(
+        [(four, four.instantiate(KING))]))
+    found = find_duality(SearchBounds(4, (3, 3), 2))
+    assert _oracle_status(found.gold_rook)[0] is Verdict.COMPLETE
+    assert _oracle_status(found.silver_bishop)[0] is Verdict.NEARLY_COMPLETE
