@@ -100,8 +100,11 @@ def cmd_ncc(args) -> int:
 def cmd_control(args) -> int:
     p = _load(args.file)
     ctrl = control_of_pattern(p)
-    for cls in sorted(ctrl.classes):
+    for cls in sorted(ctrl.listed):
         print(f"class ({cls[0]},{cls[1]})")
+    for seg in ctrl.segments:
+        a, d = seg.anchor, seg.direction
+        print(f"segment ({a[0]},{a[1]})+({d[0]},{d[1]})*{seg.length}")
     for line in ctrl.free_lines:
         a, d = line.anchor, line.direction
         print(f"free ({a[0]},{a[1]})+({d[0]},{d[1]})")
@@ -250,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_ncc)
 
-    p = sub.add_parser("control", help="control classes and free lines")
+    p = sub.add_parser("control",
+                       help="control classes, long segments and free lines")
     p.add_argument("file")
     p.set_defaults(func=cmd_control)
 

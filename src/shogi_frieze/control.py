@@ -15,29 +15,38 @@ regions:
   outside the occupied band (the half-plane beyond the band is one empty,
   connected, infinite region).
 
-What one step or ride of a piece controls is ``_move_control``, the one
-move rule.  ``control_of_pattern`` unions it over all moves into a control
-set, for the CLI and rendering.  Verdicts come from one ``VerdictKernel``
-per geometry (cells and period): it computes the neighborhood and
-partition once, memoizes what each (piece, move) controls as a bit mask
-over the neighborhood, and judges any assignment of kinds to the pieces as
-the union of their moves' masks followed by ``_verdict_from_parts``, the
-one verdict rule (which the oracle shares).  ``ncc_status`` is the kernel
-with each piece's own kind; a search keeps one kernel for all the uniform
-kinds of a form.
+What one step or ride controls is ``_move_control``, the one move rule,
+and it answers in plain integers: a step gives its target class (None when
+an ally stands on it); a ride gives the class it captures (or None) and the
+number of classes it passes before it stops (None when it is free), the
+stop being the least ``_steps_to`` over the pieces.  Three consumers build
+on it:
+
+* ``ray_march`` wraps the integers into a ``Segment``, ``RayMarch`` and
+  ``FreeLine``;
+* ``control_of_pattern`` does the same for every move of every piece, with
+  the occupied band computed once per pattern, and unions them into a
+  control set for the CLI and rendering;
+* a ``VerdictKernel`` per geometry (cells and period) computes the
+  neighborhood and partition once and walks the classes each (piece,
+  move) passes straight into a bit mask over the neighborhood, creating no
+  objects; a walk longer than ``_LISTED_MAX`` tests each neighborhood
+  class with ``_steps_to`` instead.  It judges any assignment of kinds to
+  the pieces as the union of their moves' masks followed by
+  ``_verdict_from_parts``, the one verdict rule (which the oracle shares).
+  ``ncc_status`` is the kernel with each piece's own kind; a search keeps
+  one kernel for all the uniform kinds of a form.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from operator import countOf
 from typing import Mapping, Optional, Sequence
 
-from .geometry import (ORTHO_DIRS, UNIT_DIRS, Vec, add, cross, is_unit,
-                       reduce_cell)
+from .geometry import UNIT_DIRS, Vec, is_unit, reduce_cell
 from .pattern import PatternError, PeriodicPattern, PlacedPiece
 from .pieces import Orientation, PieceKind
 
@@ -86,6 +95,19 @@ def _steps_to(cls: Vec, anchor: Vec, direction: Vec, t: Vec) -> Optional[int]:
     return k
 
 
+def _free_length(anchor: Vec, direction: Vec, t: Vec, qlo: int,
+                 qhi: int) -> int:
+    """The number of steps a free ride takes before its ``cross`` leaves
+    [qlo, qhi]; one round of its line if it is parallel to t, where
+    ``cross`` stays put."""
+    (ax, ay), (dx, dy), (tx, ty) = anchor, direction, t
+    qd = dx * ty - dy * tx  # cross(direction, t)
+    if qd == 0:
+        return abs(tx * dx + ty * dy) // (dx * dx + dy * dy)
+    q = ax * ty - ay * tx  # cross(anchor, t)
+    return max(0, (qhi - q if qd > 0 else q - qlo) // abs(qd))
+
+
 @dataclass(frozen=True)
 class FreeLine:
     """An unbounded ray on the quotient: anchor class plus unit direction.
@@ -95,19 +117,6 @@ class FreeLine:
     """
     anchor: Vec
     direction: Vec
-
-    def within(self, t: Vec, qlo: int, qhi: int) -> Segment:
-        """The steps of the line before its ``cross`` leaves [qlo, qhi],
-        as a segment; one round of the line if it is parallel to t, where
-        ``cross`` stays put."""
-        (ax, ay), (dx, dy), (tx, ty) = self.anchor, self.direction, t
-        qd = dx * ty - dy * tx  # cross(direction, t)
-        if qd == 0:
-            length = abs(tx * dx + ty * dy) // (dx * dx + dy * dy)
-        else:
-            q = ax * ty - ay * tx  # cross(anchor, t)
-            length = max(0, (qhi - q if qd > 0 else q - qlo) // abs(qd))
-        return Segment(self.anchor, self.direction, length, t)
 
 
 @dataclass(frozen=True)
@@ -157,14 +166,6 @@ class RayMarch:
 _LISTED_MAX = 32
 
 
-def _listed_or_segment(seg: Segment,
-                       ) -> tuple[tuple[Vec, ...], Optional[Segment]]:
-    """A segment's classes if it is short enough to list, else itself."""
-    if seg.length <= _LISTED_MAX:
-        return seg.classes(), None
-    return (), seg
-
-
 @dataclass(frozen=True)
 class PeriodicCellSet:
     """A t-periodic cell set: finitely many listed classes, segments too
@@ -206,17 +207,21 @@ class NccStatus:
 
 
 def _occupied_band(p: PeriodicPattern) -> tuple[int, int]:
-    qs = [cross(c, p.t) for c in p.cells()]
+    tx, ty = p.t
+    qs = [x * ty - y * tx for x, y in p.cells()]
     return min(qs), max(qs)
 
 
 def neighborhood(p: PeriodicPattern) -> frozenset[Vec]:
     """Classes of all squares adjacent to some occupied square."""
-    t = p.t
+    tx, ty = p.t
+    tt = tx * tx + ty * ty
     out = set()
-    for c in p.cells():
-        for d in UNIT_DIRS:
-            out.add(reduce_cell(add(c, d), t))
+    for x, y in p.cells():
+        for dx, dy in UNIT_DIRS:  # reduce_cell, written out
+            u, v = x + dx, y + dy
+            n = (u * tx + v * ty) // tt
+            out.add((u - n * tx, v - n * ty))
     return frozenset(out)
 
 
@@ -233,105 +238,117 @@ def partition_neighborhood(p: PeriodicPattern) -> dict[Vec, RegionClass]:
     of one cluster, and an unbounded one leaves the band within a distance
     set by the motif, so the flood never runs along t for |t| steps.
     """
-    t = p.t
+    tx, ty = p.t
+    tt = tx * tx + ty * ty
     occupied = p.class_map()
     nbhd = neighborhood(p)
     qlo, qhi = _occupied_band(p)
-
     result: dict[Vec, RegionClass] = {}
-    component_bounded: dict[Vec, bool] = {}
+    flooded: dict[Vec, RegionClass] = {}  # class -> region of its component
 
     for cls in nbhd:
         if cls in occupied:
             result[cls] = RegionClass.BASE
-
     for cls in nbhd:
-        if cls in result:
+        if cls in occupied:
             continue
-        if cls in component_bounded:
-            result[cls] = (RegionClass.INSIDE if component_bounded[cls]
-                           else RegionClass.OUTSIDE)
-            continue
-        lift: dict[Vec, Vec] = {}
-        frontier = deque([(cls, cls)])  # (plane cell, its class)
-        bounded = True
-        while frontier and bounded:
-            cur, cur_cls = frontier.popleft()
-            prev = lift.get(cur_cls)
-            if prev is not None:
-                if prev != cur:
-                    bounded = False  # same class, different lift: winding
-                continue
-            lift[cur_cls] = cur
-            if not (qlo <= cross(cur, t) <= qhi):
-                bounded = False
-                break
-            for d in ORTHO_DIRS:
-                nxt = add(cur, d)
-                nxt_cls = reduce_cell(nxt, t)
-                if nxt_cls in occupied:
+        region = flooded.get(cls)
+        if region is None:
+            lift: dict[Vec, Vec] = {}
+            queue = [(cls, cls)]  # (plane cell, its class), breadth first
+            head = 0
+            bounded = True
+            while head < len(queue) and bounded:
+                cur, cur_cls = queue[head]
+                head += 1
+                prev = lift.get(cur_cls)
+                if prev is not None:
+                    if prev != cur:
+                        bounded = False  # same class, different lift: winding
                     continue
-                prev = lift.get(nxt_cls)
-                if prev is not None and prev != nxt:
+                lift[cur_cls] = cur
+                x, y = cur
+                if not qlo <= x * ty - y * tx <= qhi:
                     bounded = False
                     break
-                frontier.append((nxt, nxt_cls))
-        for c in lift:
-            component_bounded[c] = bounded
-        result[cls] = (RegionClass.INSIDE if bounded else RegionClass.OUTSIDE)
+                for nxt in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+                    n = (nxt[0] * tx + nxt[1] * ty) // tt
+                    nxt_cls = (nxt[0] - n * tx, nxt[1] - n * ty)
+                    if nxt_cls in occupied:
+                        continue
+                    prev = lift.get(nxt_cls)
+                    if prev is not None and prev != nxt:
+                        bounded = False
+                        break
+                    queue.append((nxt, nxt_cls))
+            region = RegionClass.INSIDE if bounded else RegionClass.OUTSIDE
+            for c in lift:
+                flooded[c] = region
+        result[cls] = region
 
     return result
+
+
+def _move_control(p: PeriodicPattern, occupied: Mapping[Vec, PlacedPiece],
+                  cell: Vec, orientation: Orientation, move: Vec,
+                  ride: bool) -> tuple[Optional[Vec], Optional[int]]:
+    """What one step or ride from ``cell`` controls, as plain integers: a
+    class (a step's target or a ride's capture, else None) and the number
+    of classes a ride passes before it stops (0 for a step, None for a
+    free ride).
+
+    A step controls its target class unless an ally stands on it.  A ride
+    stops at the piece it reaches in the fewest steps (``_steps_to`` per
+    piece); it controls the classes it passes and, if that piece is an
+    enemy, its class.  With no piece on its way a ride is free.  The cost
+    depends on the motif only.
+    """
+    t = p.t
+    if not ride:
+        tx, ty = t
+        x, y = cell[0] + move[0], cell[1] + move[1]
+        n = (x * tx + y * ty) // (tx * tx + ty * ty)  # reduce_cell
+        cls = (x - n * tx, y - n * ty)
+        hit = occupied.get(cls)
+        if hit is not None and hit.orientation is orientation:
+            return None, 0
+        return cls, 0
+    steps, hit = None, None
+    for piece in p.pieces:
+        k = _steps_to(piece.cell, cell, move, t)
+        if k is not None and (steps is None or k < steps):
+            steps, hit = k, piece
+    if hit is None:
+        return None, None
+    capture = None if hit.orientation is orientation else hit.cell
+    return capture, steps - 1
 
 
 def ray_march(p: PeriodicPattern, origin: Vec, direction: Vec,
               origin_orientation: Orientation) -> RayMarch:
     """The sliding ray from an occupied square, on classes.
 
-    Allies block exclusively, enemies are captured inclusively.  The ray
-    stops at the piece it reaches in the fewest steps (``_steps_to`` per
-    piece).  With none on its way it is free: a ray off t's direction once
-    its monotone ``cross`` leaves the occupied band, a ray parallel to t
-    after one round of its line.  The cost depends on the motif only.
+    Allies block exclusively, enemies are captured inclusively
+    (``_move_control``).  A free ray's passed segment runs until its
+    ``cross`` leaves the occupied band: a ray parallel to t stops after
+    one round of its line.
     """
     if not is_unit(direction):
         raise PatternError(f"ray direction {direction} is not a unit vector")
     t = p.t
     anchor = reduce_cell(origin, t)
-    steps, hit = None, None
-    for piece in p.pieces:
-        k = _steps_to(piece.cell, origin, direction, t)
-        if k is not None and (steps is None or k < steps):
-            steps, hit = k, piece
-    if hit is not None:
-        passed = Segment(anchor, direction, steps - 1, t)
-        if hit.orientation is origin_orientation:
-            return RayMarch(passed, RayEvent.BLOCKED_BY_ALLY)
-        return RayMarch(passed, RayEvent.CAPTURE_ENEMY, capture=hit.cell)
-    line = FreeLine(anchor, direction)
-    return RayMarch(line.within(t, *_occupied_band(p)),
-                    RayEvent.FREE_INFINITE, free_line=line)
-
-
-def _move_control(p: PeriodicPattern, occupied: Mapping[Vec, PlacedPiece],
-                  piece: PlacedPiece, move: Vec, ride: bool,
-                  ) -> tuple[Optional[Vec], Optional[Segment],
-                             Optional[FreeLine]]:
-    """What one step or ride of ``piece`` controls: a class (a step's
-    target or a ride's capture), the segment a ride passes, and a free
-    ride's free line.
-
-    A step controls its target class unless an ally stands on it.  A ride
-    controls the classes it passes and the enemy it captures, and a free
-    ride its free line.
-    """
-    if not ride:
-        cls = reduce_cell(add(piece.cell, move), p.t)
-        hit = occupied.get(cls)
-        if hit is not None and hit.orientation is piece.orientation:
-            return None, None, None
-        return cls, None, None
-    res = ray_march(p, piece.cell, move, piece.orientation)
-    return res.capture, res.passed, res.free_line
+    capture, passed = _move_control(p, {}, origin, origin_orientation,
+                                    direction, True)
+    if passed is None:
+        length = _free_length(anchor, direction, t, *_occupied_band(p))
+        return RayMarch(Segment(anchor, direction, length, t),
+                        RayEvent.FREE_INFINITE,
+                        free_line=FreeLine(anchor, direction))
+    if capture is None:
+        return RayMarch(Segment(anchor, direction, passed, t),
+                        RayEvent.BLOCKED_BY_ALLY)
+    return RayMarch(Segment(anchor, direction, passed, t),
+                    RayEvent.CAPTURE_ENEMY, capture=capture)
 
 
 def control_of_pattern(p: PeriodicPattern) -> PeriodicCellSet:
@@ -339,31 +356,39 @@ def control_of_pattern(p: PeriodicPattern) -> PeriodicCellSet:
     move to: the union of ``_move_control`` over every step and ride.  A
     ride parallel (or nearly parallel) to a long t stays a segment, so it
     costs no more than a short one."""
+    t = p.t
     occupied = p.class_map()
+    band = _occupied_band(p)
     classes: set[Vec] = set()
     segments: set[Segment] = set()
     free_lines: set[FreeLine] = set()
 
     for piece in p.pieces:
-        m = piece.kind.oriented(piece.orientation)
-        for ride, moves in ((False, m.steps), (True, m.rides)):
-            for move in moves:
-                cls, passed, line = _move_control(p, occupied, piece, move,
-                                                  ride)
-                if cls is not None:
-                    classes.add(cls)
-                if passed is not None:
-                    listed, segment = _listed_or_segment(passed)
-                    classes.update(listed)
-                    if segment is not None:
-                        segments.add(segment)
-                if line is not None:
-                    free_lines.add(line)
+        cell, orientation = piece.cell, piece.orientation
+        m = piece.kind.oriented(orientation)
+        for step in m.steps:
+            cls, _ = _move_control(p, occupied, cell, orientation, step,
+                                   False)
+            if cls is not None:
+                classes.add(cls)
+        for ride in m.rides:
+            cls, passed = _move_control(p, occupied, cell, orientation, ride,
+                                        True)
+            if cls is not None:
+                classes.add(cls)
+            if passed is None:
+                free_lines.add(FreeLine(cell, ride))
+                passed = _free_length(cell, ride, t, *band)
+            segment = Segment(cell, ride, passed, t)
+            if passed <= _LISTED_MAX:
+                classes.update(segment.classes())
+            else:
+                segments.add(segment)
 
     key = lambda x: (x.anchor, x.direction)
     return PeriodicCellSet(frozenset(classes),
                            tuple(sorted(segments, key=key)),
-                           tuple(sorted(free_lines, key=key)), p.t)
+                           tuple(sorted(free_lines, key=key)), t)
 
 
 class VerdictKernel:
@@ -375,7 +400,7 @@ class VerdictKernel:
     orientation), never on the kinds of the others.  So both are computed
     once: the neighborhood classes a (piece, step) or (piece, ride)
     controls (``_move_control``) are memoized as a bit mask over the
-    neighborhood, each ride marched once on first use.  A verdict is the
+    neighborhood, each ride walked once on first use.  A verdict is the
     union of the masks of its kinds' moves, then ``_verdict_from_parts``.
     ``status`` takes one kind per piece of ``pattern``, in its order, so
     one kernel judges every pattern with the same cells and period: each
@@ -387,7 +412,8 @@ class VerdictKernel:
         self.partition = partition_neighborhood(pattern)
         # the partition's classes are the neighborhood's
         self._bits = {c: 1 << i for i, c in enumerate(self.partition)}
-        qs = [cross(c, pattern.t) for c in self.partition]
+        tx, ty = pattern.t
+        qs = [x * ty - y * tx for x, y in self.partition]
         self._band = min(qs), max(qs)
         self._occupied = pattern.class_map()
         # per piece: its step or ride displacement -> mask
@@ -419,23 +445,29 @@ class VerdictKernel:
             c for c, bit in self._bits.items() if not controlled & bit))
 
     def _mask(self, piece: PlacedPiece, move: Vec, ride: bool) -> int:
-        cls, passed, line = _move_control(self.pattern, self._occupied,
-                                          piece, move, ride)
-        bits = self._bits
+        t, bits, cell = self.pattern.t, self._bits, piece.cell
+        cls, passed = _move_control(self.pattern, self._occupied, cell,
+                                    piece.orientation, move, ride)
         mask = bits.get(cls, 0)  # 0 for None
-        if line is not None:
-            # Past the pieces a free line still meets neighborhood classes
-            # until its ``cross`` leaves their band, and none after; this
-            # part of it contains the passed segment.
-            passed = line.within(self.pattern.t, *self._band)
-        if passed is not None:
-            listed, segment = _listed_or_segment(passed)
-            for cls in listed:
-                mask |= bits.get(cls, 0)
-            if segment is not None:
-                for cls, bit in bits.items():
-                    if segment.contains(cls):
-                        mask |= bit
+        if not ride:
+            return mask
+        if passed is None:
+            # Past the pieces a free ride still meets neighborhood classes
+            # until its ``cross`` leaves their band, and none after.
+            passed = _free_length(cell, move, t, *self._band)
+        if passed > _LISTED_MAX:  # too long to walk: test each class
+            for c, bit in bits.items():
+                k = _steps_to(c, cell, move, t)
+                if k is not None and k <= passed:
+                    mask |= bit
+            return mask
+        (x, y), (dx, dy), (tx, ty) = cell, move, t
+        tt = tx * tx + ty * ty
+        for _ in range(passed):  # reduce_cell, written out
+            x += dx
+            y += dy
+            n = (x * tx + y * ty) // tt
+            mask |= bits.get((x - n * tx, y - n * ty), 0)
         return mask
 
 

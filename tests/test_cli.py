@@ -1,3 +1,4 @@
+import time
 import xml.etree.ElementTree as ET
 
 from shogi_frieze.cli import main
@@ -61,6 +62,21 @@ def test_control_output(tmp_path, capsys):
     code, out, _ = run(capsys, "control", str(f))
     assert code == 0
     assert "free (0,0)+(0,1)" in out
+
+
+def test_control_prints_each_long_ride_as_one_segment_line(tmp_path, capsys):
+    # each sideways ride of the rook passes every other class of its line
+    # before its own piece blocks it: one line each, not 9 999 999
+    f = tmp_path / "rook.pattern"
+    f.write_text("period: 10000000 0\ngrid:\nR^\n", encoding="utf-8")
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "control", str(f))
+    assert time.perf_counter() - t0 < 0.1
+    assert code == 0
+    assert out.splitlines() == ["segment (0,0)+(-1,0)*9999999",
+                                "segment (0,0)+(1,0)*9999999",
+                                "free (0,0)+(0,-1)",
+                                "free (0,0)+(0,1)"]
 
 
 def test_table_staircase_and_determinism(capsys):

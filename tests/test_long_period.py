@@ -18,7 +18,8 @@ from shogi_frieze import (BISHOP, KING, LANCE, ROOK, STANDARD_KINDS,
                           PlacedPiece, canonicalize, classify_frieze,
                           control_of_pattern, detect_symmetries, dual,
                           generate_from_recipe, is_symmetry, make_pattern,
-                          RayEvent, ncc_status, oracle, ray_march)
+                          partition_neighborhood, RayEvent, ncc_status,
+                          oracle, ray_march)
 from shogi_frieze import control
 from shogi_frieze.control import Segment
 from shogi_frieze.geometry import UNIT_DIRS, cross, dot, reduce_cell
@@ -100,6 +101,46 @@ def test_long_rook_ride_is_a_segment():
     assert not ctrl.contains((0, 0)) and not ctrl.contains((1, 1))
     res = ray_march(p, (0, 0), (1, 0), UP)
     assert res.passed.length == BIG - 1 and res.capture is None
+
+
+def _kernel_matches_control_set(p):
+    """``ncc_status``, the verdict kernel on the pieces' own kinds, equals
+    the verdict read off the control set in every field."""
+    st = _timed(ncc_status, p)
+    ctrl, part = control_of_pattern(p), partition_neighborhood(p)
+    assert st == control._verdict_from_parts(
+        part, frozenset(c for c in part if not ctrl.contains(c)))
+    return st
+
+
+# A ride along t passes length - 1 classes, so the first of these lengths
+# walks a ride of _LISTED_MAX - 1 classes and the third one of
+# _LISTED_MAX + 1, which the kernel tests class by class instead.
+_SHORT = (control._LISTED_MAX, control._LISTED_MAX + 1,
+          control._LISTED_MAX + 2)
+# The diagonal motifs' oracle boards are over 4 000 cells a side at these
+# lengths (about 10 s each), so only the control set judges them.
+_AXIS_MOTIFS = ("king", "lance", "rook", "rook_vertical", "lance_vertical")
+
+
+@pytest.mark.parametrize("length", _SHORT + (BIG,))
+@pytest.mark.parametrize("name", sorted(MOTIFS))
+def test_kernel_long_rides_match_the_control_set(name, length, monkeypatch):
+    p = _motif(name, length)
+    _refuse_long_listing(monkeypatch)
+    st = _kernel_matches_control_set(p)
+    if length in _SHORT and name in _AXIS_MOTIFS:
+        board = oracle.replicate(p, oracle.sufficient_copies(p))
+        ost = oracle.brute_ncc(board)
+        assert (st.verdict, st.uncontrolled_class) == \
+               (ost.verdict, ost.uncontrolled_class)
+
+
+def test_kernel_nearly_parallel_ride_matches_the_control_set(monkeypatch):
+    p = make_pattern([PlacedPiece((0, 0), ROOK, UP),
+                      PlacedPiece((0, 1), KING, DOWN)], (BIG, 1))
+    _refuse_long_listing(monkeypatch)
+    _kernel_matches_control_set(p)
 
 
 def test_minimal_period_from_piece_pairs_at_long_period():
