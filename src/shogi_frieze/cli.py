@@ -180,6 +180,8 @@ def cmd_search(args) -> int:
     except ValueError as exc:
         raise CliError(f"unknown group {args.group!r}") from exc
     target = _parse_target(args.target)
+    if args.limit is not None and args.limit < 1:
+        raise CliError(f"--limit must be at least 1, got {args.limit}")
     try:
         w, _, h = args.box.partition("x")
         box = (int(w), int(h))

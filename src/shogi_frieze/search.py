@@ -7,10 +7,15 @@ order over the bounding box; then orientation assignments (Up before
 Down); then decoration assignments (none first, then the eight unit
 directions counterclockwise from east).
 
-Pruning keeps only the first representative of each candidate's orbit
-under translations and, when every searched kind has a left-right
-symmetric moveset, the vertical mirror.  Pruned and unpruned runs find the
-same orbit representatives (differentially tested).
+Pruning works on orbits under translations and, when every searched kind
+has a left-right symmetric moveset, the vertical mirror: a cell
+combination whose classes mod t are such an image of an earlier
+combination's is skipped with all its assignments, and among the rest only
+the first form of each orbit is kept.  This is exact because the map
+carrying one cell set onto the other carries every assignment to one
+already visited with the same orbit, so the scan yields the first form of
+each orbit in enumeration order, as the unpruned scan filtered by orbit
+does (differentially tested).
 """
 
 from __future__ import annotations
@@ -124,20 +129,37 @@ def _cell_pool(bounds: SearchBounds, t: Vec) -> list[Vec]:
     return cells
 
 
-def _enumerate_forms(bounds: SearchBounds,
-                     horizontal_only: bool = False) -> Iterator[Form]:
-    orients = sorted(bounds.orientations, key=lambda o: o is Orientation.DOWN)
-    decors = _DECORS if bounds.allow_decorations else (None,)
+def _cell_sets(bounds: SearchBounds, horizontal_only: bool = False,
+               ) -> Iterator[tuple[Vec, list[Vec]]]:
+    """Each translation with each combination of pool cells that lie in
+    distinct classes, as ``(t, cells reduced mod t)``, in enumeration
+    order."""
     for t in _period_candidates(bounds, horizontal_only):
         pool = _cell_pool(bounds, t)
         for n in range(1, bounds.max_motif_pieces + 1):
             for cells in itertools.combinations(pool, n):
                 reduced = [reduce_cell(c, t) for c in cells]
-                if len(set(reduced)) != n:
-                    continue
-                for os in itertools.product(orients, repeat=n):
-                    for ds in itertools.product(decors, repeat=n):
-                        yield Form(tuple(zip(reduced, os, ds)), t)
+                if len(set(reduced)) == n:
+                    yield t, reduced
+
+
+def _assignments(bounds: SearchBounds, t: Vec,
+                 cells: list[Vec]) -> Iterator[Form]:
+    """The forms on one cell set: every orientation assignment (Up first),
+    and within it every decoration assignment."""
+    orients = sorted(bounds.orientations, key=lambda o: o is Orientation.DOWN)
+    decors = _DECORS if bounds.allow_decorations else (None,)
+    n = len(cells)
+    for os in itertools.product(orients, repeat=n):
+        for ds in itertools.product(decors, repeat=n):
+            yield Form(tuple(zip(cells, os, ds)), t)
+
+
+def _enumerate_forms(bounds: SearchBounds,
+                     horizontal_only: bool = False) -> Iterator[Form]:
+    """Every form of the bounded space, unpruned: the naive reference."""
+    for t, cells in _cell_sets(bounds, horizontal_only):
+        yield from _assignments(bounds, t, cells)
 
 
 def _translation_key(t: Vec, cells: list[tuple[int, int, tuple]]):
@@ -181,6 +203,16 @@ def orbit_key(form: Form, use_mirror: bool):
     return key
 
 
+def _cell_key(t: Vec, cells: list[Vec], use_mirror: bool):
+    """``orbit_key`` of a bare cell set: its classes mod t up to
+    translation and, with ``use_mirror``, the vertical mirror."""
+    key = _translation_key(t, [(x, y, ()) for x, y in cells])
+    if use_mirror:
+        key = min(key, _translation_key(canonical_sign((-t[0], t[1])),
+                                        [(-x, y, ()) for x, y in cells]))
+    return key
+
+
 def _scan(bounds: SearchBounds, *, horizontal_only: bool = False,
           use_mirror: bool = True, prune: bool = True,
           ) -> Iterator[tuple[Form, PeriodicPattern]]:
@@ -188,18 +220,32 @@ def _scan(bounds: SearchBounds, *, horizontal_only: bool = False,
     canonical all-king pattern: ``(form, pattern)``.  With ``prune`` only
     the first form of each orbit is yielded; forms that make no valid
     pattern are skipped."""
+    seen_cells: set = set()
     seen: set = set()
-    for form in _enumerate_forms(bounds, horizontal_only):
+    for t, cells in _cell_sets(bounds, horizontal_only):
         if prune:
-            key = orbit_key(form, use_mirror)
-            if key in seen:
+            key = _cell_key(t, cells, use_mirror)
+            if key in seen_cells:
+                continue  # a translate or mirror of an earlier cell set
+            seen_cells.add(key)
+        for form in _assignments(bounds, t, cells):
+            if prune:
+                key = orbit_key(form, use_mirror)
+                if key in seen:
+                    continue
+                seen.add(key)
+            try:
+                pattern = form.instantiate(KING)
+            except PatternError:
                 continue
-            seen.add(key)
-        try:
-            pattern = form.instantiate(KING)
-        except PatternError:
-            continue
-        yield form, pattern
+            yield form, pattern
+
+
+def _check_limit(limit: Optional[int]) -> None:
+    # a limit below 1 cannot stop a scan before its first report, and an
+    # empty result would read as a certificate of exhaustion
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
 
 
 def find_crystal(group: FriezeGroup, target: Mapping[PieceKind, bool],
@@ -209,8 +255,9 @@ def find_crystal(group: FriezeGroup, target: Mapping[PieceKind, bool],
     exactly ``group`` and whose satisfies-vector equals ``target``.
 
     An empty list certifies exhaustion of the bounded space.  ``limit``
-    stops the scan early after that many reports.
+    stops the scan early after that many reports; it must be at least 1.
     """
+    _check_limit(limit)
     kinds = tuple(target)
     reports: list[CrystalReport] = []
     scan = _scan(bounds,
@@ -261,7 +308,9 @@ def find_special_form(bounds: SearchBounds, *,
                       limit: Optional[int] = None) -> list[SpecialFormReport]:
     """Forms on which every standard kind satisfies the nearly-complete
     predicate, annotated with the region partition for comparing which
-    region each kind leaves uncontrolled."""
+    region each kind leaves uncontrolled.  ``limit``, if given, must be at
+    least 1."""
+    _check_limit(limit)
     out: list[SpecialFormReport] = []
     for form, pattern in _scan(bounds):
         if pattern.t != form.t:

@@ -148,6 +148,15 @@ def test_search_cli(tmp_path, capsys):
     assert (tmp_path / "p2mm_000.pattern").exists()
 
 
+def test_search_cli_limit_below_one_exits_2(capsys):
+    code, out, err = run(capsys, "search", "--group", "p2mm", "--target",
+                         "x0000000", "--max-pieces", "2", "--max-period",
+                         "2", "--box", "2x2", "--both-orientations",
+                         "--limit", "0")
+    assert code == 2 and out == ""
+    assert "--limit" in err and "Traceback" not in err
+
+
 def test_search_cli_contradictory_bounds(capsys):
     code, out, _ = run(capsys, "search", "--group", "p11g", "--target",
                        "xxxxxxxo", "--max-pieces", "1", "--max-period", "1",

@@ -43,6 +43,17 @@ def test_find_crystal_p2mm():
     assert first.vector == staircase_target(0)
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_limit_below_one_is_refused(limit):
+    # an empty list would read as a certificate that the space is exhausted
+    bounds = SearchBounds(2, (2, 2), 2)
+    with pytest.raises(ValueError, match="limit"):
+        find_crystal(FriezeGroup.P2MM, staircase_target(0), bounds,
+                     limit=limit)
+    with pytest.raises(ValueError, match="limit"):
+        find_special_form(bounds, limit=limit)
+
+
 def test_find_crystal_empty_space():
     reports = find_crystal(FriezeGroup.P1, staircase_target(5),
                            SearchBounds(0, (2, 2), 2))
@@ -61,15 +72,62 @@ def test_find_crystal_reports_reverify():
 
 def test_pruned_matches_naive_on_downsized_space():
     group, target = FriezeGroup.P1M1, staircase_target(2)
-    bounds = SearchBounds(2, (2, 2), 2)
-    pruned = find_crystal(group, target, bounds, prune=True)
-    naive = find_crystal(group, target, bounds, prune=False)
-    pruned_keys = [orbit_key(r.form, True) for r in pruned]
-    naive_keys = {orbit_key(r.form, True) for r in naive}
-    assert set(pruned_keys) == naive_keys
-    assert len(pruned_keys) == len(set(pruned_keys))
-    naive_forms = {r.form for r in naive}
-    assert all(r.form in naive_forms for r in pruned)
+    for bounds in (SearchBounds(2, (2, 2), 2),
+                   SearchBounds(2, (2, 2), 2, allow_decorations=True)):
+        pruned = find_crystal(group, target, bounds, prune=True)
+        naive = find_crystal(group, target, bounds, prune=False)
+        assert pruned
+        pruned_keys = [orbit_key(r.form, True) for r in pruned]
+        naive_keys = {orbit_key(r.form, True) for r in naive}
+        assert set(pruned_keys) == naive_keys
+        assert len(pruned_keys) == len(set(pruned_keys))
+        naive_forms = {r.form for r in naive}
+        assert all(r.form in naive_forms for r in pruned)
+
+
+def _first_form_of_each_orbit(bounds, horizontal_only, use_mirror):
+    """The naive reference of the pruned scan: every form, in enumeration
+    order, kept when its orbit key is new and it makes a valid pattern."""
+    seen, out = set(), []
+    for form in _enumerate_forms(bounds, horizontal_only):
+        key = orbit_key(form, use_mirror)
+        if key in seen:
+            continue
+        seen.add(key)
+        try:
+            form.instantiate(KING)
+        except PatternError:
+            continue
+        out.append(form)
+    return out
+
+
+@pytest.mark.parametrize("bounds, horizontal_only, use_mirror, keyed", [
+    (SearchBounds(3, (3, 3), 3), False, True, 2_566),
+    (SearchBounds(2, (2, 2), 2, allow_decorations=True), False, True, 6_624),
+    (SearchBounds(2, (2, 2), 2, allow_decorations=True), False, False,
+     10_584),
+    (SearchBounds(4, (4, 3), 4), True, True, 2_088),
+], ids=["p1", "decorated-mirror", "decorated", "horizontal"])
+def test_pruned_scan_is_first_form_of_each_orbit(monkeypatch, bounds,
+                                                 horizontal_only, use_mirror,
+                                                 keyed):
+    # The scan skips a whole cell set whose classes are a translate (or
+    # mirror) of an earlier cell set's, then keeps the first form of each
+    # orbit among the rest: the same forms, in the same order, as keeping
+    # the first form of each orbit among every form.  The number of forms
+    # keyed pins how much the cell sets prune (the P11G benchmark space is
+    # the horizontal one; the naive counts are 16 766, 21 240 and 13 316).
+    calls = []
+    monkeypatch.setattr(search, "orbit_key",
+                        lambda form, mirror: calls.append(form)
+                        or orbit_key(form, mirror))
+    scanned = [form for form, _ in _scan(bounds,
+                                         horizontal_only=horizontal_only,
+                                         use_mirror=use_mirror)]
+    assert scanned == _first_form_of_each_orbit(bounds, horizontal_only,
+                                                use_mirror)
+    assert len(calls) == keyed
 
 
 def test_determinism():
