@@ -54,6 +54,25 @@ def _load(path: str) -> PeriodicPattern:
         raise CliError(f"{path}: {exc}") from exc
 
 
+def _write(path: Path, text: str) -> None:
+    """Write an output file; a path that cannot be written is a usage
+    error, not an internal one."""
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
+
+
+def _out_dir(path: str) -> Path:
+    """Create the ``--out`` directory (before any long work)."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot write {out}: {exc}") from exc
+    return out
+
+
 def _verdict_line(status) -> str:
     if status.verdict is Verdict.COMPLETE:
         return "verdict=Complete"
@@ -146,7 +165,7 @@ def cmd_table(args) -> int:
         lines.append("\t".join(row))
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(Path(args.out), text)
     else:
         sys.stdout.write(text)
     return 0
@@ -162,7 +181,7 @@ def cmd_render(args) -> int:
         raise CliError(str(exc)) from exc
     text = render(p, spec)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(Path(args.out), text)
     else:
         sys.stdout.write(text)
     return 0
@@ -195,8 +214,8 @@ def cmd_search(args) -> int:
                               allow_decorations=args.decor)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    outdir = _out_dir(args.out) if args.out else None
     reports = find_crystal(group, target, bounds, limit=args.limit)
-    outdir = Path(args.out) if args.out else None
     rows = ["index\tgroup\tpieces\tperiod\t" +
             "\t".join(k.name for k in KIND_COLUMNS)]
     for i, rep in enumerate(reports):
@@ -205,13 +224,10 @@ def cmd_search(args) -> int:
              f"({rep.pattern.t[0]},{rep.pattern.t[1]})"]
             + [_VERDICT_WORD[rep.details[k].verdict] for k in KIND_COLUMNS]))
         if outdir:
-            outdir.mkdir(parents=True, exist_ok=True)
-            (outdir / f"{group.label}_{i:03d}.pattern").write_text(
-                serialize(rep.pattern), encoding="utf-8")
+            _write(outdir / f"{group.label}_{i:03d}.pattern",
+                   serialize(rep.pattern))
     if outdir:
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "report.tsv").write_text("\n".join(rows) + "\n",
-                                           encoding="utf-8")
+        _write(outdir / "report.tsv", "\n".join(rows) + "\n")
     print(f"found={len(reports)}")
     return 0
 

@@ -15,27 +15,31 @@ regions:
   outside the occupied band (the half-plane beyond the band is one empty,
   connected, infinite region).
 
-What one step or ride controls is ``_move_control``, the one move rule,
-and it answers in plain integers: a step gives its target class (None when
-an ally stands on it); a ride gives the class it captures (or None) and the
-number of classes it passes before it stops (None when it is free), the
-stop being the least ``_steps_to`` over the pieces.  Three consumers build
-on it:
+Where one step or ride ends is ``_move_control``, the one move rule.  It
+answers in plain integers and ignores orientations: the class the move
+lands on (a step's target; a ride's first piece, the least ``_steps_to``
+over the pieces, or None when the ride is free) and the number of classes
+a ride passes before it (None when free).  A move controls the classes it
+passes and the class it lands on unless an ally, a piece facing the
+mover's way, stands there; each consumer applies that test itself:
 
 * ``ray_march`` wraps the integers into a ``Segment``, ``RayMarch`` and
   ``FreeLine``;
 * ``control_of_pattern`` does the same for every move of every piece, with
   the occupied band computed once per pattern, and unions them into a
   control set for the CLI and rendering;
-* a ``VerdictKernel`` per geometry (cells and period) computes the
-  neighborhood and partition once and walks the classes each (piece,
-  move) passes straight into a bit mask over the neighborhood, creating no
-  objects; a walk longer than ``_LISTED_MAX`` tests each neighborhood
-  class with ``_steps_to`` instead.  It judges any assignment of kinds to
-  the pieces as the union of their moves' masks followed by
+* the verdict kernel walks them straight into bit masks over the
+  neighborhood, creating no objects; a walk longer than ``_LISTED_MAX``
+  tests each neighborhood class with ``_steps_to`` instead.  Its
+  ``KernelGeometry`` depends only on the cells and the period: it computes
+  the neighborhood and partition once and memoizes what each (piece,
+  move) reaches.  A ``VerdictKernel`` adds the pieces' orientations and
+  judges any assignment of kinds to the pieces as the union of their
+  moves' masks, less each mover's allies, followed by
   ``_verdict_from_parts``, the one verdict rule (which the oracle shares).
-  ``ncc_status`` is the kernel with each piece's own kind; a search keeps
-  one kernel for all the uniform kinds of a form.
+  ``ncc_status`` is a kernel on a fresh geometry with each piece's own
+  kind; a search keeps one kernel for all the uniform kinds of a form and
+  one geometry for the forms of a cell set.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from operator import countOf
 from typing import Mapping, Optional, Sequence
 
 from .geometry import UNIT_DIRS, Vec, is_unit, reduce_cell
-from .pattern import PatternError, PeriodicPattern, PlacedPiece
+from .pattern import PatternError, PeriodicPattern
 from .pieces import Orientation, PieceKind
 
 
@@ -289,66 +293,58 @@ def partition_neighborhood(p: PeriodicPattern) -> dict[Vec, RegionClass]:
     return result
 
 
-def _move_control(p: PeriodicPattern, occupied: Mapping[Vec, PlacedPiece],
-                  cell: Vec, orientation: Orientation, move: Vec,
+def _move_control(t: Vec, cells: Sequence[Vec], cell: Vec, move: Vec,
                   ride: bool) -> tuple[Optional[Vec], Optional[int]]:
-    """What one step or ride from ``cell`` controls, as plain integers: a
-    class (a step's target or a ride's capture, else None) and the number
-    of classes a ride passes before it stops (0 for a step, None for a
-    free ride).
+    """Where one step or ride from ``cell`` ends, as plain integers and
+    whatever the orientations: the class it lands on (a step's target, a
+    ride's first piece, None for a free ride) and the number of classes a
+    ride passes before it (0 for a step, None for a free ride).
 
-    A step controls its target class unless an ally stands on it.  A ride
-    stops at the piece it reaches in the fewest steps (``_steps_to`` per
-    piece); it controls the classes it passes and, if that piece is an
-    enemy, its class.  With no piece on its way a ride is free.  The cost
-    depends on the motif only.
+    A ride stops at the piece it reaches in the fewest steps (``_steps_to``
+    per piece in ``cells``).  The move controls the classes it passes, and
+    the class it lands on unless an ally (a piece facing the mover's way)
+    stands there; the callers apply that test.  The cost depends on the
+    motif only.
     """
-    t = p.t
     if not ride:
         tx, ty = t
         x, y = cell[0] + move[0], cell[1] + move[1]
         n = (x * tx + y * ty) // (tx * tx + ty * ty)  # reduce_cell
-        cls = (x - n * tx, y - n * ty)
-        hit = occupied.get(cls)
-        if hit is not None and hit.orientation is orientation:
-            return None, 0
-        return cls, 0
+        return (x - n * tx, y - n * ty), 0
     steps, hit = None, None
-    for piece in p.pieces:
-        k = _steps_to(piece.cell, cell, move, t)
+    for c in cells:
+        k = _steps_to(c, cell, move, t)
         if k is not None and (steps is None or k < steps):
-            steps, hit = k, piece
+            steps, hit = k, c
     if hit is None:
         return None, None
-    capture = None if hit.orientation is orientation else hit.cell
-    return capture, steps - 1
+    return hit, steps - 1
 
 
 def ray_march(p: PeriodicPattern, origin: Vec, direction: Vec,
               origin_orientation: Orientation) -> RayMarch:
     """The sliding ray from an occupied square, on classes.
 
-    Allies block exclusively, enemies are captured inclusively
-    (``_move_control``).  A free ray's passed segment runs until its
-    ``cross`` leaves the occupied band: a ray parallel to t stops after
-    one round of its line.
+    The ray stops at the first piece ``_move_control`` finds: an ally
+    blocks it exclusively, an enemy is captured inclusively.  A free ray's
+    passed segment runs until its ``cross`` leaves the occupied band: a
+    ray parallel to t stops after one round of its line.
     """
     if not is_unit(direction):
         raise PatternError(f"ray direction {direction} is not a unit vector")
     t = p.t
     anchor = reduce_cell(origin, t)
-    capture, passed = _move_control(p, {}, origin, origin_orientation,
-                                    direction, True)
+    hit, passed = _move_control(t, p.cells(), origin, direction, True)
     if passed is None:
         length = _free_length(anchor, direction, t, *_occupied_band(p))
         return RayMarch(Segment(anchor, direction, length, t),
                         RayEvent.FREE_INFINITE,
                         free_line=FreeLine(anchor, direction))
-    if capture is None:
+    if p.class_map()[hit].orientation is origin_orientation:
         return RayMarch(Segment(anchor, direction, passed, t),
                         RayEvent.BLOCKED_BY_ALLY)
     return RayMarch(Segment(anchor, direction, passed, t),
-                    RayEvent.CAPTURE_ENEMY, capture=capture)
+                    RayEvent.CAPTURE_ENEMY, capture=hit)
 
 
 def control_of_pattern(p: PeriodicPattern) -> PeriodicCellSet:
@@ -356,7 +352,7 @@ def control_of_pattern(p: PeriodicPattern) -> PeriodicCellSet:
     move to: the union of ``_move_control`` over every step and ride.  A
     ride parallel (or nearly parallel) to a long t stays a segment, so it
     costs no more than a short one."""
-    t = p.t
+    t, cells = p.t, p.cells()
     occupied = p.class_map()
     band = _occupied_band(p)
     classes: set[Vec] = set()
@@ -367,14 +363,13 @@ def control_of_pattern(p: PeriodicPattern) -> PeriodicCellSet:
         cell, orientation = piece.cell, piece.orientation
         m = piece.kind.oriented(orientation)
         for step in m.steps:
-            cls, _ = _move_control(p, occupied, cell, orientation, step,
-                                   False)
-            if cls is not None:
+            cls, _ = _move_control(t, cells, cell, step, False)
+            hit = occupied.get(cls)
+            if hit is None or hit.orientation is not orientation:
                 classes.add(cls)
         for ride in m.rides:
-            cls, passed = _move_control(p, occupied, cell, orientation, ride,
-                                        True)
-            if cls is not None:
+            cls, passed = _move_control(t, cells, cell, ride, True)
+            if cls is not None and occupied[cls].orientation is not orientation:
                 classes.add(cls)
             if passed is None:
                 free_lines.add(FreeLine(cell, ride))
@@ -391,69 +386,49 @@ def control_of_pattern(p: PeriodicPattern) -> PeriodicCellSet:
                            tuple(sorted(free_lines, key=key)), t)
 
 
-class VerdictKernel:
-    """The control-condition verdicts of one pattern's geometry, for any
-    kinds on its pieces.
+class KernelGeometry:
+    """The part of a verdict kernel that depends only on the period and
+    the occupied classes, never on the pieces' orientations or kinds, so
+    one geometry serves every form on the same cells.
 
-    Neighborhood and partition depend only on the occupied classes, and
-    what a move controls depends only on the piece making it (cell and
-    orientation), never on the kinds of the others.  So both are computed
-    once: the neighborhood classes a (piece, step) or (piece, ride)
-    controls (``_move_control``) are memoized as a bit mask over the
-    neighborhood, each ride walked once on first use.  A verdict is the
-    union of the masks of its kinds' moves, then ``_verdict_from_parts``.
-    ``status`` takes one kind per piece of ``pattern``, in its order, so
-    one kernel judges every pattern with the same cells and period: each
-    uniform instantiation of a form, or the same pieces with other kinds.
+    It holds the neighborhood's partition, one bit per neighborhood class,
+    and, memoized per (piece, step) and (piece, ride), the mask of the
+    classes the move reaches (``_move_control``): the empty classes a ride
+    passes or a step lands on, and the class of the piece it lands on,
+    which it controls only when that piece is an enemy.  A ride is walked
+    class by class once, on first use; a walk longer than ``_LISTED_MAX``
+    tests each neighborhood class with ``_steps_to`` instead.
     """
 
     def __init__(self, pattern: PeriodicPattern) -> None:
-        self.pattern = pattern
+        self.t = pattern.t
+        self.cells = pattern.cells()
         self.partition = partition_neighborhood(pattern)
         # the partition's classes are the neighborhood's
-        self._bits = {c: 1 << i for i, c in enumerate(self.partition)}
-        tx, ty = pattern.t
-        qs = [x * ty - y * tx for x, y in self.partition]
-        self._band = min(qs), max(qs)
-        self._occupied = pattern.class_map()
+        self.bits = {c: 1 << i for i, c in enumerate(self.partition)}
+        self._band: Optional[tuple[int, int]] = None  # built on first use
         # per piece: its step or ride displacement -> mask
-        self._steps: list[dict[Vec, int]] = [{} for _ in pattern.pieces]
-        self._rides: list[dict[Vec, int]] = [{} for _ in pattern.pieces]
+        self.steps: list[dict[Vec, int]] = [{} for _ in self.cells]
+        self.rides: list[dict[Vec, int]] = [{} for _ in self.cells]
 
-    def uniform(self, kind: PieceKind) -> NccStatus:
-        """The verdict with ``kind`` on every piece."""
-        return self.status((kind,) * len(self.pattern.pieces))
-
-    def status(self, kinds: Sequence[PieceKind]) -> NccStatus:
-        """The verdict with ``kinds[i]`` on the i-th piece."""
-        controlled = 0
-        for piece, kind, steps, rides in zip(
-                self.pattern.pieces, kinds, self._steps, self._rides,
-                strict=True):
-            m = kind.oriented(piece.orientation)
-            for step in m.steps:
-                mask = steps.get(step)
-                if mask is None:
-                    mask = steps[step] = self._mask(piece, step, False)
-                controlled |= mask
-            for ride in m.rides:
-                mask = rides.get(ride)
-                if mask is None:
-                    mask = rides[ride] = self._mask(piece, ride, True)
-                controlled |= mask
-        return _verdict_from_parts(self.partition, frozenset(
-            c for c, bit in self._bits.items() if not controlled & bit))
-
-    def _mask(self, piece: PlacedPiece, move: Vec, ride: bool) -> int:
-        t, bits, cell = self.pattern.t, self._bits, piece.cell
-        cls, passed = _move_control(self.pattern, self._occupied, cell,
-                                    piece.orientation, move, ride)
+    def reach(self, cell: Vec, move: Vec, ride: bool) -> int:
+        """The mask of what a move of the piece on ``cell`` reaches; the
+        kernels memoize it in ``steps`` and ``rides``."""
+        t, bits = self.t, self.bits
+        cls, passed = _move_control(t, self.cells, cell, move, ride)
         mask = bits.get(cls, 0)  # 0 for None
         if not ride:
             return mask
         if passed is None:
             # Past the pieces a free ride still meets neighborhood classes
-            # until its ``cross`` leaves their band, and none after.
+            # until its ``cross`` leaves their band, and none after.  That
+            # band is the occupied one widened by |tx| + |ty|, the most a
+            # unit step moves ``cross``.
+            if self._band is None:
+                tx, ty = t
+                qs = [x * ty - y * tx for x, y in self.cells]
+                s = abs(tx) + abs(ty)
+                self._band = min(qs) - s, max(qs) + s
             passed = _free_length(cell, move, t, *self._band)
         if passed > _LISTED_MAX:  # too long to walk: test each class
             for c, bit in bits.items():
@@ -469,6 +444,69 @@ class VerdictKernel:
             n = (x * tx + y * ty) // tt
             mask |= bits.get((x - n * tx, y - n * ty), 0)
         return mask
+
+
+class VerdictKernel:
+    """The control-condition verdicts of one pattern, for any kinds on its
+    pieces: a ``KernelGeometry`` plus the pieces' orientations.
+
+    A piece controls what its moves reach except the classes of its
+    allies, the pieces facing its way.  So a verdict ORs, per piece, the
+    geometry's masks of its kind's moves, clears its allies' bits, and
+    hands the classes no piece controls to ``_verdict_from_parts``.
+    ``status`` takes one kind per piece of ``pattern``, in its order, so
+    one kernel judges every pattern with the same pieces up to kinds: each
+    uniform instantiation of a form, or the same pieces with other kinds.
+    ``geometry`` is used when it was built on the same period and cells,
+    and a fresh one is built otherwise.
+    """
+
+    def __init__(self, pattern: PeriodicPattern,
+                 geometry: Optional[KernelGeometry] = None) -> None:
+        if (geometry is None or geometry.t != pattern.t
+                or geometry.cells != pattern.cells()):
+            geometry = KernelGeometry(pattern)
+        self.pattern = pattern
+        self.geometry = geometry
+        self.partition = geometry.partition
+        bits = geometry.bits
+        up = down = 0  # the bits of the pieces facing up and down
+        for piece in pattern.pieces:
+            if piece.orientation is Orientation.UP:
+                up |= bits.get(piece.cell, 0)
+            else:
+                down |= bits.get(piece.cell, 0)
+        every = (1 << len(bits)) - 1
+        # what a piece facing up or down controls of what it reaches
+        self._up, self._down = every ^ up, every ^ down
+
+    def uniform(self, kind: PieceKind) -> NccStatus:
+        """The verdict with ``kind`` on every piece."""
+        return self.status((kind,) * len(self.pattern.pieces))
+
+    def status(self, kinds: Sequence[PieceKind]) -> NccStatus:
+        """The verdict with ``kinds[i]`` on the i-th piece."""
+        g = self.geometry
+        controlled = 0
+        for piece, kind, steps, rides in zip(
+                self.pattern.pieces, kinds, g.steps, g.rides, strict=True):
+            o = piece.orientation
+            m = kind.oriented(o)
+            reached = 0
+            for step in m.steps:
+                mask = steps.get(step)
+                if mask is None:
+                    mask = steps[step] = g.reach(piece.cell, step, False)
+                reached |= mask
+            for ride in m.rides:
+                mask = rides.get(ride)
+                if mask is None:
+                    mask = rides[ride] = g.reach(piece.cell, ride, True)
+                reached |= mask
+            controlled |= reached & (self._up if o is Orientation.UP
+                                     else self._down)
+        return _verdict_from_parts(self.partition, frozenset(
+            [c for c, bit in g.bits.items() if not controlled & bit]))
 
 
 def ncc_status(p: PeriodicPattern) -> NccStatus:

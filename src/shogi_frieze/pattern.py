@@ -62,7 +62,7 @@ class PeriodicPattern:
         return {p.cell: p for p in self.pieces}
 
     def cells(self) -> tuple[Vec, ...]:
-        return tuple(p.cell for p in self.pieces)
+        return tuple([p.cell for p in self.pieces])  # faster than a genexpr
 
 
 def make_pattern(pieces: Iterable[PlacedPiece], t: Vec) -> PeriodicPattern:
@@ -131,7 +131,7 @@ def canonicalize(p: PeriodicPattern) -> PeriodicPattern:
         by_class: dict[Vec, PlacedPiece] = {}
         for piece in pieces:
             cell = reduce_cell(piece.cell, t)
-            moved = replace(piece, cell=cell)
+            moved = piece if cell == piece.cell else replace(piece, cell=cell)
             prev = by_class.get(cell)
             if prev is None:
                 by_class[cell] = moved

@@ -87,7 +87,11 @@ class CrystalReport:
 # that pattern judges every kind column: each column is a union of memoized
 # move masks and one verdict, with no instantiation, canonicalization or
 # control set per column.  Searches build the kernel only for forms that
-# pass their cheaper filters (period, group).
+# pass their cheaper filters (period, group).  The kernel's geometry
+# (neighborhood, partition and move masks) depends only on the period and
+# cells, which the forms of one cell set share as ``_scan`` yields them back
+# to back, so each kernel is built on the previous form's geometry, which
+# ``VerdictKernel`` uses only while the period and cells match.
 
 def ncc_vector(form: Form, kinds: Iterable[PieceKind] = KIND_COLUMNS,
                ) -> dict[PieceKind, NccStatus]:
@@ -263,12 +267,14 @@ def find_crystal(group: FriezeGroup, target: Mapping[PieceKind, bool],
     scan = _scan(bounds,
                  horizontal_only=group not in (FriezeGroup.P1, FriezeGroup.P2),
                  use_mirror=_kinds_mirror_safe(kinds), prune=prune)
+    geometry = None
     for form, pattern in scan:
         if pattern.t != form.t:
             continue  # motif was redundant; the smaller period is its rep
         if classify_frieze(pattern) is not group:
             continue
-        kernel = VerdictKernel(pattern)
+        kernel = VerdictKernel(pattern, geometry)
+        geometry = kernel.geometry
         details: dict[PieceKind, NccStatus] = {}
         ok = True
         for kind in kinds:
@@ -312,10 +318,12 @@ def find_special_form(bounds: SearchBounds, *,
     least 1."""
     _check_limit(limit)
     out: list[SpecialFormReport] = []
+    geometry = None
     for form, pattern in _scan(bounds):
         if pattern.t != form.t:
             continue
-        kernel = VerdictKernel(pattern)
+        kernel = VerdictKernel(pattern, geometry)
+        geometry = kernel.geometry
         statuses: dict[PieceKind, NccStatus] = {}
         ok = True
         for kind in KIND_COLUMNS:
@@ -352,9 +360,11 @@ def find_duality(bounds: SearchBounds) -> DualityExhibits:
     silver_form: Optional[Form] = None
     pair: Optional[tuple[PeriodicPattern, PeriodicPattern]] = None
 
+    geometry = None
     for form, pattern in _scan(bounds):
         if gold_form is None or silver_form is None:
-            kernel = VerdictKernel(pattern)
+            kernel = VerdictKernel(pattern, geometry)
+            geometry = kernel.geometry
             g = kernel.uniform(GOLD)
             s = kernel.uniform(SILVER)
             if (g.verdict is Verdict.COMPLETE

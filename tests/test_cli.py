@@ -1,6 +1,8 @@
 import time
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from shogi_frieze.cli import main
 from conftest import FIXTURE_DIR
 
@@ -169,6 +171,39 @@ def test_search_cli_bad_flags(capsys):
                        "x0000000", "--max-pieces", "1", "--max-period", "1",
                        "--box", "1x1")
     assert code == 2 and "p9" in err
+
+
+def _under_a_file(tmp_path):
+    """A path that cannot be written: its parent is a regular file."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    return blocker / "out"
+
+
+@pytest.mark.parametrize("argv", [
+    ("render", str(FIXTURE_DIR / "p2.pattern"), "--format", "svg"),
+    ("table",),
+])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv, "--out", str(_under_a_file(tmp_path)))
+    assert code == 2 and out == ""
+    assert err.startswith("cannot write ") and "Traceback" not in err
+
+
+def test_search_unwritable_out_exits_2_before_the_scan(tmp_path, capsys,
+                                                       monkeypatch):
+    from shogi_frieze import cli
+
+    def scan(*args, **kwargs):
+        raise AssertionError("the scan ran before --out was checked")
+
+    monkeypatch.setattr(cli, "find_crystal", scan)
+    code, out, err = run(capsys, "search", "--group", "p2mm", "--target",
+                         "x0000000", "--max-pieces", "2", "--max-period", "2",
+                         "--box", "2x2", "--out",
+                         str(_under_a_file(tmp_path)))
+    assert code == 2 and out == ""
+    assert err.startswith("cannot write ") and "Traceback" not in err
 
 
 def test_fragility_cli(capsys):

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from shogi_frieze import (KING, LANCE, PAWN, InconsistentMotifError,
-                          ParseError, PatternError, PieceKind, canonicalize,
+                          ParseError, PatternError, PeriodicPattern,
+                          PieceKind, canonicalize,
                           classify_frieze, dual, make_pattern, moveset,
                           ncc_status, occupant, oracle, parse, serialize)
 from shogi_frieze.cli import main as cli_main
@@ -34,6 +35,17 @@ def test_canonicalize_reduction_only():
     p = make_pattern([piece((5, 0))], (2, 0))
     assert p.t == (2, 0)
     assert p.pieces[0].cell == (1, 0)
+
+
+def test_canonicalize_reduced_and_unreduced_pieces():
+    # the piece already on its class representative is kept as it is, the
+    # other is moved onto its representative: the value is as before
+    kept = piece((0, 0), kind=LANCE)
+    moved = piece((4, 1), DOWN, decoration=(1, 0))
+    p = canonicalize(PeriodicPattern((moved, kept), (-3, 0)))
+    assert p == PeriodicPattern(
+        (kept, piece((1, 1), DOWN, decoration=(1, 0))), (3, 0))
+    assert p.pieces[0] is kept
 
 
 def test_canonicalize_idempotent():

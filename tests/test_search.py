@@ -1,6 +1,6 @@
 import pytest
 
-from shogi_frieze import search
+from shogi_frieze import control, search
 from shogi_frieze import (BISHOP, GOLD, KING, KNIGHT, LANCE, PAWN, ROOK,
                           SILVER, FriezeGroup, PieceKind, RegionClass,
                           SearchBounds, Verdict, classify_frieze,
@@ -8,7 +8,8 @@ from shogi_frieze import (BISHOP, GOLD, KING, KNIGHT, LANCE, PAWN, ROOK,
                           find_special_form, form_of, fragility_check,
                           make_pattern, ncc_status, ncc_vector, oracle,
                           partition_neighborhood)
-from shogi_frieze.control import VerdictKernel, _verdict_from_parts
+from shogi_frieze.control import (VerdictKernel, _move_control,
+                                  _verdict_from_parts)
 from shogi_frieze.geometry import canonical_sign, reduce_cell, sub
 from shogi_frieze.pattern import Form, PatternError
 from shogi_frieze.pieces import (chess_knight_moveset, reverse_chariot_moveset,
@@ -130,6 +131,26 @@ def test_pruned_scan_is_first_form_of_each_orbit(monkeypatch, bounds,
     assert len(calls) == keyed
 
 
+def test_p1_scan_builds_one_geometry_per_cell_set(monkeypatch):
+    # The forms of one cell set come back to back and, past the period and
+    # group filters, share their canonical period and cells, so the P1
+    # benchmark scan computes one partition per such cell set, not one per
+    # kernel, and reports what kernels built each on its own geometry do.
+    partitions, kernels = [], []
+    partition, kernel = control.partition_neighborhood, search.VerdictKernel
+    monkeypatch.setattr(control, "partition_neighborhood",
+                        lambda p: partitions.append(p) or partition(p))
+    monkeypatch.setattr(search, "VerdictKernel",
+                        lambda *args: kernels.append(args) or kernel(*args))
+    target = dict.fromkeys(KIND_COLUMNS, False)
+    bounds = SearchBounds(3, (3, 3), 3)
+    reports = find_crystal(FriezeGroup.P1, target, bounds)
+    assert (len(kernels), len(partitions), len(reports)) == (2_166, 339, 182)
+    monkeypatch.setattr(search, "VerdictKernel",
+                        lambda pattern, geometry: kernel(pattern))
+    assert find_crystal(FriezeGroup.P1, target, bounds) == reports
+
+
 def test_determinism():
     bounds = SearchBounds(2, (2, 2), 2)
     a = find_crystal(FriezeGroup.P2MM, staircase_target(0), bounds)
@@ -242,28 +263,70 @@ def _oracle_status(p):
             frozenset(reduce_cell(c, p.t) for c in st.uncontrolled))
 
 
+def _moves(piece, kinds, ride):
+    """The step (or ride) displacements of any of ``kinds`` on ``piece``."""
+    out = set()
+    for kind in kinds:
+        m = kind.oriented(piece.orientation)
+        out |= m.rides if ride else m.steps
+    return out
+
+
+def _ally_to_enemy(before, after, kinds):
+    """For two patterns on the same period and cells, the number of step
+    and of ride displacements that some piece makes in both and whose
+    landing piece is its ally in ``before`` and its enemy in ``after``."""
+    cells = after.cells()
+    index = {c: j for j, c in enumerate(cells)}
+    flips = {False: 0, True: 0}
+    for was, now in zip(before.pieces, after.pieces):
+        for ride in flips:
+            for move in _moves(was, kinds, ride) & _moves(now, kinds, ride):
+                cls, _ = _move_control(after.t, cells, now.cell, move, ride)
+                j = index.get(cls)
+                if (j is not None
+                        and before.pieces[j].orientation is was.orientation
+                        and after.pieces[j].orientation
+                        is not now.orientation):
+                    flips[ride] += 1
+    return flips
+
+
 @pytest.mark.parametrize("bounds", [
     SearchBounds(3, (3, 2), 2),
     SearchBounds(2, (2, 2), 2, allow_decorations=True),
 ], ids=["plain", "decorated"])
 def test_kernel_matches_ncc_status_on_every_form(bounds):
-    # One kernel per form, built on its all-king pattern, judges every kind
-    # column.  Each column is compared, every field, with the verdict read
-    # off that kind's own pattern: its control set (control_of_pattern, no
-    # masks or memo) and partition, ncc_status, and on every 16th reference
-    # the oracle, which shares no code with either engine.  The references
-    # read only the kind, the cells, their orientations and the period, so
-    # each is computed once per such key (decorated forms repeat many).
+    # Kernels are built in scan order, each on the previous form's geometry
+    # when the period and cells match, as the searches build them.  Each
+    # kind column is compared, every field, with the verdict read off that
+    # kind's own pattern: its control set (control_of_pattern, no masks or
+    # memo) and partition, which must equal ncc_status (a fresh kernel),
+    # and on every 16th reference the oracle, which shares no code with
+    # either engine.  The references read only the kind, the cells, their
+    # orientations and the period, so each is computed once per such key
+    # (decorated forms repeat many).  A shared geometry must hold up where
+    # a step's or a ride's landing piece turns from ally to enemy.
+    kinds = KIND_COLUMNS + FRAGILE_KINDS
     reference = {}
-    checked = 0
+    checked = shared = 0
+    flips = {False: 0, True: 0}
+    previous = None
     for form in _enumerate_forms(bounds):
         try:
-            kernel = VerdictKernel(form.instantiate(KING))
+            pattern = form.instantiate(KING)
         except PatternError:
             continue
-        geometry = (kernel.pattern.t, tuple(
-            (x.cell, x.orientation) for x in kernel.pattern.pieces))
-        for kind in KIND_COLUMNS + FRAGILE_KINDS:
+        kernel = VerdictKernel(pattern, previous and previous.geometry)
+        if previous is not None and kernel.geometry is previous.geometry:
+            shared += 1
+            for ride, n in _ally_to_enemy(previous.pattern, pattern,
+                                          kinds).items():
+                flips[ride] += n
+        previous = kernel
+        geometry = (pattern.t, tuple(
+            (x.cell, x.orientation) for x in pattern.pieces))
+        for kind in kinds:
             p = form.instantiate(kind)
             assert (p.t, tuple((x.cell, x.orientation) for x in p.pieces)) \
                 == geometry, (form, kind)
@@ -282,6 +345,8 @@ def test_kernel_matches_ncc_status_on_every_form(bounds):
             assert kernel.uniform(kind) == expected, (form, kind)
             checked += 1
     assert checked > 20_000 and len(reference) > 3_000
+    assert shared > checked // (2 * len(kinds))
+    assert flips[False] > 100 and flips[True] > 100, flips
 
 
 def _plain_orbit_key(form, use_mirror):
