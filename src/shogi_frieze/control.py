@@ -210,9 +210,9 @@ class NccStatus:
         return self.verdict is not Verdict.FAILS
 
 
-def _occupied_band(p: PeriodicPattern) -> tuple[int, int]:
-    tx, ty = p.t
-    qs = [x * ty - y * tx for x, y in p.cells()]
+def _occupied_band(cells: Sequence[Vec], t: Vec) -> tuple[int, int]:
+    tx, ty = t
+    qs = [x * ty - y * tx for x, y in cells]
     return min(qs), max(qs)
 
 
@@ -246,7 +246,7 @@ def partition_neighborhood(p: PeriodicPattern) -> dict[Vec, RegionClass]:
     tt = tx * tx + ty * ty
     occupied = p.class_map()
     nbhd = neighborhood(p)
-    qlo, qhi = _occupied_band(p)
+    qlo, qhi = _occupied_band(p.cells(), p.t)
     result: dict[Vec, RegionClass] = {}
     flooded: dict[Vec, RegionClass] = {}  # class -> region of its component
 
@@ -334,9 +334,11 @@ def ray_march(p: PeriodicPattern, origin: Vec, direction: Vec,
         raise PatternError(f"ray direction {direction} is not a unit vector")
     t = p.t
     anchor = reduce_cell(origin, t)
-    hit, passed = _move_control(t, p.cells(), origin, direction, True)
+    cells = p.cells()
+    hit, passed = _move_control(t, cells, origin, direction, True)
     if passed is None:
-        length = _free_length(anchor, direction, t, *_occupied_band(p))
+        length = _free_length(anchor, direction, t,
+                              *_occupied_band(cells, t))
         return RayMarch(Segment(anchor, direction, length, t),
                         RayEvent.FREE_INFINITE,
                         free_line=FreeLine(anchor, direction))
@@ -354,7 +356,7 @@ def control_of_pattern(p: PeriodicPattern) -> PeriodicCellSet:
     costs no more than a short one."""
     t, cells = p.t, p.cells()
     occupied = p.class_map()
-    band = _occupied_band(p)
+    band = _occupied_band(cells, t)
     classes: set[Vec] = set()
     segments: set[Segment] = set()
     free_lines: set[FreeLine] = set()
@@ -425,10 +427,9 @@ class KernelGeometry:
             # band is the occupied one widened by |tx| + |ty|, the most a
             # unit step moves ``cross``.
             if self._band is None:
-                tx, ty = t
-                qs = [x * ty - y * tx for x, y in self.cells]
-                s = abs(tx) + abs(ty)
-                self._band = min(qs) - s, max(qs) + s
+                qlo, qhi = _occupied_band(self.cells, t)
+                s = abs(t[0]) + abs(t[1])
+                self._band = qlo - s, qhi + s
             passed = _free_length(cell, move, t, *self._band)
         if passed > _LISTED_MAX:  # too long to walk: test each class
             for c, bit in bits.items():

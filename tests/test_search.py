@@ -324,13 +324,13 @@ def test_kernel_matches_ncc_status_on_every_form(bounds):
                                           kinds).items():
                 flips[ride] += n
         previous = kernel
-        geometry = (pattern.t, tuple(
+        shape = (pattern.t, tuple(
             (x.cell, x.orientation) for x in pattern.pieces))
         for kind in kinds:
             p = form.instantiate(kind)
             assert (p.t, tuple((x.cell, x.orientation) for x in p.pieces)) \
-                == geometry, (form, kind)
-            expected = reference.get((kind, geometry))
+                == shape, (form, kind)
+            expected = reference.get((kind, shape))
             if expected is None:
                 ctrl = control_of_pattern(p)
                 regions = partition_neighborhood(p)
@@ -341,7 +341,7 @@ def test_kernel_matches_ncc_status_on_every_form(bounds):
                     assert (expected.verdict, expected.uncontrolled_class,
                             expected.uncontrolled) == _oracle_status(p), \
                         (form, kind)
-                reference[kind, geometry] = expected
+                reference[kind, shape] = expected
             assert kernel.uniform(kind) == expected, (form, kind)
             checked += 1
     assert checked > 20_000 and len(reference) > 3_000
