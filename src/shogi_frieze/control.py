@@ -218,10 +218,14 @@ def _occupied_band(cells: Sequence[Vec], t: Vec) -> tuple[int, int]:
 
 def neighborhood(p: PeriodicPattern) -> frozenset[Vec]:
     """Classes of all squares adjacent to some occupied square."""
-    tx, ty = p.t
+    return _neighborhood(p.t, p.cells())
+
+
+def _neighborhood(t: Vec, cells: Sequence[Vec]) -> frozenset[Vec]:
+    tx, ty = t
     tt = tx * tx + ty * ty
     out = set()
-    for x, y in p.cells():
+    for x, y in cells:
         for dx, dy in UNIT_DIRS:  # reduce_cell, written out
             u, v = x + dx, y + dy
             n = (u * tx + v * ty) // tt
@@ -244,9 +248,10 @@ def partition_neighborhood(p: PeriodicPattern) -> dict[Vec, RegionClass]:
     """
     tx, ty = p.t
     tt = tx * tx + ty * ty
-    occupied = p.class_map()
-    nbhd = neighborhood(p)
-    qlo, qhi = _occupied_band(p.cells(), p.t)
+    cells = p.cells()
+    occupied = set(cells)
+    nbhd = _neighborhood(p.t, cells)
+    qlo, qhi = _occupied_band(cells, p.t)
     result: dict[Vec, RegionClass] = {}
     flooded: dict[Vec, RegionClass] = {}  # class -> region of its component
 

@@ -7,6 +7,15 @@ order over the bounding box; then orientation assignments (Up before
 Down); then decoration assignments (none first, then the eight unit
 directions counterclockwise from east).
 
+Every group searches every translation its isometries allow: all of them
+for p1 and p2, the horizontal and vertical ones for the mirror and glide
+groups (``symmetry.role_linear_part``).  The group also filters cell
+combinations: a pattern with the group is fixed by an isometry of each
+linear part its roles require (``symmetry.GROUP_ROLES``), so its classes
+mod t are too, and a combination that no such map sends onto itself is
+skipped with all its assignments.  ``classify_frieze`` then rejects only
+accidental supergroups.
+
 Pruning works on orbits under translations and, when every searched kind
 has a left-right symmetric moveset, the vertical mirror: a cell
 combination whose classes mod t are such an image of an earlier
@@ -15,7 +24,11 @@ the first form of each orbit is kept.  This is exact because the map
 carrying one cell set onto the other carries every assignment to one
 already visited with the same orbit, so the scan yields the first form of
 each orbit in enumeration order, as the unpruned scan filtered by orbit
-does (differentially tested).
+does.  Translations and the mirror carry a cell combination that passes
+the group filter to one that passes it, so the filter keeps this order:
+``find_crystal`` reports what filtering every form of the space by orbit,
+period, group and verdicts reports, in the same order (both differentially
+tested).
 """
 
 from __future__ import annotations
@@ -30,7 +43,8 @@ from .geometry import UNIT_DIRS, Vec, canonical_sign, reduce_cell
 from .pattern import Form, PatternError, PeriodicPattern, form_of
 from .pieces import (BISHOP, GOLD, KING, KNIGHT, LANCE, PAWN, ROOK, SILVER,
                      Moveset, Orientation, PieceKind)
-from .symmetry import FriezeGroup, classify_frieze
+from .symmetry import (GROUP_ROLES, FriezeGroup, classify_frieze,
+                       role_linear_part)
 
 KIND_COLUMNS: tuple[PieceKind, ...] = (
     KNIGHT, PAWN, LANCE, BISHOP, SILVER, GOLD, ROOK, KING,
@@ -109,16 +123,13 @@ def ncc_vector(form: Form, kinds: Iterable[PieceKind] = KIND_COLUMNS,
 _DECORS: tuple[Optional[Vec], ...] = (None,) + UNIT_DIRS
 
 
-def _period_candidates(bounds: SearchBounds,
-                       horizontal_only: bool) -> list[Vec]:
+def _period_candidates(bounds: SearchBounds) -> list[Vec]:
     mp = bounds.max_period
     out = []
     for a in range(0, mp + 1):
         for b in range(-mp, mp + 1):
             t = (a, b)
             if t == (0, 0) or canonical_sign(t) != t:
-                continue
-            if horizontal_only and b != 0:
                 continue
             out.append(t)
     out.sort(key=lambda t: (max(abs(t[0]), abs(t[1])), t))
@@ -133,18 +144,15 @@ def _cell_pool(bounds: SearchBounds, t: Vec) -> list[Vec]:
     return cells
 
 
-def _cell_sets(bounds: SearchBounds, horizontal_only: bool = False,
-               ) -> Iterator[tuple[Vec, list[Vec]]]:
-    """Each translation with each combination of pool cells that lie in
-    distinct classes, as ``(t, cells reduced mod t)``, in enumeration
-    order."""
-    for t in _period_candidates(bounds, horizontal_only):
-        pool = _cell_pool(bounds, t)
-        for n in range(1, bounds.max_motif_pieces + 1):
-            for cells in itertools.combinations(pool, n):
-                reduced = [reduce_cell(c, t) for c in cells]
-                if len(set(reduced)) == n:
-                    yield t, reduced
+def _cell_sets(bounds: SearchBounds, t: Vec) -> Iterator[list[Vec]]:
+    """Each combination of pool cells that lie in distinct classes mod t,
+    reduced mod t, in enumeration order."""
+    pool = _cell_pool(bounds, t)
+    for n in range(1, bounds.max_motif_pieces + 1):
+        for cells in itertools.combinations(pool, n):
+            reduced = [reduce_cell(c, t) for c in cells]
+            if len(set(reduced)) == n:
+                yield reduced
 
 
 def _assignments(bounds: SearchBounds, t: Vec,
@@ -159,11 +167,11 @@ def _assignments(bounds: SearchBounds, t: Vec,
             yield Form(tuple(zip(cells, os, ds)), t)
 
 
-def _enumerate_forms(bounds: SearchBounds,
-                     horizontal_only: bool = False) -> Iterator[Form]:
+def _enumerate_forms(bounds: SearchBounds) -> Iterator[Form]:
     """Every form of the bounded space, unpruned: the naive reference."""
-    for t, cells in _cell_sets(bounds, horizontal_only):
-        yield from _assignments(bounds, t, cells)
+    for t in _period_candidates(bounds):
+        for cells in _cell_sets(bounds, t):
+            yield from _assignments(bounds, t, cells)
 
 
 def _translation_key(t: Vec, cells: list[tuple[int, int, tuple]]):
@@ -217,32 +225,59 @@ def _cell_key(t: Vec, cells: list[Vec], use_mirror: bool):
     return key
 
 
-def _scan(bounds: SearchBounds, *, horizontal_only: bool = False,
-          use_mirror: bool = True, prune: bool = True,
-          ) -> Iterator[tuple[Form, PeriodicPattern]]:
-    """The forms of the bounded space in enumeration order, each with its
-    canonical all-king pattern: ``(form, pattern)``.  With ``prune`` only
-    the first form of each orbit is yielded; forms that make no valid
-    pattern are skipped."""
+def _maps_onto_itself(t: Vec, cells: list[Vec], S: Vec) -> bool:
+    """Whether some map c -> S c + o sends the classes ``cells`` (distinct
+    and reduced mod t, with S t = +-t) onto themselves.  The map sends the
+    first class to some class j, so o = c_j - S c_0 modulo t, as
+    ``detect_symmetries`` takes its candidates."""
+    classes = set(cells)
+    (sx, sy), (tx, ty) = S, t
+    tt = tx * tx + ty * ty
+    x0, y0 = cells[0]
+    for xj, yj in cells:
+        ox, oy = xj - sx * x0, yj - sy * y0
+        for x, y in cells:  # reduce_cell, written out
+            u, v = sx * x + ox, sy * y + oy
+            n = (u * tx + v * ty) // tt
+            if (u - n * tx, v - n * ty) not in classes:
+                break
+        else:
+            return True
+    return False
+
+
+def _scan(bounds: SearchBounds, group: FriezeGroup = FriezeGroup.P1, *,
+          use_mirror: bool = True) -> Iterator[tuple[Form, PeriodicPattern]]:
+    """The first form of each orbit in the bounded space, in enumeration
+    order, each with its canonical all-king pattern: ``(form, pattern)``.
+    Forms that make no valid pattern are skipped, and so are the forms no
+    pattern with ``group`` can have: those on a translation that the
+    group's isometries cannot fix, and those on cells that no map with one
+    of their linear parts sends onto themselves."""
+    roles = GROUP_ROLES[group]
     seen_cells: set = set()
     seen: set = set()
-    for t, cells in _cell_sets(bounds, horizontal_only):
-        if prune:
+    for t in _period_candidates(bounds):
+        linear = {role_linear_part(role, t) for role in roles}
+        if None in linear:
+            continue
+        for cells in _cell_sets(bounds, t):
+            if not all(_maps_onto_itself(t, cells, S) for S in linear):
+                continue
             key = _cell_key(t, cells, use_mirror)
             if key in seen_cells:
                 continue  # a translate or mirror of an earlier cell set
             seen_cells.add(key)
-        for form in _assignments(bounds, t, cells):
-            if prune:
+            for form in _assignments(bounds, t, cells):
                 key = orbit_key(form, use_mirror)
                 if key in seen:
                     continue
                 seen.add(key)
-            try:
-                pattern = form.instantiate(KING)
-            except PatternError:
-                continue
-            yield form, pattern
+                try:
+                    pattern = form.instantiate(KING)
+                except PatternError:
+                    continue
+                yield form, pattern
 
 
 def _check_limit(limit: Optional[int]) -> None:
@@ -254,7 +289,7 @@ def _check_limit(limit: Optional[int]) -> None:
 
 def find_crystal(group: FriezeGroup, target: Mapping[PieceKind, bool],
                  bounds: SearchBounds, *, limit: Optional[int] = None,
-                 prune: bool = True) -> list[CrystalReport]:
+                 ) -> list[CrystalReport]:
     """All orbit representatives within bounds whose classified group is
     exactly ``group`` and whose satisfies-vector equals ``target``.
 
@@ -264,9 +299,7 @@ def find_crystal(group: FriezeGroup, target: Mapping[PieceKind, bool],
     _check_limit(limit)
     kinds = tuple(target)
     reports: list[CrystalReport] = []
-    scan = _scan(bounds,
-                 horizontal_only=group not in (FriezeGroup.P1, FriezeGroup.P2),
-                 use_mirror=_kinds_mirror_safe(kinds), prune=prune)
+    scan = _scan(bounds, group, use_mirror=_kinds_mirror_safe(kinds))
     geometry = None
     for form, pattern in scan:
         if pattern.t != form.t:

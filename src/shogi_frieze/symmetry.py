@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .geometry import (Vec, add, canonical_sign, dot, neg, reduce_cell, scale,
                        sub)
@@ -178,6 +178,34 @@ class SymmetryFlags:
     witnesses: tuple[Isometry, ...]
 
 
+# The symmetry roles each group has, named as ``SymmetryFlags`` names them.
+# No other combination occurs: any two roles compose to a third (a mirror
+# along t and one across t to a rotation, say), and a mirror and a glide
+# along t would compose to a translation by t/2.
+GROUP_ROLES: dict[FriezeGroup, str] = {
+    FriezeGroup.P1: "",
+    FriezeGroup.P11G: "g",
+    FriezeGroup.P1M1: "v",
+    FriezeGroup.P11M: "h",
+    FriezeGroup.P2: "r",
+    FriezeGroup.P2MG: "vgr",
+    FriezeGroup.P2MM: "hvr",
+}
+
+
+def role_linear_part(role: str, t: Vec) -> Optional[Vec]:
+    """The linear part S of a symmetry with ``role`` on translation t:
+    S t = t for a mirror or a glide along t, S t = -t for a mirror across
+    t or a rotation.  None when no S = diag(+-1, +-1) other than +-1 fits,
+    which is the case for a mirror or a glide on a t off both axes."""
+    if role == "r":
+        return (-1, -1)
+    if 0 not in t:
+        return None
+    along = (1, -1) if t[1] == 0 else (-1, 1)
+    return neg(along) if role == "v" else along
+
+
 # Linear parts diag(sx, sy) of the isometries other than translations.
 _LINEAR_PARTS: tuple[Vec, ...] = ((-1, -1), (1, -1), (-1, 1))
 
@@ -248,28 +276,17 @@ def detect_symmetries(p: PeriodicPattern) -> SymmetryFlags:
                          "r" in found, tuple(witnesses))
 
 
+# (h, v, g, r) -> the group with exactly those roles
+_GROUP_OF_FLAGS = {tuple(r in roles for r in "hvgr"): group
+                   for group, roles in GROUP_ROLES.items()}
+
+
 def group_of(flags: SymmetryFlags) -> FriezeGroup:
-    """Decision table over the detected symmetry flags."""
-    h, v, g, r = flags.h, flags.v, flags.g, flags.r
-    if h and v:
-        if not r:
-            raise AssertionError("h and v imply a rotation")
-        return FriezeGroup.P2MM
-    if h:
-        if r:
-            raise AssertionError("h with rotation implies v")
-        return FriezeGroup.P11M
-    if v and r:
-        return FriezeGroup.P2MG
-    if v:
-        return FriezeGroup.P1M1
-    if r:
-        if g:
-            raise AssertionError("rotation with glide implies v")
-        return FriezeGroup.P2
-    if g:
-        return FriezeGroup.P11G
-    return FriezeGroup.P1
+    """The group whose roles (``GROUP_ROLES``) are exactly the flags."""
+    group = _GROUP_OF_FLAGS.get((flags.h, flags.v, flags.g, flags.r))
+    if group is None:
+        raise AssertionError(f"no frieze group has the symmetry flags {flags}")
+    return group
 
 
 def classify_frieze(p: PeriodicPattern) -> FriezeGroup:
@@ -283,9 +300,11 @@ def generate_from_recipe(basic: Iterable[PlacedPiece], group: FriezeGroup,
                          ) -> PeriodicPattern:
     """Close a basic motif under the group's generators.
 
-    Generators are picked by their role relative to the period, as
-    ``detect_symmetries`` names them: a mirror along t, a mirror across t,
-    and a glide along t by half of t.  A horizontal axis lies at
+    Generators are the group's roles (``GROUP_ROLES``) relative to the
+    period, as ``detect_symmetries`` names them: a mirror along t, a mirror
+    across t, a glide along t by half of t, and for p2 a rotation about
+    ``center`` (the other groups with a rotation get it as the product of
+    their mirrors or glide).  A horizontal axis lies at
     ``axis_y`` and a vertical one at ``axis_x``, so for a vertical period
     the mirror along t is the vertical axis x = ``axis_x``.  The returned
     pattern is canonical; if the basic motif carries accidental symmetry
@@ -294,29 +313,24 @@ def generate_from_recipe(basic: Iterable[PlacedPiece], group: FriezeGroup,
     period = canonical_sign(period)
     if period == (0, 0):
         raise PatternError("zero period")
-    along = group in (FriezeGroup.P11M, FriezeGroup.P2MM)
-    across = group in (FriezeGroup.P1M1, FriezeGroup.P2MG, FriezeGroup.P2MM)
-    glide = group in (FriezeGroup.P11G, FriezeGroup.P2MG)
-    if (along or across or glide) and 0 not in period:
-        raise PatternError(
-            f"{group.label} requires a horizontal or vertical period")
-    horizontal = period[1] == 0
-
+    roles = GROUP_ROLES[group]
     gens: list[Isometry] = []
-    if glide:
-        length = period[0] + period[1]
-        if length % 2 != 0:
-            raise PatternError(f"{group.label} requires an even period")
-        gens.append(Isometry.glide_h(axis_y, (length // 2, 0)) if horizontal
-                    else Isometry.glide_v(axis_x, (0, length // 2)))
-    if across:
-        gens.append(Isometry.reflect_v(axis_x) if horizontal
-                    else Isometry.reflect_h(axis_y))
-    if along:
-        gens.append(Isometry.reflect_h(axis_y) if horizontal
-                    else Isometry.reflect_v(axis_x))
-    if group is FriezeGroup.P2:
-        gens.append(Isometry.rotate180(center))
+    for role in roles:
+        S = role_linear_part(role, period)
+        if S is None:
+            raise PatternError(
+                f"{group.label} requires a horizontal or vertical period")
+        if role == "r":
+            if roles == "r":  # otherwise the product of the other roles
+                gens.append(Isometry.rotate180(center))
+            continue
+        offset = (_twice(axis_x, "axis") if S[0] < 0 else 0,
+                  _twice(axis_y, "axis") if S[1] < 0 else 0)
+        if role == "g":
+            if sum(period) % 2 != 0:
+                raise PatternError(f"{group.label} requires an even period")
+            offset = add(offset, (period[0] // 2, period[1] // 2))
+        gens.append(Isometry(S, offset))
 
     by_class: dict[Vec, PlacedPiece] = {}
     work = list(basic)

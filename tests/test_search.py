@@ -71,26 +71,11 @@ def test_find_crystal_reports_reverify():
         assert {k: s.satisfies for k, s in vec.items()} == rep.vector
 
 
-def test_pruned_matches_naive_on_downsized_space():
-    group, target = FriezeGroup.P1M1, staircase_target(2)
-    for bounds in (SearchBounds(2, (2, 2), 2),
-                   SearchBounds(2, (2, 2), 2, allow_decorations=True)):
-        pruned = find_crystal(group, target, bounds, prune=True)
-        naive = find_crystal(group, target, bounds, prune=False)
-        assert pruned
-        pruned_keys = [orbit_key(r.form, True) for r in pruned]
-        naive_keys = {orbit_key(r.form, True) for r in naive}
-        assert set(pruned_keys) == naive_keys
-        assert len(pruned_keys) == len(set(pruned_keys))
-        naive_forms = {r.form for r in naive}
-        assert all(r.form in naive_forms for r in pruned)
-
-
-def _first_form_of_each_orbit(bounds, horizontal_only, use_mirror):
+def _first_form_of_each_orbit(bounds, use_mirror):
     """The naive reference of the pruned scan: every form, in enumeration
     order, kept when its orbit key is new and it makes a valid pattern."""
     seen, out = set(), []
-    for form in _enumerate_forms(bounds, horizontal_only):
+    for form in _enumerate_forms(bounds):
         key = orbit_key(form, use_mirror)
         if key in seen:
             continue
@@ -103,32 +88,73 @@ def _first_form_of_each_orbit(bounds, horizontal_only, use_mirror):
     return out
 
 
-@pytest.mark.parametrize("bounds, horizontal_only, use_mirror, keyed", [
-    (SearchBounds(3, (3, 3), 3), False, True, 2_566),
-    (SearchBounds(2, (2, 2), 2, allow_decorations=True), False, True, 6_624),
-    (SearchBounds(2, (2, 2), 2, allow_decorations=True), False, False,
-     10_584),
-    (SearchBounds(4, (4, 3), 4), True, True, 2_088),
-], ids=["p1", "decorated-mirror", "decorated", "horizontal"])
+@pytest.mark.parametrize("bounds, use_mirror, keyed", [
+    (SearchBounds(3, (3, 3), 3), True, 2_566),
+    (SearchBounds(2, (2, 2), 2, allow_decorations=True), True, 6_624),
+    (SearchBounds(2, (2, 2), 2, allow_decorations=True), False, 10_584),
+], ids=["p1", "decorated-mirror", "decorated"])
 def test_pruned_scan_is_first_form_of_each_orbit(monkeypatch, bounds,
-                                                 horizontal_only, use_mirror,
-                                                 keyed):
+                                                 use_mirror, keyed):
     # The scan skips a whole cell set whose classes are a translate (or
     # mirror) of an earlier cell set's, then keeps the first form of each
     # orbit among the rest: the same forms, in the same order, as keeping
     # the first form of each orbit among every form.  The number of forms
-    # keyed pins how much the cell sets prune (the P11G benchmark space is
-    # the horizontal one; the naive counts are 16 766, 21 240 and 13 316).
+    # keyed pins how much the cell sets prune (the naive counts are 16 766
+    # and 21 240).
     calls = []
     monkeypatch.setattr(search, "orbit_key",
                         lambda form, mirror: calls.append(form)
                         or orbit_key(form, mirror))
-    scanned = [form for form, _ in _scan(bounds,
-                                         horizontal_only=horizontal_only,
-                                         use_mirror=use_mirror)]
-    assert scanned == _first_form_of_each_orbit(bounds, horizontal_only,
-                                                use_mirror)
+    scanned = [form for form, _ in _scan(bounds, use_mirror=use_mirror)]
+    assert scanned == _first_form_of_each_orbit(bounds, use_mirror)
     assert len(calls) == keyed
+
+
+def _filter_all(bounds):
+    """The naive reference of ``find_crystal``: the first form of each
+    orbit among every form of the space, on every translation, that makes
+    a pattern with its own period, with that pattern's group and its
+    vector over the kind columns (a fresh kernel per form)."""
+    out = []
+    for form in _first_form_of_each_orbit(bounds, True):
+        pattern = form.instantiate(KING)
+        if pattern.t == form.t:
+            vector = {k: s.satisfies for k, s in ncc_vector(form).items()}
+            out.append((form, classify_frieze(pattern), vector))
+    return out
+
+
+@pytest.mark.parametrize("bounds", [
+    SearchBounds(2, (2, 2), 2),
+    SearchBounds(2, (2, 2), 2, allow_decorations=True),
+    SearchBounds(2, (2, 3), 4),
+], ids=["plain", "decorated", "tall"])
+def test_group_driven_search_matches_filter_all(bounds):
+    # Each group skips the translations its isometries cannot fix and the
+    # cell sets no map with their linear parts sends onto themselves; the
+    # reports must still be filter-all's, in order.  Targets: the group's
+    # staircase row, and the vector of its first orbit in the space.
+    reference = _filter_all(bounds)
+    vertical = set()
+    for row, group in enumerate(ROW_ORDER):
+        targets = [staircase_target(row)]
+        targets += [v for _, g, v in reference if g is group][:1]
+        for target in targets:
+            got = [r.form for r in find_crystal(group, target, bounds)]
+            assert got == [f for f, g, v in reference
+                           if g is group and v == target], (group, target)
+            vertical.update(group for f in got if f.t[0] == 0)
+    assert len(vertical) >= 4, vertical
+
+
+def test_p11g_finds_crystals_on_vertical_translations():
+    # the king-only p11g row on a tall box: both crystals have t = (0, 4),
+    # which a search of horizontal translations only never reached
+    reports = find_crystal(FriezeGroup.P11G, staircase_target(6),
+                           SearchBounds(2, (2, 3), 4))
+    assert [r.pattern.t for r in reports] == [(0, 4), (0, 4)]
+    assert all(classify_frieze(r.pattern) is FriezeGroup.P11G
+               for r in reports)
 
 
 def test_p1_scan_builds_one_geometry_per_cell_set(monkeypatch):

@@ -1,12 +1,13 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
 
 from shogi_frieze import (PAWN, FriezeGroup, Isometry, IsometryKind,
-                          apply, classify_frieze, detect_symmetries, dual,
-                          generate_from_recipe, is_symmetry, make_pattern,
-                          ncc_status)
+                          SymmetryFlags, apply, classify_frieze,
+                          detect_symmetries, dual, generate_from_recipe,
+                          group_of, is_symmetry, make_pattern, ncc_status)
 from shogi_frieze.pattern import PatternError
 from conftest import DOWN, UP, piece, random_pattern, rotated_dual
 
@@ -183,6 +184,23 @@ def test_classifier_total():
     rng = random.Random(53)
     for _ in range(60):
         assert classify_frieze(random_pattern(rng)) in FriezeGroup
+
+
+def test_group_of_names_seven_flag_combinations():
+    # of the 16 combinations of h, v, g and r, the seven groups' are
+    # named, each by one group, and the other nine raise
+    named = {}
+    for h, v, g, r in itertools.product((False, True), repeat=4):
+        flags = SymmetryFlags(h, v, g, r, ())
+        try:
+            named[h, v, g, r] = group_of(flags)
+        except AssertionError:
+            continue
+    assert sorted(named.values(), key=lambda x: x.value) \
+        == sorted(FriezeGroup, key=lambda x: x.value)
+    assert named[False, True, True, True] is FriezeGroup.P2MG
+    assert named[True, True, False, True] is FriezeGroup.P2MM
+    assert (False, True, False, True) not in named  # v and r imply h or g
 
 
 def test_recipe_p1_translates_only():
