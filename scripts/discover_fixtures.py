@@ -54,7 +54,8 @@ def check_row(idx: int, group: FriezeGroup, search: bool) -> bool:
     got_group = classify_frieze(pattern)
     vector = {k: s.satisfies for k, s in ncc_vector(form_of(pattern)).items()}
     good = got_group is group and vector == staircase_target(idx)
-    line = f"{group.label}: classify={got_group.label} row={row_string(vector)}"
+    line = (f"{group.label}: classify={got_group.label}"
+            f" row={row_string(vector)}")
     if search:
         t0 = time.time()
         reports = find_crystal(group, staircase_target(idx), ROW_BOUNDS[group])
