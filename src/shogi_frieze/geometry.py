@@ -17,8 +17,6 @@ UNIT_DIRS: tuple[Vec, ...] = (
     (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1),
 )
 
-ORTHO_DIRS: tuple[Vec, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1))
-
 
 def add(a: Vec, b: Vec) -> Vec:
     return (a[0] + b[0], a[1] + b[1])

@@ -13,22 +13,25 @@ groups (``symmetry.role_linear_part``).  The group also filters cell
 combinations: a pattern with the group is fixed by an isometry of each
 linear part its roles require (``symmetry.GROUP_ROLES``), so its classes
 mod t are too, and a combination that no such map sends onto itself is
-skipped with all its assignments.  ``classify_frieze`` then rejects only
-accidental supergroups.
+skipped with all its assignments.
 
 Pruning works on orbits under translations and, when every searched kind
 has a left-right symmetric moveset, the vertical mirror: a cell
 combination whose classes mod t are such an image of an earlier
-combination's is skipped with all its assignments, and among the rest only
-the first form of each orbit is kept.  This is exact because the map
-carrying one cell set onto the other carries every assignment to one
-already visited with the same orbit, so the scan yields the first form of
+combination's is skipped with all its assignments (``_cell_key``).  The
+rest are judged by their self-maps, the maps c -> S c + o that send their
+classes mod t onto themselves, listed once per combination
+(``_FormJudge``).  An assignment is kept when no translation or mirror
+self-map sends it to an earlier one, so the scan yields the first form of
 each orbit in enumeration order, as the unpruned scan filtered by orbit
-does.  Translations and the mirror carry a cell combination that passes
-the group filter to one that passes it, so the filter keeps this order:
-``find_crystal`` reports what filtering every form of the space by orbit,
-period, group and verdicts reports, in the same order (both differentially
-tested).
+does.  The same self-maps give the period and the group: a form's period is
+redundant when a translation self-map other than the identity fixes it,
+and its group is that of the self-maps that fix it, so ``find_crystal``
+instantiates a form only once it has the searched group.  Translations and
+the mirror carry a cell combination that passes the group filter to one
+that passes it, so the filter keeps this order: ``find_crystal`` reports
+what filtering every form of the space by orbit, period, group and
+verdicts reports, in the same order (both differentially tested).
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ from .geometry import UNIT_DIRS, Vec, canonical_sign, reduce_cell
 from .pattern import Form, PatternError, PeriodicPattern, form_of
 from .pieces import (BISHOP, GOLD, KING, KNIGHT, LANCE, PAWN, ROOK, SILVER,
                      Moveset, Orientation, PieceKind)
-from .symmetry import (GROUP_ROLES, FriezeGroup, classify_frieze,
-                       role_linear_part)
+from .symmetry import (_LINEAR_PARTS, GROUP_ROLES, FriezeGroup, Isometry,
+                       SymmetryFlags, _flag, _listed_offsets, classify_frieze,
+                       group_of, role_linear_part)
 
 KIND_COLUMNS: tuple[PieceKind, ...] = (
     KNIGHT, PAWN, LANCE, BISHOP, SILVER, GOLD, ROOK, KING,
@@ -75,14 +79,11 @@ class SearchBounds:
     orientations: frozenset[Orientation] = frozenset(
         (Orientation.UP, Orientation.DOWN))
     allow_decorations: bool = False
-    kinds: tuple[PieceKind, ...] = KIND_COLUMNS
 
     def __post_init__(self) -> None:
         if (self.max_motif_pieces < 0 or self.max_period < 1
                 or self.box[0] < 1 or self.box[1] < 1):
             raise ValueError("bounds must be positive")
-        if not self.kinds:
-            raise ValueError("kinds must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -155,23 +156,40 @@ def _cell_sets(bounds: SearchBounds, t: Vec) -> Iterator[list[Vec]]:
                 yield reduced
 
 
-def _assignments(bounds: SearchBounds, t: Vec,
-                 cells: list[Vec]) -> Iterator[Form]:
-    """The forms on one cell set: every orientation assignment (Up first),
-    and within it every decoration assignment."""
-    orients = sorted(bounds.orientations, key=lambda o: o is Orientation.DOWN)
-    decors = _DECORS if bounds.allow_decorations else (None,)
+def _attributes(bounds: SearchBounds,
+                ) -> tuple[tuple[Orientation, ...], tuple[Optional[Vec], ...]]:
+    """The orientations (Up first) and decorations a cell can carry."""
+    orients = tuple(sorted(bounds.orientations,
+                           key=lambda o: o is Orientation.DOWN))
+    return orients, _DECORS if bounds.allow_decorations else (None,)
+
+
+def _assignment_indices(bounds: SearchBounds,
+                        n: int) -> Iterator[tuple[int, ...]]:
+    """The assignments on n cells in enumeration order, each as the index
+    (into ``_attributes``) of every cell's orientation, then of every
+    cell's decoration; the order is their lexicographic order."""
+    orients, decors = _attributes(bounds)
+    for os in itertools.product(range(len(orients)), repeat=n):
+        for ds in itertools.product(range(len(decors)), repeat=n):
+            yield os + ds
+
+
+def _form(bounds: SearchBounds, t: Vec, cells: list[Vec],
+          a: tuple[int, ...]) -> Form:
+    """The form of the assignment ``a`` on ``cells``."""
+    orients, decors = _attributes(bounds)
     n = len(cells)
-    for os in itertools.product(orients, repeat=n):
-        for ds in itertools.product(decors, repeat=n):
-            yield Form(tuple(zip(cells, os, ds)), t)
+    return Form(tuple(zip(cells, [orients[i] for i in a[:n]],
+                          [decors[i] for i in a[n:]])), t)
 
 
 def _enumerate_forms(bounds: SearchBounds) -> Iterator[Form]:
     """Every form of the bounded space, unpruned: the naive reference."""
     for t in _period_candidates(bounds):
         for cells in _cell_sets(bounds, t):
-            yield from _assignments(bounds, t, cells)
+            for a in _assignment_indices(bounds, len(cells)):
+                yield _form(bounds, t, cells, a)
 
 
 def _translation_key(t: Vec, cells: list[tuple[int, int, tuple]]):
@@ -225,54 +243,146 @@ def _cell_key(t: Vec, cells: list[Vec], use_mirror: bool):
     return key
 
 
-def _maps_onto_itself(t: Vec, cells: list[Vec], S: Vec) -> bool:
-    """Whether some map c -> S c + o sends the classes ``cells`` (distinct
-    and reduced mod t, with S t = +-t) onto themselves.  The map sends the
-    first class to some class j, so o = c_j - S c_0 modulo t, as
+# ---------------------------------------------------------------------------
+# Self-maps: the verdicts on a cell set's forms without their patterns
+
+_TRANSLATION: Vec = (1, 1)
+_X_MIRROR: Vec = (-1, 1)
+
+
+def _self_maps(t: Vec, cells: list[Vec],
+               S: Vec) -> list[tuple[Vec, tuple[int, ...]]]:
+    """Every map c -> S c + o that sends the classes ``cells`` (distinct
+    and reduced mod t, with S t = +-t) onto themselves, as ``(o, perm)``:
+    class i goes to class perm[i].  The map sends the first class to some
+    class j, so o = c_j - S c_0 modulo t, one candidate per j, as
     ``detect_symmetries`` takes its candidates."""
-    classes = set(cells)
+    index = {c: i for i, c in enumerate(cells)}
     (sx, sy), (tx, ty) = S, t
     tt = tx * tx + ty * ty
     x0, y0 = cells[0]
+    out = []
     for xj, yj in cells:
         ox, oy = xj - sx * x0, yj - sy * y0
+        perm = []
         for x, y in cells:  # reduce_cell, written out
             u, v = sx * x + ox, sy * y + oy
             n = (u * tx + v * ty) // tt
-            if (u - n * tx, v - n * ty) not in classes:
+            k = index.get((u - n * tx, v - n * ty))
+            if k is None:
                 break
+            perm.append(k)
         else:
-            return True
-    return False
+            out.append(((ox, oy), tuple(perm)))
+    return out
 
 
-def _scan(bounds: SearchBounds, group: FriezeGroup = FriezeGroup.P1, *,
+def _image(action, a: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple([table[a[i]] for i, table in action])
+
+
+class _FormJudge:
+    """The orbit, period and group verdicts on the forms of one cell set,
+    read off its self-maps (``_self_maps``) with every S that can map a
+    frieze with period t onto itself (S t = +-t).  A self-map acts
+    on an assignment (``_assignment_indices``) a: it sends a to the b with
+    b[perm[i]] the image of a[i], the orientation turned over when S flips
+    y and the decoration mapped by S (-1 for an orientation the bounds
+    exclude).  Its action is stored as ``(source, table)`` per entry of b.
+
+    * Orbit: a is the first form of its orbit iff no translation, and with
+      ``use_mirror`` no x-mirror (x -> -x), sends it to an earlier
+      assignment: the orbit's other forms on these cells are its images
+      under those self-maps, and forms on other cells lie on other cell
+      sets (``_cell_key``).
+    * Period: a pattern has a period shorter than t iff it has a
+      translation symmetry that is no multiple of t, so a's period is
+      redundant iff a translation self-map other than the identity fixes
+      it.
+    * Group: on its own period, the pattern's symmetries are the self-maps
+      that fix a.  Their roles are ``detect_symmetries``'s: a self-map's
+      offsets are listed by ``_listed_offsets`` (an unlisted one is no
+      symmetry of a frieze with period t) and named by ``_flag``.
+    """
+
+    def __init__(self, bounds: SearchBounds, t: Vec, cells: list[Vec],
+                 use_mirror: bool) -> None:
+        orients, decors = _attributes(bounds)
+        n = len(cells)
+        self.orbit: list = []
+        self.translations: list = []
+        self.roles: list[tuple[str, list]] = []
+        for S in (_TRANSLATION,) + _LINEAR_PARTS:
+            if (S[0] * t[0], S[1] * t[1]) not in (t, (-t[0], -t[1])):
+                continue
+            turn = (lambda o: o.flipped) if S[1] < 0 else (lambda o: o)
+            otable = [orients.index(turn(o)) if turn(o) in orients else -1
+                      for o in orients]
+            dtable = [decors.index(None if d is None
+                                   else (S[0] * d[0], S[1] * d[1]))
+                      for d in decors]
+            for o, perm in _self_maps(t, cells, S):
+                source = [0] * n
+                for i, k in enumerate(perm):
+                    source[k] = i
+                action = ([(i, otable) for i in source]
+                          + [(n + i, dtable) for i in source])
+                if S == _TRANSLATION:
+                    if o != (0, 0):
+                        self.translations.append(action)
+                        self.orbit.append(action)
+                    continue
+                if S == _X_MIRROR and use_mirror:
+                    self.orbit.append(action)
+                listed = _listed_offsets(S, o, t)
+                if listed:
+                    self.roles.append((_flag(Isometry(S, listed[0]), t),
+                                       action))
+
+    def first_of_orbit(self, a: tuple[int, ...]) -> bool:
+        return all(_image(action, a) >= a for action in self.orbit)
+
+    def period_redundant(self, a: tuple[int, ...]) -> bool:
+        return any(_image(action, a) == a for action in self.translations)
+
+    def group(self, a: tuple[int, ...]) -> FriezeGroup:
+        """The group of a's pattern; a's period must not be redundant."""
+        roles = {role for role, action in self.roles
+                 if _image(action, a) == a}
+        return group_of(SymmetryFlags(*(r in roles for r in "hvgr"), ()))
+
+
+def _scan(bounds: SearchBounds, group: Optional[FriezeGroup] = None, *,
           use_mirror: bool = True) -> Iterator[tuple[Form, PeriodicPattern]]:
     """The first form of each orbit in the bounded space, in enumeration
     order, each with its canonical all-king pattern: ``(form, pattern)``.
-    Forms that make no valid pattern are skipped, and so are the forms no
-    pattern with ``group`` can have: those on a translation that the
-    group's isometries cannot fix, and those on cells that no map with one
-    of their linear parts sends onto themselves."""
-    roles = GROUP_ROLES[group]
+    Forms that make no valid pattern are skipped.  With a ``group``, so
+    are the forms whose pattern has a period shorter than t or another
+    group: a form is instantiated only once it passes.  Whole cell sets
+    are skipped on translations that the group's isometries cannot fix,
+    and when for one of their linear parts no map sends the cells onto
+    themselves."""
+    roles = GROUP_ROLES[group] if group is not None else ""
     seen_cells: set = set()
-    seen: set = set()
     for t in _period_candidates(bounds):
-        linear = {role_linear_part(role, t) for role in roles}
-        if None in linear:
+        required = {role_linear_part(role, t) for role in roles}
+        if None in required:
             continue
         for cells in _cell_sets(bounds, t):
-            if not all(_maps_onto_itself(t, cells, S) for S in linear):
+            if not all(_self_maps(t, cells, S) for S in required):
                 continue
             key = _cell_key(t, cells, use_mirror)
             if key in seen_cells:
                 continue  # a translate or mirror of an earlier cell set
             seen_cells.add(key)
-            for form in _assignments(bounds, t, cells):
-                key = orbit_key(form, use_mirror)
-                if key in seen:
+            judge = _FormJudge(bounds, t, cells, use_mirror)
+            for a in _assignment_indices(bounds, len(cells)):
+                if not judge.first_of_orbit(a):
                     continue
-                seen.add(key)
+                if group is not None and (judge.period_redundant(a)
+                                          or judge.group(a) is not group):
+                    continue
+                form = _form(bounds, t, cells, a)
                 try:
                     pattern = form.instantiate(KING)
                 except PatternError:
@@ -302,10 +412,6 @@ def find_crystal(group: FriezeGroup, target: Mapping[PieceKind, bool],
     scan = _scan(bounds, group, use_mirror=_kinds_mirror_safe(kinds))
     geometry = None
     for form, pattern in scan:
-        if pattern.t != form.t:
-            continue  # motif was redundant; the smaller period is its rep
-        if classify_frieze(pattern) is not group:
-            continue
         kernel = VerdictKernel(pattern, geometry)
         geometry = kernel.geometry
         details: dict[PieceKind, NccStatus] = {}

@@ -15,8 +15,10 @@ from shogi_frieze.pattern import Form, PatternError
 from shogi_frieze.pieces import (chess_knight_moveset, reverse_chariot_moveset,
                                  sideways_silver_moveset)
 from shogi_frieze.search import (EXPECTED_TABLE, KIND_COLUMNS, ROW_ORDER,
-                                 _enumerate_forms, _scan,
-                                 orbit_key, staircase_target)
+                                 _assignment_indices, _cell_sets,
+                                 _FormJudge, _enumerate_forms, _form,
+                                 _period_candidates, _scan, orbit_key,
+                                 staircase_target)
 from conftest import DOWN, UP, piece
 
 
@@ -88,26 +90,71 @@ def _first_form_of_each_orbit(bounds, use_mirror):
     return out
 
 
-@pytest.mark.parametrize("bounds, use_mirror, keyed", [
-    (SearchBounds(3, (3, 3), 3), True, 2_566),
-    (SearchBounds(2, (2, 2), 2, allow_decorations=True), True, 6_624),
-    (SearchBounds(2, (2, 2), 2, allow_decorations=True), False, 10_584),
+@pytest.mark.parametrize("bounds, use_mirror, judged", [
+    (SearchBounds(3, (3, 3), 3), True, 378),
+    (SearchBounds(2, (2, 2), 2, allow_decorations=True), True, 28),
+    (SearchBounds(2, (2, 2), 2, allow_decorations=True), False, 44),
 ], ids=["p1", "decorated-mirror", "decorated"])
 def test_pruned_scan_is_first_form_of_each_orbit(monkeypatch, bounds,
-                                                 use_mirror, keyed):
+                                                 use_mirror, judged):
     # The scan skips a whole cell set whose classes are a translate (or
-    # mirror) of an earlier cell set's, then keeps the first form of each
-    # orbit among the rest: the same forms, in the same order, as keeping
-    # the first form of each orbit among every form.  The number of forms
-    # keyed pins how much the cell sets prune (the naive counts are 16 766
-    # and 21 240).
-    calls = []
+    # mirror) of an earlier cell set's, then keeps each form of the rest
+    # that no self-map of its cell set sends to an earlier form: the same
+    # forms, in the same order, as keeping the first form of each orbit
+    # among every form.  It keys no form; the number of cell sets judged
+    # pins how much the cell keys prune (of 2 640, 109 and 109).
+    calls, judges = [], []
     monkeypatch.setattr(search, "orbit_key",
                         lambda form, mirror: calls.append(form)
                         or orbit_key(form, mirror))
+    judge = search._FormJudge
+    monkeypatch.setattr(search, "_FormJudge",
+                        lambda *args: judges.append(args) or judge(*args))
     scanned = [form for form, _ in _scan(bounds, use_mirror=use_mirror)]
     assert scanned == _first_form_of_each_orbit(bounds, use_mirror)
-    assert len(calls) == keyed
+    assert (len(calls), len(judges)) == (0, judged)
+
+
+@pytest.mark.parametrize("bounds", [
+    SearchBounds(3, (3, 3), 3),
+    SearchBounds(2, (2, 2), 2, allow_decorations=True),
+    SearchBounds(2, (2, 3), 4),
+    SearchBounds(3, (2, 2), 5),
+], ids=["p1", "decorated", "tall", "diagonal"])
+def test_self_map_verdicts_match_their_references(bounds):
+    # Every form of every cell set, kept by the scan or not, judged by its
+    # cell set's self-maps and by the references: first of its orbit iff
+    # its orbit key is new among the forms of its cell set (orbit-mates on
+    # other cell sets are the cell key's, checked by the scan tests), a
+    # redundant period iff its all-king pattern has a shorter one, and,
+    # on its own period, the group classify_frieze gives.
+    later = {True: 0, False: 0}
+    redundant = 0
+    groups = set()
+    for t in _period_candidates(bounds):
+        for cells in _cell_sets(bounds, t):
+            judges = {m: _FormJudge(bounds, t, cells, m) for m in later}
+            seen = {m: set() for m in later}
+            for a in _assignment_indices(bounds, len(cells)):
+                form = _form(bounds, t, cells, a)
+                for mirror, judge in judges.items():
+                    key = orbit_key(form, mirror)
+                    new = key not in seen[mirror]
+                    assert judge.first_of_orbit(a) == new, (form, mirror)
+                    later[mirror] += not new
+                    seen[mirror].add(key)
+                pattern = form.instantiate(KING)
+                assert judges[True].period_redundant(a) \
+                    == (pattern.t != form.t), form
+                if pattern.t != form.t:
+                    redundant += 1
+                else:
+                    group = classify_frieze(pattern)
+                    assert judges[True].group(a) is group, form
+                    groups.add(group)
+    assert later[True] > later[False] > 0 and redundant > 0, (later,
+                                                               redundant)
+    assert groups == set(FriezeGroup), groups
 
 
 def _filter_all(bounds):
@@ -227,7 +274,7 @@ def test_find_crystal_with_decorations():
     # group: a decorated lone piece on a horizontal period drops from
     # p1m1 to p1 because the arrow breaks the piece's own mirror
     bounds = SearchBounds(1, (2, 1), 2, orientations=frozenset((UP,)),
-                          allow_decorations=True, kinds=(KING,))
+                          allow_decorations=True)
     reports = find_crystal(FriezeGroup.P1, {KING: True}, bounds)
     decorated = [r for r in reports
                  if r.pattern.t[1] == 0
