@@ -8,10 +8,9 @@ from .pieces import (BISHOP, GOLD, KING, KNIGHT, LANCE, PAWN, ROOK, SILVER,
 from .pattern import (Form, InconsistentMotifError, ParseError, PatternError,
                       PeriodicPattern, PlacedPiece, canonicalize, dual,
                       form_of, make_pattern, occupant, parse, serialize)
-from .control import (FreeLine, NccStatus, PeriodicCellSet, RayEvent,
-                      RegionClass, Segment, Verdict, control_of_pattern,
-                      neighborhood, ncc_status, partition_neighborhood,
-                      ray_march)
+from .control import (FreeLine, NccStatus, PeriodicCellSet, RegionClass,
+                      Segment, Verdict, control_of_pattern, neighborhood,
+                      ncc_status, partition_neighborhood)
 from .symmetry import (FriezeGroup, Isometry, IsometryKind, SymmetryFlags,
                        apply, classify_frieze, detect_symmetries,
                        generate_from_recipe, group_of, is_symmetry)

@@ -23,11 +23,10 @@ a ride passes before it (None when free).  A move controls the classes it
 passes and the class it lands on unless an ally, a piece facing the
 mover's way, stands there; each consumer applies that test itself:
 
-* ``ray_march`` wraps the integers into a ``Segment``, ``RayMarch`` and
-  ``FreeLine``;
-* ``control_of_pattern`` does the same for every move of every piece, with
-  the occupied band computed once per pattern, and unions them into a
-  control set for the CLI and rendering;
+* ``control_of_pattern`` wraps the integers of every move of every piece
+  into ``Segment`` and ``FreeLine`` values, with the occupied band
+  computed once per pattern, and unions them into a control set for the
+  CLI and rendering;
 * the verdict kernel walks them straight into bit masks over the
   neighborhood, creating no objects; a walk longer than ``_LISTED_MAX``
   tests each neighborhood class with ``_steps_to`` instead.  Its
@@ -38,8 +37,8 @@ mover's way, stands there; each consumer applies that test itself:
   moves' masks, less each mover's allies, followed by
   ``_verdict_from_parts``, the one verdict rule (which the oracle shares).
   ``ncc_status`` is a kernel on a fresh geometry with each piece's own
-  kind; a search keeps one kernel for all the uniform kinds of a form and
-  one geometry for the forms of a cell set.
+  kind.  A search judges the forms of a cell set on one geometry with
+  the same masks and no kernel, and builds a kernel only for a report.
 """
 
 from __future__ import annotations
@@ -50,9 +49,9 @@ from functools import cached_property
 from operator import countOf
 from typing import Mapping, Optional, Sequence
 
-from .geometry import UNIT_DIRS, Vec, is_unit, reduce_cell
-from .pattern import PatternError, PeriodicPattern
-from .pieces import Orientation, PieceKind
+from .geometry import UNIT_DIRS, Vec
+from .pattern import PeriodicPattern
+from .pieces import Moveset, Orientation, PieceKind
 
 
 class RegionClass(enum.Enum):
@@ -65,12 +64,6 @@ class Verdict(enum.Enum):
     COMPLETE = "complete"
     NEARLY_COMPLETE = "nearly_complete"
     FAILS = "fails"
-
-
-class RayEvent(enum.Enum):
-    BLOCKED_BY_ALLY = "blocked_by_ally"
-    CAPTURE_ENEMY = "capture_enemy"
-    FREE_INFINITE = "free_infinite"
 
 
 def _steps_to(cls: Vec, anchor: Vec, direction: Vec, t: Vec) -> Optional[int]:
@@ -148,19 +141,6 @@ class Segment:
     def contains(self, cls: Vec) -> bool:
         k = _steps_to(cls, self.anchor, self.direction, self.t)
         return k is not None and k <= self.length
-
-
-@dataclass(frozen=True)
-class RayMarch:
-    passed: Segment
-    event: RayEvent
-    capture: Optional[Vec] = None
-    free_line: Optional[FreeLine] = None
-
-    @cached_property
-    def empty_classes(self) -> tuple[Vec, ...]:
-        """The passed classes, listed (built on first use)."""
-        return self.passed.classes()
 
 
 # Rides passing at most this many classes are listed in a control set; a
@@ -246,12 +226,15 @@ def partition_neighborhood(p: PeriodicPattern) -> dict[Vec, RegionClass]:
     of one cluster, and an unbounded one leaves the band within a distance
     set by the motif, so the flood never runs along t for |t| steps.
     """
-    tx, ty = p.t
+    return _partition(p.t, p.cells())
+
+
+def _partition(t: Vec, cells: Sequence[Vec]) -> dict[Vec, RegionClass]:
+    tx, ty = t
     tt = tx * tx + ty * ty
-    cells = p.cells()
     occupied = set(cells)
-    nbhd = _neighborhood(p.t, cells)
-    qlo, qhi = _occupied_band(cells, p.t)
+    nbhd = _neighborhood(t, cells)
+    qlo, qhi = _occupied_band(cells, t)
     result: dict[Vec, RegionClass] = {}
     flooded: dict[Vec, RegionClass] = {}  # class -> region of its component
 
@@ -326,34 +309,6 @@ def _move_control(t: Vec, cells: Sequence[Vec], cell: Vec, move: Vec,
     return hit, steps - 1
 
 
-def ray_march(p: PeriodicPattern, origin: Vec, direction: Vec,
-              origin_orientation: Orientation) -> RayMarch:
-    """The sliding ray from an occupied square, on classes.
-
-    The ray stops at the first piece ``_move_control`` finds: an ally
-    blocks it exclusively, an enemy is captured inclusively.  A free ray's
-    passed segment runs until its ``cross`` leaves the occupied band: a
-    ray parallel to t stops after one round of its line.
-    """
-    if not is_unit(direction):
-        raise PatternError(f"ray direction {direction} is not a unit vector")
-    t = p.t
-    anchor = reduce_cell(origin, t)
-    cells = p.cells()
-    hit, passed = _move_control(t, cells, origin, direction, True)
-    if passed is None:
-        length = _free_length(anchor, direction, t,
-                              *_occupied_band(cells, t))
-        return RayMarch(Segment(anchor, direction, length, t),
-                        RayEvent.FREE_INFINITE,
-                        free_line=FreeLine(anchor, direction))
-    if p.class_map()[hit].orientation is origin_orientation:
-        return RayMarch(Segment(anchor, direction, passed, t),
-                        RayEvent.BLOCKED_BY_ALLY)
-    return RayMarch(Segment(anchor, direction, passed, t),
-                    RayEvent.CAPTURE_ENEMY, capture=hit)
-
-
 def control_of_pattern(p: PeriodicPattern) -> PeriodicCellSet:
     """Classes (and free lines) of all squares the pattern's pieces can
     move to: the union of ``_move_control`` over every step and ride.  A
@@ -407,10 +362,10 @@ class KernelGeometry:
     tests each neighborhood class with ``_steps_to`` instead.
     """
 
-    def __init__(self, pattern: PeriodicPattern) -> None:
-        self.t = pattern.t
-        self.cells = pattern.cells()
-        self.partition = partition_neighborhood(pattern)
+    def __init__(self, t: Vec, cells: tuple[Vec, ...]) -> None:
+        self.t = t
+        self.cells = cells
+        self.partition = _partition(t, cells)
         # the partition's classes are the neighborhood's
         self.bits = {c: 1 << i for i, c in enumerate(self.partition)}
         self._band: Optional[tuple[int, int]] = None  # built on first use
@@ -418,9 +373,22 @@ class KernelGeometry:
         self.steps: list[dict[Vec, int]] = [{} for _ in self.cells]
         self.rides: list[dict[Vec, int]] = [{} for _ in self.cells]
 
+    def reached(self, i: int, m: Moveset) -> int:
+        """The mask of what the moves ``m`` of the i-th piece reach, the
+        union of the memoized masks of its moves."""
+        reached = 0
+        for moves, memo, ride in ((m.steps, self.steps[i], False),
+                                  (m.rides, self.rides[i], True)):
+            for move in moves:
+                mask = memo.get(move)
+                if mask is None:
+                    mask = memo[move] = self.reach(self.cells[i], move, ride)
+                reached |= mask
+        return reached
+
     def reach(self, cell: Vec, move: Vec, ride: bool) -> int:
-        """The mask of what a move of the piece on ``cell`` reaches; the
-        kernels memoize it in ``steps`` and ``rides``."""
+        """The mask of what a move of the piece on ``cell`` reaches;
+        ``reached`` memoizes it in ``steps`` and ``rides``."""
         t, bits = self.t, self.bits
         cls, passed = _move_control(t, self.cells, cell, move, ride)
         mask = bits.get(cls, 0)  # 0 for None
@@ -471,20 +439,16 @@ class VerdictKernel:
                  geometry: Optional[KernelGeometry] = None) -> None:
         if (geometry is None or geometry.t != pattern.t
                 or geometry.cells != pattern.cells()):
-            geometry = KernelGeometry(pattern)
+            geometry = KernelGeometry(pattern.t, pattern.cells())
         self.pattern = pattern
         self.geometry = geometry
         self.partition = geometry.partition
-        bits = geometry.bits
-        up = down = 0  # the bits of the pieces facing up and down
+        # what a piece facing each way controls of what it reaches: all but
+        # the classes of its allies
+        every = (1 << len(geometry.bits)) - 1
+        self._free = dict.fromkeys(Orientation, every)
         for piece in pattern.pieces:
-            if piece.orientation is Orientation.UP:
-                up |= bits.get(piece.cell, 0)
-            else:
-                down |= bits.get(piece.cell, 0)
-        every = (1 << len(bits)) - 1
-        # what a piece facing up or down controls of what it reaches
-        self._up, self._down = every ^ up, every ^ down
+            self._free[piece.orientation] &= ~geometry.bits.get(piece.cell, 0)
 
     def uniform(self, kind: PieceKind) -> NccStatus:
         """The verdict with ``kind`` on every piece."""
@@ -494,23 +458,10 @@ class VerdictKernel:
         """The verdict with ``kinds[i]`` on the i-th piece."""
         g = self.geometry
         controlled = 0
-        for piece, kind, steps, rides in zip(
-                self.pattern.pieces, kinds, g.steps, g.rides, strict=True):
+        for i, (piece, kind) in enumerate(
+                zip(self.pattern.pieces, kinds, strict=True)):
             o = piece.orientation
-            m = kind.oriented(o)
-            reached = 0
-            for step in m.steps:
-                mask = steps.get(step)
-                if mask is None:
-                    mask = steps[step] = g.reach(piece.cell, step, False)
-                reached |= mask
-            for ride in m.rides:
-                mask = rides.get(ride)
-                if mask is None:
-                    mask = rides[ride] = g.reach(piece.cell, ride, True)
-                reached |= mask
-            controlled |= reached & (self._up if o is Orientation.UP
-                                     else self._down)
+            controlled |= g.reached(i, kind.oriented(o)) & self._free[o]
         return _verdict_from_parts(self.partition, frozenset(
             [c for c, bit in g.bits.items() if not controlled & bit]))
 

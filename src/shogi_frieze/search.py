@@ -26,12 +26,13 @@ self-map sends it to an earlier one, so the scan yields the first form of
 each orbit in enumeration order, as the unpruned scan filtered by orbit
 does.  The same self-maps give the period and the group: a form's period is
 redundant when a translation self-map other than the identity fixes it,
-and its group is that of the self-maps that fix it, so ``find_crystal``
-instantiates a form only once it has the searched group.  Translations and
-the mirror carry a cell combination that passes the group filter to one
-that passes it, so the filter keeps this order: ``find_crystal`` reports
-what filtering every form of the space by orbit, period, group and
-verdicts reports, in the same order (both differentially tested).
+and its group is that of the self-maps that fix it.  The forms that pass
+are judged per kind on their cell set's bit masks (``_CellSet``), and a
+form is instantiated only for a report.  Translations and the mirror carry
+a cell combination that passes the group filter to one that passes it, so
+the filter keeps this order: ``find_crystal`` reports what filtering every
+form of the space by orbit, period, group and verdicts reports, in the
+same order (both differentially tested).
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .control import (NccStatus, RegionClass, Verdict, VerdictKernel,
-                      ncc_status)
+from .control import (KernelGeometry, NccStatus, RegionClass, Verdict,
+                      VerdictKernel, ncc_status)
 from .geometry import UNIT_DIRS, Vec, canonical_sign, reduce_cell
 from .pattern import Form, PatternError, PeriodicPattern, form_of
 from .pieces import (BISHOP, GOLD, KING, KNIGHT, LANCE, PAWN, ROOK, SILVER,
@@ -95,25 +96,11 @@ class CrystalReport:
     details: dict[PieceKind, NccStatus]
 
 
-# ---------------------------------------------------------------------------
-# Per-form evaluation: a form instantiated uniformly with any kind has the
-# cells and period of its all-king pattern (canonicalization never looks at
-# which kind a uniform motif carries), so one ``VerdictKernel`` built on
-# that pattern judges every kind column: each column is a union of memoized
-# move masks and one verdict, with no instantiation, canonicalization or
-# control set per column.  Searches build the kernel only for forms that
-# pass their cheaper filters (period, group).  The kernel's geometry
-# (neighborhood, partition and move masks) depends only on the period and
-# cells, which the forms of one cell set share as ``_scan`` yields them back
-# to back, so each kernel is built on the previous form's geometry, which
-# ``VerdictKernel`` uses only while the period and cells match.
-
 def ncc_vector(form: Form, kinds: Iterable[PieceKind] = KIND_COLUMNS,
                ) -> dict[PieceKind, NccStatus]:
-    """Verdict for the form instantiated uniformly with each kind."""
-    kinds = tuple(kinds)
-    if not kinds:
-        return {}
+    """Verdict for the form instantiated uniformly with each kind, all on
+    one ``VerdictKernel``: a uniform motif's canonical cells and period do
+    not depend on its kind.  The searches use ``_CellSet`` instead."""
     kernel = VerdictKernel(form.instantiate(KING))
     return {k: kernel.uniform(k) for k in kinds}
 
@@ -352,13 +339,95 @@ class _FormJudge:
         return group_of(SymmetryFlags(*(r in roles for r in "hvgr"), ()))
 
 
-def _scan(bounds: SearchBounds, group: Optional[FriezeGroup] = None, *,
-          use_mirror: bool = True) -> Iterator[tuple[Form, PeriodicPattern]]:
+class _CellSet:
+    """A cell set that a scan keeps, with its forms' orbit, period and
+    group verdicts (``judge``) and, for the forms whose period is not
+    redundant, their verdicts for each of ``kinds``.
+
+    Such a form has the cells and period of its canonical all-king pattern
+    (the cell set's cells, sorted), so one ``KernelGeometry``, built when
+    the first form is judged, serves them all.  Per kind, a form ORs each
+    piece's reach mask less its allies' bits (the pieces facing its way);
+    what that leaves of the neighborhood is uncontrolled.  Complete:
+    nothing is.  Nearly complete: something is controlled and the
+    uncontrolled mask is one region's.  Decorations never change control,
+    so the verdicts are memoized by the orientations.  Only a report gets
+    a ``VerdictKernel``, on the same geometry (``report``).
+    """
+
+    def __init__(self, bounds: SearchBounds, t: Vec, cells: list[Vec],
+                 kinds: Sequence[PieceKind], use_mirror: bool) -> None:
+        self.bounds, self.t, self.cells = bounds, t, cells
+        self.judge = _FormJudge(bounds, t, cells, use_mirror)
+        self.kinds = tuple(kinds)
+        self.geometry: Optional[KernelGeometry] = None
+        self._memo: dict[tuple[int, ...], tuple[Verdict, ...]] = {}
+
+    def form(self, a: tuple[int, ...]) -> Form:
+        return _form(self.bounds, self.t, self.cells, a)
+
+    def _build(self) -> None:
+        g = self.geometry = KernelGeometry(self.t, tuple(sorted(self.cells)))
+        index = {c: i for i, c in enumerate(g.cells)}
+        self._pieces = [index[c] for c in self.cells]
+        self._bits = [g.bits.get(c, 0) for c in self.cells]
+        self._every = (1 << len(g.bits)) - 1
+        regions = dict.fromkeys(RegionClass, 0)
+        for c, region in g.partition.items():
+            regions[region] |= g.bits[c]
+        self._regions = set(regions.values()) - {0}
+        orients, _ = _attributes(self.bounds)
+        self._movesets = [[k.oriented(o) for o in orients]
+                          for k in self.kinds]
+        # per kind and orientation, each cell's reach mask (on first use)
+        self._reach = [[None] * len(orients) for _ in self.kinds]
+
+    def vector(self, a: tuple[int, ...]) -> tuple[Verdict, ...]:
+        """The verdict of each kind on a's form, whose period must not be
+        redundant."""
+        os = a[:len(self.cells)]
+        vector = self._memo.get(os)
+        if vector is not None:
+            return vector
+        if self.geometry is None:
+            self._build()
+        every = self._every
+        free = [every, every]  # what the pieces facing each way control
+        for bit, j in zip(self._bits, os):
+            free[j] &= ~bit
+        out = []
+        for moves, reach in zip(self._movesets, self._reach):
+            controlled = 0
+            for i, j in enumerate(os):
+                masks = reach[j]
+                if masks is None:
+                    reached, m = self.geometry.reached, moves[j]
+                    masks = reach[j] = [reached(p, m) for p in self._pieces]
+                controlled |= masks[i] & free[j]
+            uncontrolled = every & ~controlled
+            if not uncontrolled:
+                out.append(Verdict.COMPLETE)
+            elif uncontrolled != every and uncontrolled in self._regions:
+                out.append(Verdict.NEARLY_COMPLETE)
+            else:
+                out.append(Verdict.FAILS)
+        vector = self._memo[os] = tuple(out)
+        return vector
+
+    def report(self, a: tuple[int, ...]) -> tuple[Form, VerdictKernel]:
+        """a's form and a kernel on its all-king pattern and the shared
+        geometry, for a report's details."""
+        form = self.form(a)
+        return form, VerdictKernel(form.instantiate(KING), self.geometry)
+
+
+def _scan(bounds: SearchBounds, kinds: Sequence[PieceKind],
+          group: Optional[FriezeGroup] = None, *, use_mirror: bool = True,
+          ) -> Iterator[tuple[_CellSet, tuple[int, ...]]]:
     """The first form of each orbit in the bounded space, in enumeration
-    order, each with its canonical all-king pattern: ``(form, pattern)``.
-    Forms that make no valid pattern are skipped.  With a ``group``, so
-    are the forms whose pattern has a period shorter than t or another
-    group: a form is instantiated only once it passes.  Whole cell sets
+    order, as its cell set (judging ``kinds``) and its assignment:
+    ``(cell_set, a)``.  With a ``group``, the forms whose pattern has a
+    period shorter than t or another group are skipped.  Whole cell sets
     are skipped on translations that the group's isometries cannot fix,
     and when for one of their linear parts no map sends the cells onto
     themselves."""
@@ -375,19 +444,15 @@ def _scan(bounds: SearchBounds, group: Optional[FriezeGroup] = None, *,
             if key in seen_cells:
                 continue  # a translate or mirror of an earlier cell set
             seen_cells.add(key)
-            judge = _FormJudge(bounds, t, cells, use_mirror)
+            cell_set = _CellSet(bounds, t, cells, kinds, use_mirror)
+            judge = cell_set.judge
             for a in _assignment_indices(bounds, len(cells)):
                 if not judge.first_of_orbit(a):
                     continue
                 if group is not None and (judge.period_redundant(a)
                                           or judge.group(a) is not group):
                     continue
-                form = _form(bounds, t, cells, a)
-                try:
-                    pattern = form.instantiate(KING)
-                except PatternError:
-                    continue
-                yield form, pattern
+                yield cell_set, a
 
 
 def _check_limit(limit: Optional[int]) -> None:
@@ -408,24 +473,16 @@ def find_crystal(group: FriezeGroup, target: Mapping[PieceKind, bool],
     """
     _check_limit(limit)
     kinds = tuple(target)
+    wanted = [target[k] for k in kinds]
     reports: list[CrystalReport] = []
-    scan = _scan(bounds, group, use_mirror=_kinds_mirror_safe(kinds))
-    geometry = None
-    for form, pattern in scan:
-        kernel = VerdictKernel(pattern, geometry)
-        geometry = kernel.geometry
-        details: dict[PieceKind, NccStatus] = {}
-        ok = True
-        for kind in kinds:
-            st = kernel.uniform(kind)
-            details[kind] = st
-            if st.satisfies != target[kind]:
-                ok = False
-                break
-        if not ok:
+    for cell_set, a in _scan(bounds, kinds, group,
+                             use_mirror=_kinds_mirror_safe(kinds)):
+        if [v is not Verdict.FAILS for v in cell_set.vector(a)] != wanted:
             continue
+        form, kernel = cell_set.report(a)
+        details = {k: kernel.uniform(k) for k in kinds}
         reports.append(CrystalReport(
-            form, pattern, group,
+            form, kernel.pattern, group,
             {k: s.satisfies for k, s in details.items()}, details))
         if limit is not None and len(reports) >= limit:
             break
@@ -457,23 +514,14 @@ def find_special_form(bounds: SearchBounds, *,
     least 1."""
     _check_limit(limit)
     out: list[SpecialFormReport] = []
-    geometry = None
-    for form, pattern in _scan(bounds):
-        if pattern.t != form.t:
+    for cell_set, a in _scan(bounds, KIND_COLUMNS):
+        if (cell_set.judge.period_redundant(a)
+                or Verdict.FAILS in cell_set.vector(a)):
             continue
-        kernel = VerdictKernel(pattern, geometry)
-        geometry = kernel.geometry
-        statuses: dict[PieceKind, NccStatus] = {}
-        ok = True
-        for kind in KIND_COLUMNS:
-            st = kernel.uniform(kind)
-            statuses[kind] = st
-            if not st.satisfies:
-                ok = False
-                break
-        if not ok:
-            continue
-        out.append(SpecialFormReport(form, statuses, kernel.partition))
+        form, kernel = cell_set.report(a)
+        out.append(SpecialFormReport(
+            form, {k: kernel.uniform(k) for k in KIND_COLUMNS},
+            kernel.partition))
         if limit is not None and len(out) >= limit:
             break
     return out
@@ -495,21 +543,20 @@ def find_duality(bounds: SearchBounds) -> DualityExhibits:
     (ii) a two-kind gold+rook pattern that is complete whose kind-swapped
          silver+bishop counterpart is nearly complete.
     """
-    gold_form: Optional[Form] = None
-    silver_form: Optional[Form] = None
+    exhibit: Optional[Form] = None
     pair: Optional[tuple[PeriodicPattern, PeriodicPattern]] = None
 
-    geometry = None
-    for form, pattern in _scan(bounds):
-        if gold_form is None or silver_form is None:
-            kernel = VerdictKernel(pattern, geometry)
-            geometry = kernel.geometry
-            g = kernel.uniform(GOLD)
-            s = kernel.uniform(SILVER)
-            if (g.verdict is Verdict.COMPLETE
-                    and s.verdict is Verdict.NEARLY_COMPLETE):
-                gold_form = gold_form or form
-                silver_form = silver_form or form
+    for cell_set, a in _scan(bounds, (GOLD, SILVER)):
+        form = cell_set.form(a)
+        if exhibit is None:
+            if cell_set.judge.period_redundant(a):
+                # judged on its canonical pattern, of the shorter period
+                vector = ncc_vector(form, (GOLD, SILVER))
+                g, s = vector[GOLD].verdict, vector[SILVER].verdict
+            else:
+                g, s = cell_set.vector(a)
+            if g is Verdict.COMPLETE and s is Verdict.NEARLY_COMPLETE:
+                exhibit = form
 
         if pair is None and len(form.cells) >= 2:
             n = len(form.cells)
@@ -530,11 +577,11 @@ def find_duality(bounds: SearchBounds) -> DualityExhibits:
                     pair = (c, d)
                     break
 
-        if gold_form is not None and silver_form is not None and pair:
+        if exhibit is not None and pair:
             break
 
     return DualityExhibits(
-        gold_complete=gold_form, silver_nearly=silver_form,
+        gold_complete=exhibit, silver_nearly=exhibit,
         gold_rook=pair[0] if pair else None,
         silver_bishop=pair[1] if pair else None)
 

@@ -1,51 +1,45 @@
 import random
 
-import pytest
-
 from shogi_frieze import (GOLD, KING, KNIGHT, LANCE, PAWN, ROOK, RegionClass,
                           Verdict, control_of_pattern, make_pattern,
-                          neighborhood, ncc_status, partition_neighborhood,
-                          ray_march)
-from shogi_frieze.control import RayEvent
+                          neighborhood, ncc_status, partition_neighborhood)
+from shogi_frieze.control import FreeLine, _move_control
 from shogi_frieze.geometry import reduce_cell
-from shogi_frieze.pattern import PatternError
 from conftest import DOWN, UP, piece, random_pattern
 
 
-# --- ray marching -----------------------------------------------------------
+# --- rides ------------------------------------------------------------------
 
 def test_ray_blocked_by_ally():
+    # the ride lands on the pawn after passing two classes; the pawn faces
+    # the lance's way, so the lance controls what it passes and not it
     p = make_pattern([piece((0, 0), kind=LANCE), piece((0, 3), kind=PAWN)],
                      (10, 0))
-    res = ray_march(p, (0, 0), (0, 1), UP)
-    assert res.event is RayEvent.BLOCKED_BY_ALLY
-    assert res.empty_classes == ((0, 1), (0, 2))
-    assert res.capture is None
+    assert _move_control(p.t, p.cells(), (0, 0), (0, 1), True) == ((0, 3), 2)
+    ctrl = control_of_pattern(p)
+    assert ctrl.contains((0, 1)) and ctrl.contains((0, 2))
+    assert not ctrl.contains((0, 3))
 
 
 def test_ray_captures_enemy_inclusively():
     p = make_pattern([piece((0, 0), kind=LANCE),
                       piece((0, 3), DOWN, kind=PAWN)], (10, 0))
-    res = ray_march(p, (0, 0), (0, 1), UP)
-    assert res.event is RayEvent.CAPTURE_ENEMY
-    assert res.empty_classes == ((0, 1), (0, 2))
-    assert res.capture == (0, 3)
+    assert _move_control(p.t, p.cells(), (0, 0), (0, 1), True) == ((0, 3), 2)
+    ctrl = control_of_pattern(p)
+    assert all(ctrl.contains((0, y)) for y in (1, 2, 3))
 
 
 def test_ray_wraps_to_own_copy_and_free_vertical():
     p = make_pattern([piece((0, 0), kind=ROOK)], (4, 0))
-    res = ray_march(p, (0, 0), (1, 0), UP)
-    assert res.event is RayEvent.BLOCKED_BY_ALLY
-    assert res.empty_classes == ((1, 0), (2, 0), (3, 0))
-    up = ray_march(p, (0, 0), (0, 1), UP)
-    assert up.event is RayEvent.FREE_INFINITE
-    assert up.free_line is not None
-
-
-def test_ray_rejects_non_unit_direction():
-    p = make_pattern([piece((0, 0), kind=ROOK)], (4, 0))
-    with pytest.raises(PatternError):
-        ray_march(p, (0, 0), (0, 2), UP)
+    cells = p.cells()
+    assert _move_control(p.t, cells, (0, 0), (1, 0), True) == ((0, 0), 3)
+    assert _move_control(p.t, cells, (0, 0), (0, 1), True) == (None, None)
+    ctrl = control_of_pattern(p)
+    assert {(1, 0), (2, 0), (3, 0)} <= ctrl.listed
+    assert not ctrl.contains((0, 0))  # the rook's own copy is its ally
+    assert FreeLine((0, 0), (0, 1)) in ctrl.free_lines
+    assert ctrl.contains((0, 7)) and ctrl.contains((0, -9))
+    assert not ctrl.contains((1, 7))
 
 
 # --- neighborhood and partition --------------------------------------------

@@ -18,10 +18,10 @@ from shogi_frieze import (BISHOP, KING, LANCE, ROOK, STANDARD_KINDS,
                           PlacedPiece, canonicalize, classify_frieze,
                           control_of_pattern, detect_symmetries, dual,
                           generate_from_recipe, is_symmetry, make_pattern,
-                          partition_neighborhood, RayEvent, ncc_status,
-                          oracle, ray_march)
+                          partition_neighborhood, ncc_status, oracle)
 from shogi_frieze import control
-from shogi_frieze.control import Segment
+from shogi_frieze.control import (Segment, _free_length, _move_control,
+                                  _occupied_band)
 from shogi_frieze.geometry import UNIT_DIRS, cross, dot, reduce_cell
 from shogi_frieze.symmetry import apply
 from conftest import DOWN, UP, piece, rotated_dual
@@ -99,8 +99,9 @@ def test_long_rook_ride_is_a_segment():
     assert ctrl.contains((1, 0)) and ctrl.contains((BIG - 1, 0))
     assert ctrl.contains((BIG // 2, 0))
     assert not ctrl.contains((0, 0)) and not ctrl.contains((1, 1))
-    res = ray_march(p, (0, 0), (1, 0), UP)
-    assert res.passed.length == BIG - 1 and res.capture is None
+    # the ride lands on the rook's own copy, its ally, after BIG - 1 classes
+    assert _move_control(p.t, p.cells(), (0, 0), (1, 0), True) \
+        == ((0, 0), BIG - 1)
 
 
 def _kernel_matches_control_set(p):
@@ -255,10 +256,11 @@ def test_witnesses_match_scan_of_every_listed_parameter():
 # ---------------------------------------------------------------------------
 # Rides against a walk, segment membership against the oracle
 
-def _walk(p, origin, d, orientation):
-    """The ride walked square by square: (passed classes, event, capture).
-    Off t's direction it is free once it drifts past the occupied band;
-    parallel to t, once it comes back to a class it passed."""
+def _walk(p, origin, d):
+    """The ride walked square by square: (passed classes, landing class),
+    the landing class None for a free ride.  Off t's direction it is free
+    once it drifts past the occupied band; parallel to t, once it comes
+    back to a class it passed."""
     t = p.t
     occupied = p.class_map()
     qs = [cross(c, t) for c in occupied]
@@ -267,34 +269,38 @@ def _walk(p, origin, d, orientation):
     while True:
         pos = (pos[0] + d[0], pos[1] + d[1])
         cls = reduce_cell(pos, t)
-        hit = occupied.get(cls)
-        if hit is not None:
-            if hit.orientation is orientation:
-                return passed, RayEvent.BLOCKED_BY_ALLY, None
-            return passed, RayEvent.CAPTURE_ENEMY, cls
+        if cls in occupied:
+            return passed, cls
         q = cross(cls, t)
         if qd > 0 and q > max(qs) or qd < 0 and q < min(qs) \
                 or cls in passed:
-            return passed, RayEvent.FREE_INFINITE, None
+            return passed, None
         passed.append(cls)
 
 
-def test_ray_march_matches_a_walk():
+def test_move_control_matches_a_walk():
+    # rides from pieces and from empty squares; a free ride's passed
+    # classes run until its cross leaves the occupied band, as the control
+    # set lists them
     rng = random.Random(79)
     for _ in range(150):
         p = _random_pattern(rng, _random_t(rng, 6), STANDARD_KINDS,
                             with_decor=False)
+        t, cells = p.t, p.cells()
+        band = _occupied_band(cells, t)
         for x in p.pieces:
             empty = (x.cell[0] + rng.randint(-3, 3),
                      x.cell[1] + rng.randint(-3, 3))
-            for origin, o in ((x.cell, x.orientation), (empty, UP)):
+            for origin in (x.cell, empty):
+                anchor = reduce_cell(origin, t)
                 for d in UNIT_DIRS:
-                    res = ray_march(p, origin, d, o)
-                    passed, event, capture = _walk(p, origin, d, o)
-                    assert list(res.empty_classes) == passed
-                    assert (res.event, res.capture) == (event, capture)
-                    assert (res.free_line is None) == \
-                           (event is not RayEvent.FREE_INFINITE)
+                    hit, passed = _move_control(t, cells, origin, d, True)
+                    if passed is None:
+                        passed = _free_length(anchor, d, t, *band)
+                    walked, landed = _walk(p, origin, d)
+                    assert hit == landed, (p, origin, d)
+                    assert list(Segment(anchor, d, passed, t).classes()) \
+                        == walked, (p, origin, d)
 
 
 def test_segment_contains_agrees_with_listing_and_oracle(monkeypatch):

@@ -15,7 +15,7 @@ from shogi_frieze.pattern import Form, PatternError
 from shogi_frieze.pieces import (chess_knight_moveset, reverse_chariot_moveset,
                                  sideways_silver_moveset)
 from shogi_frieze.search import (EXPECTED_TABLE, KIND_COLUMNS, ROW_ORDER,
-                                 _assignment_indices, _cell_sets,
+                                 _assignment_indices, _cell_sets, _CellSet,
                                  _FormJudge, _enumerate_forms, _form,
                                  _period_candidates, _scan, orbit_key,
                                  staircase_target)
@@ -110,7 +110,8 @@ def test_pruned_scan_is_first_form_of_each_orbit(monkeypatch, bounds,
     judge = search._FormJudge
     monkeypatch.setattr(search, "_FormJudge",
                         lambda *args: judges.append(args) or judge(*args))
-    scanned = [form for form, _ in _scan(bounds, use_mirror=use_mirror)]
+    scanned = [cell_set.form(a) for cell_set, a
+               in _scan(bounds, KIND_COLUMNS, use_mirror=use_mirror)]
     assert scanned == _first_form_of_each_orbit(bounds, use_mirror)
     assert (len(calls), len(judges)) == (0, judged)
 
@@ -205,20 +206,25 @@ def test_p11g_finds_crystals_on_vertical_translations():
 
 
 def test_p1_scan_builds_one_geometry_per_cell_set(monkeypatch):
-    # The forms of one cell set come back to back and, past the period and
-    # group filters, share their canonical period and cells, so the P1
-    # benchmark scan computes one partition per such cell set, not one per
-    # kernel, and reports what kernels built each on its own geometry do.
-    partitions, kernels = [], []
-    partition, kernel = control.partition_neighborhood, search.VerdictKernel
-    monkeypatch.setattr(control, "partition_neighborhood",
-                        lambda p: partitions.append(p) or partition(p))
+    # The forms of one cell set that pass the period and group filters
+    # share its period and cells, so the P1 benchmark scan computes one
+    # partition per such cell set and judges each form on that cell set's
+    # masks.  It builds a verdict kernel only for a report, on the same
+    # geometry, and reports what kernels built each on its own geometry do.
+    partitions, kernels, judged = [], [], []
+    partition, kernel = control._partition, search.VerdictKernel
+    vector = _CellSet.vector
+    monkeypatch.setattr(control, "_partition", lambda t, cells:
+                        partitions.append(cells) or partition(t, cells))
     monkeypatch.setattr(search, "VerdictKernel",
                         lambda *args: kernels.append(args) or kernel(*args))
+    monkeypatch.setattr(_CellSet, "vector",
+                        lambda self, a: judged.append(a) or vector(self, a))
     target = dict.fromkeys(KIND_COLUMNS, False)
     bounds = SearchBounds(3, (3, 3), 3)
     reports = find_crystal(FriezeGroup.P1, target, bounds)
-    assert (len(kernels), len(partitions), len(reports)) == (2_166, 339, 182)
+    assert (len(partitions), len(judged), len(kernels), len(reports)) \
+        == (339, 2_166, 182, 182)
     monkeypatch.setattr(search, "VerdictKernel",
                         lambda pattern, geometry: kernel(pattern))
     assert find_crystal(FriezeGroup.P1, target, bounds) == reports
@@ -370,53 +376,71 @@ def _ally_to_enemy(before, after, kinds):
     SearchBounds(2, (2, 2), 2, allow_decorations=True),
 ], ids=["plain", "decorated"])
 def test_kernel_matches_ncc_status_on_every_form(bounds):
-    # Kernels are built in scan order, each on the previous form's geometry
-    # when the period and cells match, as the searches build them.  Each
-    # kind column is compared, every field, with the verdict read off that
-    # kind's own pattern: its control set (control_of_pattern, no masks or
-    # memo) and partition, which must equal ncc_status (a fresh kernel),
-    # and on every 16th reference the oracle, which shares no code with
-    # either engine.  The references read only the kind, the cells, their
-    # orientations and the period, so each is computed once per such key
-    # (decorated forms repeat many).  A shared geometry must hold up where
-    # a step's or a ride's landing piece turns from ally to enemy.
+    # Every form of the space, judged as the searches judge it: on its cell
+    # set (``_CellSet``), each kind column's verdict from the cell set's
+    # masks and every field of the status that a report's kernel gives on
+    # the cell set's geometry; a form whose period is redundant by
+    # ncc_vector on its canonical pattern.  Each is compared with the
+    # verdict read off that kind's own pattern: its control set
+    # (control_of_pattern, no masks or memo) and partition, which must
+    # equal ncc_status (a fresh kernel), and on every 16th reference the
+    # oracle, which shares no code with either engine.  The references
+    # read only the kind, the cells, their orientations and the period, so
+    # each is computed once per such key (decorated forms repeat many).  A
+    # shared geometry must hold up where a step's or a ride's landing piece
+    # turns from ally to enemy.
     kinds = KIND_COLUMNS + FRAGILE_KINDS
     reference = {}
     checked = shared = 0
     flips = {False: 0, True: 0}
-    previous = None
-    for form in _enumerate_forms(bounds):
-        try:
-            pattern = form.instantiate(KING)
-        except PatternError:
-            continue
-        kernel = VerdictKernel(pattern, previous and previous.geometry)
-        if previous is not None and kernel.geometry is previous.geometry:
-            shared += 1
-            for ride, n in _ally_to_enemy(previous.pattern, pattern,
-                                          kinds).items():
-                flips[ride] += n
-        previous = kernel
-        shape = (pattern.t, tuple(
-            (x.cell, x.orientation) for x in pattern.pieces))
-        for kind in kinds:
-            p = form.instantiate(kind)
-            assert (p.t, tuple((x.cell, x.orientation) for x in p.pieces)) \
-                == shape, (form, kind)
-            expected = reference.get((kind, shape))
-            if expected is None:
-                ctrl = control_of_pattern(p)
-                regions = partition_neighborhood(p)
-                expected = _verdict_from_parts(regions, frozenset(
-                    c for c in regions if not ctrl.contains(c)))
-                assert ncc_status(p) == expected, (form, kind)
-                if len(reference) % 16 == 0:
-                    assert (expected.verdict, expected.uncontrolled_class,
-                            expected.uncontrolled) == _oracle_status(p), \
+    for t in _period_candidates(bounds):
+        for cells in _cell_sets(bounds, t):
+            cell_set = _CellSet(bounds, t, cells, kinds, True)
+            previous = None
+            for a in _assignment_indices(bounds, len(cells)):
+                form = cell_set.form(a)
+                pattern = form.instantiate(KING)
+                assert cell_set.judge.period_redundant(a) \
+                    == (pattern.t != t), form
+                if pattern.t != t:
+                    vector = ncc_vector(form, kinds)
+                    statuses = [vector[k] for k in kinds]
+                    verdicts = [st.verdict for st in statuses]
+                else:
+                    verdicts = cell_set.vector(a)
+                    _, kernel = cell_set.report(a)
+                    assert kernel.geometry is cell_set.geometry
+                    statuses = [kernel.uniform(k) for k in kinds]
+                    if previous is not None:
+                        shared += 1
+                        for ride, n in _ally_to_enemy(previous, pattern,
+                                                      kinds).items():
+                            flips[ride] += n
+                    previous = pattern
+                shape = (pattern.t, tuple(
+                    (x.cell, x.orientation) for x in pattern.pieces))
+                for kind, verdict, status in zip(kinds, verdicts, statuses,
+                                                 strict=True):
+                    p = form.instantiate(kind)
+                    assert (p.t, tuple((x.cell, x.orientation)
+                                       for x in p.pieces)) == shape, \
                         (form, kind)
-                reference[kind, shape] = expected
-            assert kernel.uniform(kind) == expected, (form, kind)
-            checked += 1
+                    expected = reference.get((kind, shape))
+                    if expected is None:
+                        ctrl = control_of_pattern(p)
+                        regions = partition_neighborhood(p)
+                        expected = _verdict_from_parts(regions, frozenset(
+                            c for c in regions if not ctrl.contains(c)))
+                        assert ncc_status(p) == expected, (form, kind)
+                        if len(reference) % 16 == 0:
+                            assert (expected.verdict,
+                                    expected.uncontrolled_class,
+                                    expected.uncontrolled) \
+                                == _oracle_status(p), (form, kind)
+                        reference[kind, shape] = expected
+                    assert verdict is expected.verdict, (form, kind)
+                    assert status == expected, (form, kind)
+                    checked += 1
     assert checked > 20_000 and len(reference) > 3_000
     assert shared > checked // (2 * len(kinds))
     assert flips[False] > 100 and flips[True] > 100, flips
@@ -446,9 +470,9 @@ def test_p1_space_counts_and_orbit_keys():
     assert keys[::7] == [_plain_orbit_key(f, True) for f in forms[::7]]
     assert [orbit_key(f, False) for f in forms[::7]] \
         == [_plain_orbit_key(f, False) for f in forms[::7]]
-    reps = list(_scan(bounds))
+    reps = [cell_set.form(a) for cell_set, a in _scan(bounds, KIND_COLUMNS)]
     assert len(reps) == 2_522
-    assert sum(pattern.t != form.t for form, pattern in reps) == 12
+    assert sum(form.instantiate(KING).t != form.t for form in reps) == 12
 
 
 def test_duality_judges_mixed_kinds_on_their_own_period(monkeypatch):
@@ -475,8 +499,13 @@ def test_duality_judges_mixed_kinds_on_their_own_period(monkeypatch):
     four = Form((((2, -1), DOWN, None), ((2, 0), UP, None),
                  ((1, 0), DOWN, None), ((1, 1), UP, None)), (2, -2))
     assert four.instantiate(KING).t == (1, -1)
-    monkeypatch.setattr(search, "_scan", lambda bounds: iter(
-        [(four, four.instantiate(KING))]))
-    found = find_duality(SearchBounds(4, (3, 3), 2))
+    bounds = SearchBounds(4, (3, 3), 2)
+    cell_set = _CellSet(bounds, four.t, [c for c, _, _ in four.cells],
+                        (GOLD, SILVER), True)
+    a = (1, 0, 1, 0) + (0,) * 4  # down, up, down, up; no decorations
+    assert cell_set.form(a) == four
+    monkeypatch.setattr(search, "_scan",
+                        lambda bounds, kinds: iter([(cell_set, a)]))
+    found = find_duality(bounds)
     assert _oracle_status(found.gold_rook)[0] is Verdict.COMPLETE
     assert _oracle_status(found.silver_bishop)[0] is Verdict.NEARLY_COMPLETE
