@@ -135,12 +135,11 @@ def _cell_pool(bounds: SearchBounds, t: Vec) -> list[Vec]:
 def _cell_sets(bounds: SearchBounds, t: Vec) -> Iterator[list[Vec]]:
     """Each combination of pool cells that lie in distinct classes mod t,
     reduced mod t, in enumeration order."""
-    pool = _cell_pool(bounds, t)
+    pool = [reduce_cell(c, t) for c in _cell_pool(bounds, t)]
     for n in range(1, bounds.max_motif_pieces + 1):
         for cells in itertools.combinations(pool, n):
-            reduced = [reduce_cell(c, t) for c in cells]
-            if len(set(reduced)) == n:
-                yield reduced
+            if len(set(cells)) == n:
+                yield list(cells)
 
 
 def _attributes(bounds: SearchBounds,
