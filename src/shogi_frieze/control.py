@@ -38,7 +38,8 @@ mover's way, stands there; each consumer applies that test itself:
   ``_verdict_from_parts``, the one verdict rule (which the oracle shares).
   ``ncc_status`` is a kernel on a fresh geometry with each piece's own
   kind.  A search judges the forms of a cell set on one geometry with
-  the same masks and no kernel, and builds a kernel only for a report.
+  the same masks and no kernel, and hands a report's uncontrolled masks
+  to ``_verdict_from_parts``.
 """
 
 from __future__ import annotations
@@ -431,18 +432,11 @@ class VerdictKernel:
     ``status`` takes one kind per piece of ``pattern``, in its order, so
     one kernel judges every pattern with the same pieces up to kinds: each
     uniform instantiation of a form, or the same pieces with other kinds.
-    ``geometry`` is used when it was built on the same period and cells,
-    and a fresh one is built otherwise.
     """
 
-    def __init__(self, pattern: PeriodicPattern,
-                 geometry: Optional[KernelGeometry] = None) -> None:
-        if (geometry is None or geometry.t != pattern.t
-                or geometry.cells != pattern.cells()):
-            geometry = KernelGeometry(pattern.t, pattern.cells())
+    def __init__(self, pattern: PeriodicPattern) -> None:
         self.pattern = pattern
-        self.geometry = geometry
-        self.partition = geometry.partition
+        self.geometry = geometry = KernelGeometry(pattern.t, pattern.cells())
         # what a piece facing each way controls of what it reaches: all but
         # the classes of its allies
         every = (1 << len(geometry.bits)) - 1
@@ -462,7 +456,7 @@ class VerdictKernel:
                 zip(self.pattern.pieces, kinds, strict=True)):
             o = piece.orientation
             controlled |= g.reached(i, kind.oriented(o)) & self._free[o]
-        return _verdict_from_parts(self.partition, frozenset(
+        return _verdict_from_parts(g.partition, frozenset(
             [c for c, bit in g.bits.items() if not controlled & bit]))
 
 

@@ -10,16 +10,16 @@ directions counterclockwise from east).
 Every group searches every translation its isometries allow: all of them
 for p1 and p2, the horizontal and vertical ones for the mirror and glide
 groups (``symmetry.role_linear_part``).  The group also filters cell
-combinations: a pattern with the group is fixed by an isometry of each
-linear part its roles require (``symmetry.GROUP_ROLES``), so its classes
-mod t are too, and a combination that no such map sends onto itself is
-skipped with all its assignments.
+combinations (``_has_roles``): a pattern with the group has a symmetry of
+each of its roles (``symmetry.GROUP_ROLES``), which sends its classes mod t
+onto themselves, so a combination with no self-map of that role, named as
+``detect_symmetries`` names it, is skipped with all its assignments.
 
 Pruning works on orbits under translations and, when every searched kind
-has a left-right symmetric moveset, the vertical mirror: a cell
-combination whose classes mod t are such an image of an earlier
-combination's is skipped with all its assignments (``_cell_key``).  The
-rest are judged by their self-maps, the maps c -> S c + o that send their
+has a left-right symmetric moveset, the vertical mirror: a combination
+with no pool cell at x = 0 or none at y = 0 (``_first_translate``), or
+whose classes mod t are such an image of an earlier combination's
+(``_cell_key``), is skipped with all its assignments.  The rest are judged by their self-maps, the maps c -> S c + o that send their
 classes mod t onto themselves, listed once per combination
 (``_FormJudge``).  An assignment is kept when no translation or mirror
 self-map sends it to an earlier one, so the scan yields the first form of
@@ -28,11 +28,11 @@ does.  The same self-maps give the period and the group: a form's period is
 redundant when a translation self-map other than the identity fixes it,
 and its group is that of the self-maps that fix it.  The forms that pass
 are judged per kind on their cell set's bit masks (``_CellSet``), and a
-form is instantiated only for a report.  Translations and the mirror carry
-a cell combination that passes the group filter to one that passes it, so
-the filter keeps this order: ``find_crystal`` reports what filtering every
-form of the space by orbit, period, group and verdicts reports, in the
-same order (both differentially tested).
+report's statuses are read off the same masks.  Translations and the
+mirror carry a cell combination that passes the group filter to one that
+passes it, so the filter keeps this order: ``find_crystal`` reports what
+filtering every form of the space by orbit, period, group and verdicts
+reports, in the same order (both differentially tested).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .control import (KernelGeometry, NccStatus, RegionClass, Verdict,
-                      VerdictKernel, ncc_status)
+                      VerdictKernel, _verdict_from_parts, ncc_status)
 from .geometry import UNIT_DIRS, Vec, canonical_sign, reduce_cell
 from .pattern import Form, PatternError, PeriodicPattern, form_of
 from .pieces import (BISHOP, GOLD, KING, KNIGHT, LANCE, PAWN, ROOK, SILVER,
@@ -100,7 +100,7 @@ def ncc_vector(form: Form, kinds: Iterable[PieceKind] = KIND_COLUMNS,
                ) -> dict[PieceKind, NccStatus]:
     """Verdict for the form instantiated uniformly with each kind, all on
     one ``VerdictKernel``: a uniform motif's canonical cells and period do
-    not depend on its kind.  The searches use ``_CellSet`` instead."""
+    not depend on its kind.  The searches build none (``_CellSet``)."""
     kernel = VerdictKernel(form.instantiate(KING))
     return {k: kernel.uniform(k) for k in kinds}
 
@@ -111,17 +111,16 @@ def ncc_vector(form: Form, kinds: Iterable[PieceKind] = KIND_COLUMNS,
 _DECORS: tuple[Optional[Vec], ...] = (None,) + UNIT_DIRS
 
 
-def _period_candidates(bounds: SearchBounds) -> list[Vec]:
-    mp = bounds.max_period
-    out = []
-    for a in range(0, mp + 1):
-        for b in range(-mp, mp + 1):
-            t = (a, b)
-            if t == (0, 0) or canonical_sign(t) != t:
-                continue
-            out.append(t)
-    out.sort(key=lambda t: (max(abs(t[0]), abs(t[1])), t))
-    return out
+def _period_candidates(bounds: SearchBounds) -> Iterator[Vec]:
+    """The translations in enumeration order, ring by ring (max(|a|, |b|)
+    = 1, 2, ...), so a scan that stops early builds no later ring."""
+    for r in range(1, bounds.max_period + 1):
+        for a in range(r):
+            if a:
+                yield a, -r
+            yield a, r
+        for b in range(-r, r + 1):
+            yield r, b
 
 
 def _cell_pool(bounds: SearchBounds, t: Vec) -> list[Vec]:
@@ -237,8 +236,8 @@ _X_MIRROR: Vec = (-1, 1)
 
 
 def _self_maps(t: Vec, cells: list[Vec],
-               S: Vec) -> list[tuple[Vec, tuple[int, ...]]]:
-    """Every map c -> S c + o that sends the classes ``cells`` (distinct
+               S: Vec) -> Iterator[tuple[Vec, tuple[int, ...]]]:
+    """Each map c -> S c + o that sends the classes ``cells`` (distinct
     and reduced mod t, with S t = +-t) onto themselves, as ``(o, perm)``:
     class i goes to class perm[i].  The map sends the first class to some
     class j, so o = c_j - S c_0 modulo t, one candidate per j, as
@@ -247,7 +246,6 @@ def _self_maps(t: Vec, cells: list[Vec],
     (sx, sy), (tx, ty) = S, t
     tt = tx * tx + ty * ty
     x0, y0 = cells[0]
-    out = []
     for xj, yj in cells:
         ox, oy = xj - sx * x0, yj - sy * y0
         perm = []
@@ -259,8 +257,31 @@ def _self_maps(t: Vec, cells: list[Vec],
                 break
             perm.append(k)
         else:
-            out.append(((ox, oy), tuple(perm)))
-    return out
+            yield (ox, oy), tuple(perm)
+
+
+def _role(S: Vec, o: Vec, t: Vec) -> Optional[str]:
+    """The role ``detect_symmetries`` gives the self-map c -> S c + o (S not
+    1), or None when it lists no offset of it: no frieze with period t has
+    it as a symmetry."""
+    listed = _listed_offsets(S, o, t)
+    return _flag(Isometry(S, listed[0]), t) if listed else None
+
+
+def _has_roles(t: Vec, cells: list[Vec],
+               required: Sequence[tuple[str, Vec]]) -> bool:
+    """The group filter: whether, for each ``(role, S)`` of ``required``,
+    some self-map with the linear part S has that role, as a symmetry of
+    that role of any pattern on the cells is."""
+    return all(any(_role(S, o, t) == role for o, _ in _self_maps(t, cells, S))
+               for role, S in required)
+
+
+def _first_translate(combo: Sequence[Vec]) -> bool:
+    """The position test: whether pool cells (x-major) include one at x = 0
+    and one at y = 0.  If not, shifted back they are an earlier combination
+    in the same orbit, so the first combination of each orbit passes."""
+    return combo[0][0] == 0 and any(y == 0 for _, y in combo)
 
 
 def _image(action, a: tuple[int, ...]) -> tuple[int, ...]:
@@ -286,9 +307,7 @@ class _FormJudge:
       redundant iff a translation self-map other than the identity fixes
       it.
     * Group: on its own period, the pattern's symmetries are the self-maps
-      that fix a.  Their roles are ``detect_symmetries``'s: a self-map's
-      offsets are listed by ``_listed_offsets`` (an unlisted one is no
-      symmetry of a frieze with period t) and named by ``_flag``.
+      that fix a, with their roles (``_role``).
     """
 
     def __init__(self, bounds: SearchBounds, t: Vec, cells: list[Vec],
@@ -320,10 +339,9 @@ class _FormJudge:
                     continue
                 if S == _X_MIRROR and use_mirror:
                     self.orbit.append(action)
-                listed = _listed_offsets(S, o, t)
-                if listed:
-                    self.roles.append((_flag(Isometry(S, listed[0]), t),
-                                       action))
+                role = _role(S, o, t)
+                if role is not None:
+                    self.roles.append((role, action))
 
     def first_of_orbit(self, a: tuple[int, ...]) -> bool:
         return all(_image(action, a) >= a for action in self.orbit)
@@ -350,8 +368,8 @@ class _CellSet:
     what that leaves of the neighborhood is uncontrolled.  Complete:
     nothing is.  Nearly complete: something is controlled and the
     uncontrolled mask is one region's.  Decorations never change control,
-    so the verdicts are memoized by the orientations.  Only a report gets
-    a ``VerdictKernel``, on the same geometry (``report``).
+    so the verdicts are memoized by the orientations, with the uncontrolled
+    masks that a report's statuses are read from (``statuses``).
     """
 
     def __init__(self, bounds: SearchBounds, t: Vec, cells: list[Vec],
@@ -360,7 +378,7 @@ class _CellSet:
         self.judge = _FormJudge(bounds, t, cells, use_mirror)
         self.kinds = tuple(kinds)
         self.geometry: Optional[KernelGeometry] = None
-        self._memo: dict[tuple[int, ...], tuple[Verdict, ...]] = {}
+        self._memo: dict[tuple[int, ...], tuple[tuple, tuple]] = {}
 
     def form(self, a: tuple[int, ...]) -> Form:
         return _form(self.bounds, self.t, self.cells, a)
@@ -385,16 +403,16 @@ class _CellSet:
         """The verdict of each kind on a's form, whose period must not be
         redundant."""
         os = a[:len(self.cells)]
-        vector = self._memo.get(os)
-        if vector is not None:
-            return vector
+        memo = self._memo.get(os)
+        if memo is not None:
+            return memo[0]
         if self.geometry is None:
             self._build()
         every = self._every
         free = [every, every]  # what the pieces facing each way control
         for bit, j in zip(self._bits, os):
             free[j] &= ~bit
-        out = []
+        out, left = [], []
         for moves, reach in zip(self._movesets, self._reach):
             controlled = 0
             for i, j in enumerate(os):
@@ -404,20 +422,24 @@ class _CellSet:
                     masks = reach[j] = [reached(p, m) for p in self._pieces]
                 controlled |= masks[i] & free[j]
             uncontrolled = every & ~controlled
+            left.append(uncontrolled)
             if not uncontrolled:
                 out.append(Verdict.COMPLETE)
             elif uncontrolled != every and uncontrolled in self._regions:
                 out.append(Verdict.NEARLY_COMPLETE)
             else:
                 out.append(Verdict.FAILS)
-        vector = self._memo[os] = tuple(out)
-        return vector
+        self._memo[os] = tuple(out), tuple(left)
+        return self._memo[os][0]
 
-    def report(self, a: tuple[int, ...]) -> tuple[Form, VerdictKernel]:
-        """a's form and a kernel on its all-king pattern and the shared
-        geometry, for a report's details."""
-        form = self.form(a)
-        return form, VerdictKernel(form.instantiate(KING), self.geometry)
+    def statuses(self, a: tuple[int, ...]) -> dict[PieceKind, NccStatus]:
+        """The status of each kind on a's form, read off the uncontrolled
+        masks that ``vector(a)`` has memoized."""
+        g = self.geometry
+        _, left = self._memo[a[:len(self.cells)]]
+        return {k: _verdict_from_parts(g.partition, frozenset(
+                    [c for c, bit in g.bits.items() if mask & bit]))
+                for k, mask in zip(self.kinds, left)}
 
 
 def _scan(bounds: SearchBounds, kinds: Sequence[PieceKind],
@@ -426,32 +448,38 @@ def _scan(bounds: SearchBounds, kinds: Sequence[PieceKind],
     """The first form of each orbit in the bounded space, in enumeration
     order, as its cell set (judging ``kinds``) and its assignment:
     ``(cell_set, a)``.  With a ``group``, the forms whose pattern has a
-    period shorter than t or another group are skipped.  Whole cell sets
-    are skipped on translations that the group's isometries cannot fix,
-    and when for one of their linear parts no map sends the cells onto
-    themselves."""
+    period shorter than t or another group are skipped.  The position test
+    (``_first_translate``) and the group's filter on translations and
+    self-maps (``_has_roles``) skip whole cell sets."""
     roles = GROUP_ROLES[group] if group is not None else ""
     seen_cells: set = set()
     for t in _period_candidates(bounds):
-        required = {role_linear_part(role, t) for role in roles}
-        if None in required:
+        required = [(role, role_linear_part(role, t)) for role in roles]
+        if any(S is None for _, S in required):
             continue
-        for cells in _cell_sets(bounds, t):
-            if not all(_self_maps(t, cells, S) for S in required):
-                continue
-            key = _cell_key(t, cells, use_mirror)
-            if key in seen_cells:
-                continue  # a translate or mirror of an earlier cell set
-            seen_cells.add(key)
-            cell_set = _CellSet(bounds, t, cells, kinds, use_mirror)
-            judge = cell_set.judge
-            for a in _assignment_indices(bounds, len(cells)):
-                if not judge.first_of_orbit(a):
+        pool = _cell_pool(bounds, t)
+        classes = {c: reduce_cell(c, t) for c in pool}
+        for n in range(1, bounds.max_motif_pieces + 1):
+            for combo in itertools.combinations(pool, n):
+                if not _first_translate(combo):
                     continue
-                if group is not None and (judge.period_redundant(a)
-                                          or judge.group(a) is not group):
+                cells = [classes[c] for c in combo]
+                if len(set(cells)) < n or not _has_roles(t, cells, required):
                     continue
-                yield cell_set, a
+                key = _cell_key(t, cells, use_mirror)
+                if key in seen_cells:
+                    continue  # a translate or mirror of an earlier cell set
+                seen_cells.add(key)
+                cell_set = _CellSet(bounds, t, cells, kinds, use_mirror)
+                judge = cell_set.judge
+                for a in _assignment_indices(bounds, n):
+                    if not judge.first_of_orbit(a):
+                        continue
+                    if group is not None and (
+                            judge.period_redundant(a)
+                            or judge.group(a) is not group):
+                        continue
+                    yield cell_set, a
 
 
 def _check_limit(limit: Optional[int]) -> None:
@@ -478,10 +506,10 @@ def find_crystal(group: FriezeGroup, target: Mapping[PieceKind, bool],
                              use_mirror=_kinds_mirror_safe(kinds)):
         if [v is not Verdict.FAILS for v in cell_set.vector(a)] != wanted:
             continue
-        form, kernel = cell_set.report(a)
-        details = {k: kernel.uniform(k) for k in kinds}
+        form = cell_set.form(a)
+        details = cell_set.statuses(a)
         reports.append(CrystalReport(
-            form, kernel.pattern, group,
+            form, form.instantiate(KING), group,
             {k: s.satisfies for k, s in details.items()}, details))
         if limit is not None and len(reports) >= limit:
             break
@@ -517,10 +545,8 @@ def find_special_form(bounds: SearchBounds, *,
         if (cell_set.judge.period_redundant(a)
                 or Verdict.FAILS in cell_set.vector(a)):
             continue
-        form, kernel = cell_set.report(a)
-        out.append(SpecialFormReport(
-            form, {k: kernel.uniform(k) for k in KIND_COLUMNS},
-            kernel.partition))
+        out.append(SpecialFormReport(cell_set.form(a), cell_set.statuses(a),
+                                     cell_set.geometry.partition))
         if limit is not None and len(out) >= limit:
             break
     return out

@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import pytest
 
 from shogi_frieze import control, search
@@ -15,10 +18,12 @@ from shogi_frieze.pattern import Form, PatternError
 from shogi_frieze.pieces import (chess_knight_moveset, reverse_chariot_moveset,
                                  sideways_silver_moveset)
 from shogi_frieze.search import (EXPECTED_TABLE, KIND_COLUMNS, ROW_ORDER,
-                                 _assignment_indices, _cell_sets, _CellSet,
+                                 _assignment_indices, _cell_key, _cell_pool,
+                                 _cell_sets, _CellSet, _first_translate,
                                  _FormJudge, _enumerate_forms, _form,
-                                 _period_candidates, _scan, orbit_key,
-                                 staircase_target)
+                                 _has_roles, _period_candidates, _scan,
+                                 orbit_key, staircase_target)
+from shogi_frieze.symmetry import GROUP_ROLES, role_linear_part
 from conftest import DOWN, UP, piece
 
 
@@ -195,6 +200,68 @@ def test_group_driven_search_matches_filter_all(bounds):
     assert len(vertical) >= 4, vertical
 
 
+@pytest.mark.parametrize("bounds", [
+    SearchBounds(3, (3, 3), 3),
+    SearchBounds(2, (2, 2), 2, allow_decorations=True),
+    SearchBounds(2, (2, 3), 4),
+    SearchBounds(3, (2, 2), 5),
+], ids=["p1", "decorated", "tall", "diagonal"])
+def test_position_and_group_filters_skip_only_repeats(bounds):
+    # Every combination of pool cells on every translation, for every
+    # group.  The group filter (a translation its roles cannot fix, or
+    # ``_has_roles``) may skip a combination only when none of its forms
+    # with their own period has the group.  Among the combinations it
+    # keeps, one that fails the position test must have the classes, up
+    # to translation, of an earlier one that passes it.
+    skipped = dict.fromkeys(("translation", "roles", "position"), 0)
+    for t in _period_candidates(bounds):
+        combos = []
+        for n in range(1, bounds.max_motif_pieces + 1):
+            for combo in itertools.combinations(_cell_pool(bounds, t), n):
+                cells = [reduce_cell(c, t) for c in combo]
+                if len(set(cells)) == n:
+                    combos.append((combo, cells))
+        assert [cells for _, cells in combos] == list(_cell_sets(bounds, t))
+        judges = {}
+        for group, roles in GROUP_ROLES.items():
+            required = [(r, role_linear_part(r, t)) for r in roles]
+            fixable = all(S is not None for _, S in required)
+            first_keys = set()
+            for combo, cells in combos:
+                if fixable and _has_roles(t, cells, required):
+                    key = _cell_key(t, cells, False)
+                    if _first_translate(combo):
+                        first_keys.add(key)
+                    else:
+                        assert key in first_keys, (t, combo)
+                        skipped["position"] += 1
+                    continue
+                skipped["roles" if fixable else "translation"] += 1
+                judge = judges.get(tuple(cells))
+                if judge is None:
+                    judge = judges[tuple(cells)] = _FormJudge(
+                        bounds, t, cells, True)
+                for a in _assignment_indices(bounds, len(cells)):
+                    assert (judge.period_redundant(a)
+                            or judge.group(a) is not group), (group, t, a)
+    assert all(skipped.values()), skipped
+
+
+def test_period_candidates_are_generated_lazily():
+    # ring by ring, in the order of the sorted list they replace
+    for mp in range(1, 13):
+        full = [(a, b) for a in range(mp + 1) for b in range(-mp, mp + 1)
+                if (a, b) != (0, 0) and canonical_sign((a, b)) == (a, b)]
+        full.sort(key=lambda t: (max(abs(t[0]), abs(t[1])), t))
+        assert list(_period_candidates(SearchBounds(1, (1, 1), mp))) == full
+    # a search that stops at its first report never builds the far rings
+    start = time.perf_counter()
+    reports = find_crystal(FriezeGroup.P2MM, staircase_target(0),
+                           SearchBounds(2, (2, 2), 10**6), limit=1)
+    assert time.perf_counter() - start < 1.0
+    assert [r.pattern.t for r in reports] == [(1, 0)]
+
+
 def test_p11g_finds_crystals_on_vertical_translations():
     # the king-only p11g row on a tall box: both crystals have t = (0, 4),
     # which a search of horizontal translations only never reached
@@ -208,26 +275,43 @@ def test_p11g_finds_crystals_on_vertical_translations():
 def test_p1_scan_builds_one_geometry_per_cell_set(monkeypatch):
     # The forms of one cell set that pass the period and group filters
     # share its period and cells, so the P1 benchmark scan computes one
-    # partition per such cell set and judges each form on that cell set's
-    # masks.  It builds a verdict kernel only for a report, on the same
-    # geometry, and reports what kernels built each on its own geometry do.
-    partitions, kernels, judged = [], [], []
-    partition, kernel = control._partition, search.VerdictKernel
-    vector = _CellSet.vector
-    monkeypatch.setattr(control, "_partition", lambda t, cells:
-                        partitions.append(cells) or partition(t, cells))
-    monkeypatch.setattr(search, "VerdictKernel",
-                        lambda *args: kernels.append(args) or kernel(*args))
-    monkeypatch.setattr(_CellSet, "vector",
-                        lambda self, a: judged.append(a) or vector(self, a))
-    target = dict.fromkeys(KIND_COLUMNS, False)
-    bounds = SearchBounds(3, (3, 3), 3)
-    reports = find_crystal(FriezeGroup.P1, target, bounds)
-    assert (len(partitions), len(judged), len(kernels), len(reports)) \
-        == (339, 2_166, 182, 182)
-    monkeypatch.setattr(search, "VerdictKernel",
-                        lambda pattern, geometry: kernel(pattern))
-    assert find_crystal(FriezeGroup.P1, target, bounds) == reports
+    # partition per such cell set, judges each form on that cell set's
+    # masks and reads a report's statuses off the same masks: it builds no
+    # verdict kernel.  The P11G scan's position and group filters leave 81
+    # cell sets to key and 36 to judge.  The reports are what a fresh
+    # kernel on each report's pattern gives.
+    counts = dict.fromkeys(("partition", "vector", "kernel", "cell_key",
+                            "judge"), 0)
+
+    def counted(owner, name, key):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            counts[key] += 1
+            return original(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+    counted(control, "_partition", "partition")
+    counted(_CellSet, "vector", "vector")
+    counted(VerdictKernel, "__init__", "kernel")
+    counted(search, "_cell_key", "cell_key")
+    counted(search, "_FormJudge", "judge")
+    scans = {
+        FriezeGroup.P1: (dict.fromkeys(KIND_COLUMNS, False),
+                         SearchBounds(3, (3, 3), 3),
+                         dict(partition=339, vector=2_166, kernel=0),
+                         182),
+        FriezeGroup.P11G: ({k: k is KING for k in KIND_COLUMNS},
+                           SearchBounds(4, (4, 3), 4),
+                           dict(cell_key=81, judge=36), 15),
+    }
+    for group, (target, bounds, expected, n) in scans.items():
+        counts.update(dict.fromkeys(counts, 0))
+        reports = find_crystal(group, target, bounds)
+        assert len(reports) == n, group
+        assert {k: counts[k] for k in expected} == expected, (group, counts)
+        for r in reports:
+            kernel = VerdictKernel(r.pattern)
+            assert r.details == {k: kernel.uniform(k) for k in target}, r.form
 
 
 def test_determinism():
@@ -378,9 +462,9 @@ def _ally_to_enemy(before, after, kinds):
 def test_kernel_matches_ncc_status_on_every_form(bounds):
     # Every form of the space, judged as the searches judge it: on its cell
     # set (``_CellSet``), each kind column's verdict from the cell set's
-    # masks and every field of the status that a report's kernel gives on
-    # the cell set's geometry; a form whose period is redundant by
-    # ncc_vector on its canonical pattern.  Each is compared with the
+    # masks and every field of the status a report reads off those masks;
+    # a form whose period is redundant by ncc_vector on its canonical
+    # pattern.  Each is compared with the
     # verdict read off that kind's own pattern: its control set
     # (control_of_pattern, no masks or memo) and partition, which must
     # equal ncc_status (a fresh kernel), and on every 16th reference the
@@ -408,9 +492,7 @@ def test_kernel_matches_ncc_status_on_every_form(bounds):
                     verdicts = [st.verdict for st in statuses]
                 else:
                     verdicts = cell_set.vector(a)
-                    _, kernel = cell_set.report(a)
-                    assert kernel.geometry is cell_set.geometry
-                    statuses = [kernel.uniform(k) for k in kinds]
+                    statuses = list(cell_set.statuses(a).values())
                     if previous is not None:
                         shared += 1
                         for ride, n in _ally_to_enemy(previous, pattern,
