@@ -13,7 +13,7 @@ from .control import (FreeLine, NccStatus, PeriodicCellSet, RegionClass,
                       ncc_status, partition_neighborhood)
 from .symmetry import (FriezeGroup, Isometry, IsometryKind, SymmetryFlags,
                        apply, classify_frieze, detect_symmetries,
-                       generate_from_recipe, group_of, is_symmetry)
+                       generate_from_recipe, group_of)
 from .search import (EXPECTED_TABLE, KIND_COLUMNS, ROW_ORDER, CrystalReport,
                      DualityExhibits, SearchBounds, SpecialFormReport,
                      find_crystal, find_duality, find_special_form,

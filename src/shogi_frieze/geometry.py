@@ -7,9 +7,14 @@ implement that reduction and the two linear coordinates used throughout:
 
 * ``dot(c, t) = c . t``        position along the translation axis,
 * ``cross(c, t) = x*ty - y*tx`` position across it (invariant under +t).
+
+``self_maps`` finds the maps c -> S c + o that send a set of classes onto
+itself: periods, symmetries and the search's verdicts are read off it.
 """
 
 from __future__ import annotations
+
+from typing import Iterator, Sequence
 
 Vec = tuple[int, int]
 
@@ -64,3 +69,30 @@ def canonical_sign(t: Vec) -> Vec:
     if t[0] < 0 or (t[0] == 0 and t[1] < 0):
         return neg(t)
     return t
+
+
+def self_maps(t: Vec, cells: Sequence[Vec],
+              S: Vec) -> Iterator[tuple[Vec, tuple[int, ...]]]:
+    """Each map c -> S c + o, S = diag(+-1, +-1), that sends the classes
+    ``cells`` (distinct and reduced mod t) onto themselves, as ``(o,
+    perm)``: class i goes to class perm[i].  None unless S t = +-t, as only
+    then does S act on classes.  o = c_j - S c_0 modulo t for some j: one
+    candidate per j, so the cost does not depend on |t|."""
+    (sx, sy), (tx, ty) = S, t
+    if (sx * tx, sy * ty) not in (t, (-tx, -ty)):
+        return
+    index = {c: i for i, c in enumerate(cells)}
+    tt = tx * tx + ty * ty
+    x0, y0 = cells[0]
+    for xj, yj in cells:
+        ox, oy = xj - sx * x0, yj - sy * y0
+        perm = []
+        for x, y in cells:  # reduce_cell, written out
+            u, v = sx * x + ox, sy * y + oy
+            n = (u * tx + v * ty) // tt
+            k = index.get((u - n * tx, v - n * ty))
+            if k is None:
+                break
+            perm.append(k)
+        else:
+            yield (ox, oy), tuple(perm)

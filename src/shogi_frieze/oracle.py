@@ -1,18 +1,21 @@
 """Brute-force reference engine on a finite board.
 
 Replicates a periodic pattern a fixed odd number of times, then recomputes
-neighborhood, control, partition and verdict by walking cells directly.
-Deliberately shares no ray/flood code with the periodic engine; it exists
+neighborhood, control, partition and verdict by walking cells directly,
+and finds symmetries by trying every offset in a window.  Deliberately
+shares no ray/flood or self-map code with the periodic engine; it exists
 to differentially test it.  Results are read through a central window
 holding exactly one representative per translation class.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .control import NccStatus, RegionClass, _verdict_from_parts
+from .geometry import Vec
 from .pattern import PatternError, PeriodicPattern, PlacedPiece
 from .pieces import Moveset, Orientation, PieceKind
 
@@ -179,3 +182,37 @@ def brute_ncc(b: FiniteBoard,
     partition = {c: r for c, r in brute_partition(b).items() if c in window}
     control = brute_control(b, overrides)
     return _verdict_from_parts(partition, frozenset(nbhd - control))
+
+
+def brute_symmetries(b: FiniteBoard) -> dict[tuple[Vec, Vec], str]:
+    """Every map c -> S c + o, S = diag(+-1, +-1) and o in a window, that
+    sends each piece of the board's middle third (along t) onto a piece of
+    the same kind, turned over when S flips y, its decoration mapped by S;
+    with its role: t a translation, r a rotation (S = -1), v a mirror
+    across t (S t = -t), else h or g by whether o's projection on t is a
+    multiple of t.t.  ``b`` replicates a canonical pattern at least
+    ``sufficient_copies`` times: the middle third then holds every class and
+    is too long for an S with S t != +-t, and the window holds an offset of
+    each symmetry modulo t that keeps the middle third on the board."""
+    tx, ty = b.t
+    tt = tx * tx + ty * ty
+    attrs = {c: piece.attrs() for c, piece in b.occupancy.items()}
+    along = {(x, y): x * tx + y * ty for x, y in attrs}
+    lo, hi = min(along.values()), max(along.values())
+    third = (hi - lo) // 3
+    middle = [(x, y, *attrs[x, y]) for (x, y), a in along.items()
+              if lo + third <= a <= hi - third]
+    r = 2 * max(max(abs(x), abs(y))
+                for (x, y), a in along.items() if 0 <= a < tt)
+    out: dict[tuple[Vec, Vec], str] = {}
+    for S in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
+        role = ("t" if S == (1, 1) else "r" if S == (-1, -1)
+                else "v" if (S[0] * tx, S[1] * ty) == (-tx, -ty) else None)
+        images = [(S[0] * x, S[1] * y, (k, u.flipped if S[1] < 0 else u,
+                   None if d is None else (S[0] * d[0], S[1] * d[1])))
+                  for x, y, k, u, d in middle]
+        for o in itertools.product(range(-r, r + 1), repeat=2):
+            if all(attrs.get((x + o[0], y + o[1])) == a for x, y, a in images):
+                out[S, o] = role or ("h" if (o[0] * tx + o[1] * ty) % tt == 0
+                                     else "g")
+    return out

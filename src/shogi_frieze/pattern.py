@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
-from .geometry import (Vec, canonical_sign, cross, dot, is_unit, neg,
-                       reduce_cell, sub)
+from .geometry import (Vec, canonical_sign, dot, is_unit, neg, reduce_cell,
+                       self_maps)
 from .pieces import KIND_LETTERS, Orientation, PieceKind, moveset
 
 
@@ -73,50 +73,21 @@ def make_pattern(pieces: Iterable[PlacedPiece], t: Vec) -> PeriodicPattern:
 def _minimal_period(by_class: dict[Vec, PlacedPiece], t: Vec) -> Vec:
     """The shortest period of the reduced motif ``by_class``.
 
-    Periods are multiples of u = t / gcd(t).  A period s*u (0 < s < gcd)
-    maps the first piece onto a piece with the same attributes on the
-    first piece's own line, so each such piece names one candidate s; the
-    least candidate that holds is the minimal period, since every period
-    is a multiple of it.  The cost is quadratic in the motif and
-    independent of |t|.
+    Periods are the translation self-maps of its classes (``self_maps``)
+    that keep every piece's attributes: multiples s*u of u = t / gcd(t),
+    the least s > 0 the minimal period.  Such a period permutes the pieces
+    with the first one's attributes in cycles of gcd(t) / s, so there is
+    none when their count is prime to gcd(t).
     """
     g = math.gcd(abs(t[0]), abs(t[1]))
-    if g == 1:
+    attrs = [p.attrs() for p in by_class.values()]
+    if math.gcd(g, attrs.count(attrs[0])) == 1:
         return t
-    u = (t[0] // g, t[1] // g)
-    first_cell, first = next(iter(by_class.items()))
-    shifts = set()
-    for cell, piece in by_class.items():
-        delta = sub(cell, first_cell)
-        if (cell != first_cell and cross(delta, t) == 0
-                and piece.attrs() == first.attrs()):
-            s = dot(delta, u) // dot(u, u) % g
-            if g % s == 0:
-                shifts.add(s)
-    for s in sorted(shifts):
-        v = (u[0] * s, u[1] * s)
-        if maps_onto(by_class, (1, 1), v, t):
-            return v
-    return t
-
-
-def maps_onto(by_class: dict[Vec, PlacedPiece], S: Vec, o: Vec,
-              t: Vec) -> bool:
-    """Does c -> S c + o map every piece of the reduced motif ``by_class``
-    (modulo t) onto a piece of the same kind, turned over when S flips y,
-    with its decoration mapped by S?"""
-    flips = S[1] < 0
-    for (x, y), piece in by_class.items():
-        hit = by_class.get(reduce_cell((S[0] * x + o[0], S[1] * y + o[1]), t))
-        if hit is None or hit.kind != piece.kind:
-            return False
-        if (hit.orientation is piece.orientation) == flips:
-            return False
-        deco = piece.decoration
-        if hit.decoration != (None if deco is None
-                              else (S[0] * deco[0], S[1] * deco[1])):
-            return False
-    return True
+    shifts = {dot(o, t) * g // dot(t, t) % g
+              for o, perm in self_maps(t, list(by_class), (1, 1))
+              if all(attrs[k] == a for a, k in zip(attrs, perm))}
+    s = min(shifts - {0}, default=g)
+    return (t[0] // g * s, t[1] // g * s)
 
 
 def canonicalize(p: PeriodicPattern) -> PeriodicPattern:

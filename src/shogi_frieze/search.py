@@ -13,26 +13,29 @@ groups (``symmetry.role_linear_part``).  The group also filters cell
 combinations (``_has_roles``): a pattern with the group has a symmetry of
 each of its roles (``symmetry.GROUP_ROLES``), which sends its classes mod t
 onto themselves, so a combination with no self-map of that role, named as
-``detect_symmetries`` names it, is skipped with all its assignments.
+``detect_symmetries`` names it (``symmetry._role``), is skipped with all
+its assignments.
 
 Pruning works on orbits under translations and, when every searched kind
 has a left-right symmetric moveset, the vertical mirror: a combination
 with no pool cell at x = 0 or none at y = 0 (``_first_translate``), or
 whose classes mod t are such an image of an earlier combination's
-(``_cell_key``), is skipped with all its assignments.  The rest are judged by their self-maps, the maps c -> S c + o that send their
-classes mod t onto themselves, listed once per combination
-(``_FormJudge``).  An assignment is kept when no translation or mirror
-self-map sends it to an earlier one, so the scan yields the first form of
-each orbit in enumeration order, as the unpruned scan filtered by orbit
-does.  The same self-maps give the period and the group: a form's period is
-redundant when a translation self-map other than the identity fixes it,
-and its group is that of the self-maps that fix it.  The forms that pass
-are judged per kind on their cell set's bit masks (``_CellSet``), and a
-report's statuses are read off the same masks.  Translations and the
-mirror carry a cell combination that passes the group filter to one that
-passes it, so the filter keeps this order: ``find_crystal`` reports what
-filtering every form of the space by orbit, period, group and verdicts
-reports, in the same order (both differentially tested).
+(``_cell_key``), is skipped with all its assignments.  The rest are
+judged by their self-maps, the maps c -> S c + o that send their classes
+mod t onto themselves (``geometry.self_maps``), listed once per
+combination (``_FormJudge``).  An assignment is kept when no translation
+or mirror self-map sends it to an earlier one, so the scan yields the
+first form of each orbit in enumeration order, as the unpruned scan
+filtered by orbit does.  The same self-maps give the period and the group:
+a form's period is redundant when a translation self-map other than the
+identity fixes it, and its group is that of the self-maps that fix it.
+The forms that pass are judged per kind on their cell set's bit masks
+(``_CellSet``), and a report's statuses are read off the same masks.
+Translations and the mirror carry a cell combination that passes the group
+filter to one that passes it, so the filter keeps this order:
+``find_crystal`` reports what filtering every form of the space by orbit,
+period, group and verdicts reports, in the same order (both
+differentially tested).
 """
 
 from __future__ import annotations
@@ -43,13 +46,12 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .control import (KernelGeometry, NccStatus, RegionClass, Verdict,
                       VerdictKernel, _verdict_from_parts, ncc_status)
-from .geometry import UNIT_DIRS, Vec, canonical_sign, reduce_cell
+from .geometry import UNIT_DIRS, Vec, canonical_sign, reduce_cell, self_maps
 from .pattern import Form, PatternError, PeriodicPattern, form_of
 from .pieces import (BISHOP, GOLD, KING, KNIGHT, LANCE, PAWN, ROOK, SILVER,
                      Moveset, Orientation, PieceKind)
-from .symmetry import (_LINEAR_PARTS, GROUP_ROLES, FriezeGroup, Isometry,
-                       SymmetryFlags, _flag, _listed_offsets, classify_frieze,
-                       group_of, role_linear_part)
+from .symmetry import (_LINEAR_PARTS, GROUP_ROLES, FriezeGroup, SymmetryFlags,
+                       _role, classify_frieze, group_of, role_linear_part)
 
 KIND_COLUMNS: tuple[PieceKind, ...] = (
     KNIGHT, PAWN, LANCE, BISHOP, SILVER, GOLD, ROOK, KING,
@@ -235,45 +237,13 @@ _TRANSLATION: Vec = (1, 1)
 _X_MIRROR: Vec = (-1, 1)
 
 
-def _self_maps(t: Vec, cells: list[Vec],
-               S: Vec) -> Iterator[tuple[Vec, tuple[int, ...]]]:
-    """Each map c -> S c + o that sends the classes ``cells`` (distinct
-    and reduced mod t, with S t = +-t) onto themselves, as ``(o, perm)``:
-    class i goes to class perm[i].  The map sends the first class to some
-    class j, so o = c_j - S c_0 modulo t, one candidate per j, as
-    ``detect_symmetries`` takes its candidates."""
-    index = {c: i for i, c in enumerate(cells)}
-    (sx, sy), (tx, ty) = S, t
-    tt = tx * tx + ty * ty
-    x0, y0 = cells[0]
-    for xj, yj in cells:
-        ox, oy = xj - sx * x0, yj - sy * y0
-        perm = []
-        for x, y in cells:  # reduce_cell, written out
-            u, v = sx * x + ox, sy * y + oy
-            n = (u * tx + v * ty) // tt
-            k = index.get((u - n * tx, v - n * ty))
-            if k is None:
-                break
-            perm.append(k)
-        else:
-            yield (ox, oy), tuple(perm)
-
-
-def _role(S: Vec, o: Vec, t: Vec) -> Optional[str]:
-    """The role ``detect_symmetries`` gives the self-map c -> S c + o (S not
-    1), or None when it lists no offset of it: no frieze with period t has
-    it as a symmetry."""
-    listed = _listed_offsets(S, o, t)
-    return _flag(Isometry(S, listed[0]), t) if listed else None
-
-
 def _has_roles(t: Vec, cells: list[Vec],
                required: Sequence[tuple[str, Vec]]) -> bool:
     """The group filter: whether, for each ``(role, S)`` of ``required``,
     some self-map with the linear part S has that role, as a symmetry of
     that role of any pattern on the cells is."""
-    return all(any(_role(S, o, t) == role for o, _ in _self_maps(t, cells, S))
+    return all(any(_role(S, o, t)[0] == role
+                   for o, _ in self_maps(t, cells, S))
                for role, S in required)
 
 
@@ -290,8 +260,8 @@ def _image(action, a: tuple[int, ...]) -> tuple[int, ...]:
 
 class _FormJudge:
     """The orbit, period and group verdicts on the forms of one cell set,
-    read off its self-maps (``_self_maps``) with every S that can map a
-    frieze with period t onto itself (S t = +-t).  A self-map acts
+    read off its self-maps (``geometry.self_maps``) with every
+    S = diag(+-1, +-1).  A self-map acts
     on an assignment (``_assignment_indices``) a: it sends a to the b with
     b[perm[i]] the image of a[i], the orientation turned over when S flips
     y and the decoration mapped by S (-1 for an orientation the bounds
@@ -307,7 +277,7 @@ class _FormJudge:
       redundant iff a translation self-map other than the identity fixes
       it.
     * Group: on its own period, the pattern's symmetries are the self-maps
-      that fix a, with their roles (``_role``).
+      that fix a, with their roles (``symmetry._role``).
     """
 
     def __init__(self, bounds: SearchBounds, t: Vec, cells: list[Vec],
@@ -318,15 +288,13 @@ class _FormJudge:
         self.translations: list = []
         self.roles: list[tuple[str, list]] = []
         for S in (_TRANSLATION,) + _LINEAR_PARTS:
-            if (S[0] * t[0], S[1] * t[1]) not in (t, (-t[0], -t[1])):
-                continue
             turn = (lambda o: o.flipped) if S[1] < 0 else (lambda o: o)
             otable = [orients.index(turn(o)) if turn(o) in orients else -1
                       for o in orients]
             dtable = [decors.index(None if d is None
                                    else (S[0] * d[0], S[1] * d[1]))
                       for d in decors]
-            for o, perm in _self_maps(t, cells, S):
+            for o, perm in self_maps(t, cells, S):
                 source = [0] * n
                 for i, k in enumerate(perm):
                     source[k] = i
@@ -339,8 +307,8 @@ class _FormJudge:
                     continue
                 if S == _X_MIRROR and use_mirror:
                     self.orbit.append(action)
-                role = _role(S, o, t)
-                if role is not None:
+                role, _ = _role(S, o, t)
+                if role:
                     self.roles.append((role, action))
 
     def first_of_orbit(self, a: tuple[int, ...]) -> bool:

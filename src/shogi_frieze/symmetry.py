@@ -23,9 +23,9 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .geometry import (Vec, add, canonical_sign, dot, neg, reduce_cell, scale,
-                       sub)
+                       self_maps)
 from .pattern import (PatternError, PeriodicPattern, PlacedPiece,
-                      canonicalize, make_pattern, maps_onto)
+                      canonicalize, make_pattern)
 
 
 class IsometryKind(enum.Enum):
@@ -161,11 +161,6 @@ def apply(sigma: Isometry, p: PeriodicPattern) -> PeriodicPattern:
     return make_pattern(map(sigma.image, p.pieces), sigma.map_direction(p.t))
 
 
-def is_symmetry(p: PeriodicPattern, sigma: Isometry) -> bool:
-    p = canonicalize(p)
-    return apply(sigma, p) == p
-
-
 @dataclass(frozen=True)
 class SymmetryFlags:
     """Which symmetry types the pattern has, named by their role relative
@@ -214,62 +209,57 @@ _WITNESS_ORDER = {IsometryKind.REFLECT_H: 0, IsometryKind.REFLECT_V: 1,
                   IsometryKind.ROTATE180: 4}
 
 
-def _listed_offsets(S: Vec, o: Vec, t: Vec) -> list[Vec]:
-    """The offsets o + k*t (k integer) of c -> S c + o that ``classify``
-    lists: rotations and mirrors across t once per period of their
-    parameter (projection of o on t in [0, 2 t.t), they repeat every t/2),
-    the mirror along t with zero projection and the glide along t with
-    half a period of shift.  S t = -t for the first two, S t = t for the
-    others."""
+def _role(S: Vec, o: Vec, t: Vec) -> tuple[Optional[str], list[Vec]]:
+    """The role relative to t of the self-map c -> S c + o (S not 1,
+    S t = +-t) and the offsets o + k*t that ``classify`` lists for it, or
+    (None, []) when no frieze with period t has it as a symmetry.  S t = -t:
+    a rotation (r) or a mirror across t (v), listed with o's projection on
+    t in [0, 2 t.t), as they repeat every t/2.  S t = t: it squares to a
+    translation by twice that projection, a multiple of t, so the mirror
+    along t (h) has none and the glide (g) half a period of shift."""
     tt = dot(t, t)
     along = dot(o, t)
     if (S[0] * t[0], S[1] * t[1]) != t:
         k = -(along // tt)
-        return [add(o, scale(t, k)), add(o, scale(t, k + 1))]
+        return ("r" if S == (-1, -1) else "v",
+                [add(o, scale(t, k)), add(o, scale(t, k + 1))])
     if along % tt == 0:
-        return [add(o, scale(t, -along // tt))]
+        return "h", [add(o, scale(t, -along // tt))]
     if 2 * along % tt == 0:
-        return [add(o, scale(t, (tt // 2 - along) // tt))]
-    return []
+        return "g", [add(o, scale(t, (tt // 2 - along) // tt))]
+    return None, []
 
 
-def _flag(sigma: Isometry, t: Vec) -> str:
-    """The role of a symmetry relative to t.  Squared, a symmetry is a
-    translation by a multiple of t, so a mirror across t shifts nothing
-    along its axis, and a shift along t makes a glide."""
-    if sigma.linear == (-1, -1):
-        return "r"
-    if sigma.shift != (0, 0):
-        return "g"
-    return "h" if sigma.map_direction(t) == t else "v"
+def _carries(S: Vec, piece: PlacedPiece, hit: PlacedPiece) -> bool:
+    """Does a map with the linear part S carry ``piece`` onto ``hit``: the
+    same kind, turned over when S flips y, its decoration mapped by S?"""
+    deco = piece.decoration
+    return (hit.kind == piece.kind
+            and (hit.orientation is piece.orientation) != (S[1] < 0)
+            and hit.decoration == (None if deco is None
+                                   else (S[0] * deco[0], S[1] * deco[1])))
 
 
 def detect_symmetries(p: PeriodicPattern) -> SymmetryFlags:
     """Presence of a mirror along t, a mirror across t, a glide along t and
     a 180-degree rotation, with concrete witnesses.
 
-    A symmetry c -> S c + o keeps pieces upright only if S = diag(+-1, +-1),
-    and maps the frieze onto itself only if S t = +-t.  It maps the first
-    piece onto some piece j, so o = c_j - S c_0 modulo t: each piece names
-    at most two listed candidates per S, each tested with one class-map
-    lookup per piece.  The cost depends on the motif only, not on |t|.
+    A symmetry c -> S c + o keeps pieces upright only if S = diag(+-1, +-1).
+    It is a self-map of the pattern's classes (``self_maps``) that carries
+    each piece onto its image (``_carries``), and is named and listed by
+    ``_role``.  The cost depends on the motif only, not on |t|.
     """
     p = canonicalize(p)
-    t = p.t
-    by_class = p.class_map()
-    first = p.pieces[0].cell
+    t, pieces, cells = p.t, p.pieces, p.cells()
     witnesses: list[Isometry] = []
     found: set[str] = set()
     for S in _LINEAR_PARTS:
-        if (S[0] * t[0], S[1] * t[1]) not in (t, neg(t)):
-            continue
-        image = (S[0] * first[0], S[1] * first[1])
-        for piece in p.pieces:
-            for o in _listed_offsets(S, sub(piece.cell, image), t):
-                if maps_onto(by_class, S, o, t):
-                    witness = Isometry(S, o)
-                    witnesses.append(witness)
-                    found.add(_flag(witness, t))
+        for o, perm in self_maps(t, cells, S):
+            role, listed = _role(S, o, t)
+            if role and all(_carries(S, x, pieces[k])
+                            for x, k in zip(pieces, perm)):
+                found.add(role)
+                witnesses += [Isometry(S, w) for w in listed]
     witnesses.sort(key=lambda w: (_WITNESS_ORDER[w.kind], w.axis_x,
                                   w.axis_y, w.center, w.shift))
     return SymmetryFlags("h" in found, "v" in found, "g" in found,

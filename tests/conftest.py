@@ -6,7 +6,7 @@ import pytest
 
 from shogi_frieze import (KING, STANDARD_KINDS, Orientation, PeriodicPattern,
                           PieceKind, PlacedPiece, dual, make_pattern, parse)
-from shogi_frieze.geometry import reduce_cell
+from shogi_frieze.geometry import UNIT_DIRS, reduce_cell
 from shogi_frieze.search import ROW_ORDER
 
 UP, DOWN = Orientation.UP, Orientation.DOWN
@@ -29,7 +29,9 @@ def piece(cell, orientation=UP, kind=KING, decoration=None):
 
 
 def random_pattern(rng: random.Random, *, max_pieces=6, span=4, tmax=5,
-                   kinds=STANDARD_KINDS, orientations=(UP, DOWN)):
+                   kinds=STANDARD_KINDS, orientations=(UP, DOWN), decor=0.0):
+    """A random canonical pattern; each piece carries a random decoration
+    with probability ``decor`` (with 0, no draw is spent on it)."""
     while True:
         t = (rng.randint(-tmax, tmax), rng.randint(-tmax, tmax))
         if t != (0, 0):
@@ -40,6 +42,9 @@ def random_pattern(rng: random.Random, *, max_pieces=6, span=4, tmax=5,
         c = reduce_cell((rng.randint(-span, span), rng.randint(-span, span)), t)
         by_class[c] = PlacedPiece(c, rng.choice(kinds),
                                   rng.choice(orientations))
+        if decor and rng.random() < decor:
+            by_class[c] = replace(by_class[c],
+                                  decoration=rng.choice(UNIT_DIRS))
     return make_pattern(by_class.values(), t)
 
 

@@ -17,7 +17,7 @@ from shogi_frieze import (BISHOP, KING, LANCE, ROOK, STANDARD_KINDS,
                           FriezeGroup, Isometry, IsometryKind, PatternError,
                           PlacedPiece, canonicalize, classify_frieze,
                           control_of_pattern, detect_symmetries, dual,
-                          generate_from_recipe, is_symmetry, make_pattern,
+                          generate_from_recipe, make_pattern,
                           partition_neighborhood, ncc_status, oracle)
 from shogi_frieze import control
 from shogi_frieze.control import (Segment, _free_length, _move_control,
@@ -166,7 +166,7 @@ def test_minimal_period_from_piece_pairs_at_long_period():
 def _scan_witnesses(p):
     """Every isometry c -> S c + o that `classify` lists, found by scanning
     the offsets o two periods along t on the line that keeps the occupied
-    band in place, each tested with `is_symmetry`."""
+    band in place, each tested by mapping the whole pattern with `apply`."""
     t = p.t
     tt = dot(t, t)
     qs = [cross(c, t) for c in p.cells()]
@@ -187,7 +187,7 @@ def _scan_witnesses(p):
                 continue
             o = (o0, o1)
             iso = _as_isometry(S, o, along, tt, St == t)
-            if iso is not None and is_symmetry(p, iso):
+            if iso is not None and apply(iso, p) == p:
                 out.append(iso)
     order = [IsometryKind.REFLECT_H, IsometryKind.REFLECT_V,
              IsometryKind.GLIDE_H, IsometryKind.GLIDE_V,
@@ -407,5 +407,5 @@ def test_vertical_translations_get_mirrors_and_glides():
     assert classify_frieze(glide) is FriezeGroup.P11G
     assert detect_symmetries(glide).witnesses == (
         Isometry.glide_v(0.5, (0, 1)),)
-    assert is_symmetry(glide, Isometry.glide_v(0.5, (0, 1)))
+    assert apply(Isometry.glide_v(0.5, (0, 1)), glide) == glide
     assert canonicalize(glide) == glide

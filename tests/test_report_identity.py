@@ -1,19 +1,27 @@
-"""The searches' reports, pinned by the sha256 of their ``repr``.
+"""The searches' reports and the classifier's answers, pinned by the
+sha256 of their ``repr``.
 
-The constants are the reports of the search that judged every form on its
-own verdict kernel: every report, its pattern, its per-kind statuses
+The search constants are the reports of the search that judged every form
+on its own verdict kernel: every report, its pattern, its per-kind statuses
 (witness and uncontrolled classes included) and their order must stay as
-that search gave them.  CI runs this file under two hash seeds, because
-nothing in a report may depend on one.
+that search gave them.  The classify constants are the witnesses and the
+canonical patterns of a seeded sample, as the classifier gave them when
+periods and symmetries were tested piece by piece.  CI runs this file under
+two hash seeds, because nothing in a report may depend on one.
 """
 
 import hashlib
+import random
 
 import pytest
 
-from shogi_frieze import (KIND_COLUMNS, KING, ROW_ORDER, FriezeGroup,
-                          SearchBounds, find_crystal, find_duality,
-                          find_special_form, staircase_target)
+from shogi_frieze import (KIND_COLUMNS, KING, PAWN, ROW_ORDER, STANDARD_KINDS,
+                          FriezeGroup, Orientation, PatternError,
+                          PeriodicPattern, PlacedPiece, SearchBounds,
+                          canonicalize, detect_symmetries, find_crystal,
+                          find_duality, find_special_form,
+                          generate_from_recipe, staircase_target)
+from shogi_frieze.geometry import UNIT_DIRS, reduce_cell
 
 SMALL = {
     "plain": SearchBounds(2, (2, 2), 2),
@@ -102,3 +110,77 @@ def test_special_form_and_duality_unchanged():
     bounds = SMALL["plain"]
     assert _digest(find_special_form(bounds)) == OTHERS["special"]
     assert _digest(find_duality(bounds)) == OTHERS["duality"]
+
+
+def _classify_sample():
+    """Seeded patterns as drawn, before ``canonicalize``: motifs on
+    horizontal, vertical and diagonal translations, with mixed kinds and
+    decorations, stamped one to three times along t (so that t can be a
+    multiple of their period) or closed under a group's recipe, then the
+    long periods of ``test_minimal_period_from_piece_pairs_at_long_period``.
+    Of 288 draws, the 6 recipes that are refused (a collision, an odd
+    period) are left out."""
+    rng = random.Random(1301)
+    directions = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, -2))
+    kind_sets = ((KING,), (KING, PAWN), STANDARD_KINDS)
+    orientations = (Orientation.UP, Orientation.DOWN)
+    out = []
+    for i in range(288):
+        dx, dy = directions[i % len(directions)]
+        n = rng.randint(1, 3)
+        u = (dx * n, dy * n)
+        kinds = rng.choice(kind_sets)
+        motif = {}
+        for _ in range(rng.randint(1, 4)):
+            c = reduce_cell((rng.randint(-3, 3), rng.randint(-3, 3)), u)
+            deco = rng.choice(UNIT_DIRS) if rng.random() < 0.3 else None
+            motif[c] = (rng.choice(kinds), rng.choice(orientations), deco)
+        if i % 4 == 3:
+            group = (rng.choice(list(FriezeGroup)) if 0 in u
+                     else rng.choice((FriezeGroup.P1, FriezeGroup.P2)))
+            basic = [PlacedPiece(c, *a) for c, a in list(motif.items())[:2]]
+            try:
+                out.append(generate_from_recipe(
+                    basic, group, (2 * u[0], 2 * u[1]),
+                    axis_x=rng.randint(-2, 2) / 2,
+                    axis_y=rng.randint(-2, 2) / 2,
+                    center=(rng.randint(-2, 2) / 2, rng.randint(-2, 2) / 2)))
+            except PatternError:
+                pass
+            continue
+        copies = rng.choice((1, 1, 2, 3))
+        sign = rng.choice((1, -1))
+        t = (sign * u[0] * copies, sign * u[1] * copies)
+        pieces = [PlacedPiece((x + k * u[0], y + k * u[1]), *a)
+                  for (x, y), a in motif.items() for k in range(copies)]
+        out.append(PeriodicPattern(tuple(pieces), t))
+    big = 10 ** 9
+    half, step = big // 2, 10 ** 8
+
+    def king(cell, o=Orientation.UP):
+        return PlacedPiece(cell, KING, o)
+
+    down = Orientation.DOWN
+    for pieces, t in (
+            ([king((0, 0)), king((half, 0)), king((7, 1), down),
+              king((half + 7, 1), down)], (big, 0)),
+            ([king((0, 0)), king((half, 0), down)], (big, 0)),
+            ([king((k * 4, k * 4)) for k in range(3)], (12, 12)),
+            ([king((k * step, 0)) for k in range(6)], (6 * step, 0))):
+        out.append(PeriodicPattern(tuple(pieces), t))
+    return out
+
+
+CLASSIFY = {
+    "detect_symmetries":
+        "f965e79db0c26b07d128a8f5b50bf5cec637fb711dc0bbc27d54b2382e157693",
+    "canonicalize":
+        "6df3549fdf529574bd54013d1b684793aba26a9ed71da0fa5feeeb270f3ed38b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFY))
+def test_classify_sample_unchanged(name):
+    step = {"detect_symmetries": detect_symmetries,
+            "canonicalize": canonicalize}[name]
+    assert _digest([step(p) for p in _classify_sample()]) == CLASSIFY[name]

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from shogi_frieze import (PAWN, FriezeGroup, Isometry, IsometryKind,
-                          SymmetryFlags, apply, classify_frieze,
+from shogi_frieze import (KING, PAWN, STANDARD_KINDS, FriezeGroup, Isometry,
+                          IsometryKind, SymmetryFlags, apply, classify_frieze,
                           detect_symmetries, dual, generate_from_recipe,
-                          group_of, is_symmetry, make_pattern, ncc_status)
+                          group_of, make_pattern, ncc_status, oracle)
+from shogi_frieze.geometry import UNIT_DIRS, reduce_cell
 from shogi_frieze.pattern import PatternError
 from conftest import DOWN, UP, piece, random_pattern, rotated_dual
 
@@ -86,17 +87,17 @@ def test_is_symmetry_translate():
     rng = random.Random(3)
     for _ in range(20):
         p = random_pattern(rng)
-        assert is_symmetry(p, Isometry.translate(p.t))
+        assert apply(Isometry.translate(p.t), p) == p
 
 
 def test_is_symmetry_reflect_h_single_orientation_false():
     p = make_pattern([piece((0, 0))], (2, 0))
-    assert not is_symmetry(p, Isometry.reflect_h(0.0))
+    assert apply(Isometry.reflect_h(0.0), p) != p
 
 
 def test_is_symmetry_reflect_v_lone_piece():
     p = make_pattern([piece((0, 0))], (2, 0))
-    assert is_symmetry(p, Isometry.reflect_v(0.0))
+    assert apply(Isometry.reflect_v(0.0), p) == p
 
 
 def test_detect_one_up_per_period():
@@ -116,34 +117,60 @@ def test_detect_up_down_pair_vertical():
     assert (flags.h, flags.v, flags.g, flags.r) == (True, True, False, True)
 
 
-def test_detect_brute_force_cross_check():
-    # independent check: exhaustively test every candidate isometry in a
-    # small parameter window against three mixed patterns
+def _differential_patterns():
+    """Twelve small random patterns of one seed, then random patterns with
+    horizontal, vertical and diagonal t, mixed kinds and decorations, half
+    of them closed under a group's recipe on a horizontal or vertical
+    period, and some of those with one decoration turned."""
     rng = random.Random(41)
-    for _ in range(12):
-        p = random_pattern(rng, max_pieces=4, span=2, tmax=3)
-        if p.t[1] != 0:
-            continue
-        T = p.t[0]
-        ys = [c[1] for c in p.cells()]
+    yield from (random_pattern(rng, max_pieces=4, span=2, tmax=3)
+                for _ in range(12))
+    rng = random.Random(67)
+    for i in range(300):
+        kinds = rng.choice(((KING,), (KING, PAWN), STANDARD_KINDS))
+        p = random_pattern(rng, max_pieces=4, span=2, tmax=3, kinds=kinds,
+                           decor=0.3)
+        if i % 2:
+            n = 2 * rng.randint(1, 2)
+            try:
+                p = generate_from_recipe(
+                    p.pieces[:2], rng.choice(list(FriezeGroup)),
+                    rng.choice(((n, 0), (0, n))),
+                    axis_x=rng.randint(-2, 2) / 2,
+                    axis_y=rng.randint(-2, 2) / 2,
+                    center=(rng.randint(-2, 2) / 2, rng.randint(-2, 2) / 2))
+            except PatternError:
+                continue
+            if i % 4 == 3:
+                pieces = list(p.pieces)
+                k = rng.randrange(len(pieces))
+                pieces[k] = dataclasses.replace(
+                    pieces[k], decoration=rng.choice(UNIT_DIRS))
+                p = make_pattern(pieces, p.t)
+        yield p
+
+
+def test_detect_symmetries_matches_brute_symmetries():
+    # the oracle tries every offset in a window on a replicated board; it
+    # must find the same roles, the witnesses' maps modulo t and no
+    # translation shorter than t
+    groups = set()
+    for p in _differential_patterns():
         flags = detect_symmetries(p)
-        brute_h = brute_v = brute_g = brute_r = False
-        for ax2 in range(2 * min(ys) - 4, 2 * max(ys) + 5):
-            if is_symmetry(p, Isometry.reflect_h(ax2 / 2)):
-                brute_h = True
-        for ax2 in range(-2 * T, 4 * T):
-            if is_symmetry(p, Isometry.reflect_v(ax2 / 2)):
-                brute_v = True
-        if T % 2 == 0 and not brute_h:
-            for ay2 in range(2 * min(ys) - 4, 2 * max(ys) + 5):
-                if is_symmetry(p, Isometry.glide_h(ay2 / 2, (T // 2, 0))):
-                    brute_g = True
-        for cx2 in range(-2 * T, 4 * T):
-            for cy2 in range(2 * min(ys) - 4, 2 * max(ys) + 5):
-                if is_symmetry(p, Isometry.rotate180((cx2 / 2, cy2 / 2))):
-                    brute_r = True
-        assert (flags.h, flags.v, flags.g, flags.r) == \
-               (brute_h, brute_v, brute_g, brute_r)
+        maps = oracle.brute_symmetries(
+            oracle.replicate(p, oracle.sufficient_copies(p)))
+        roles = set(maps.values())
+        assert (flags.h, flags.v, flags.g, flags.r) \
+            == tuple(r in roles for r in "hvgr"), p
+        assert {(w.linear, reduce_cell(w.offset, p.t))
+                for w in flags.witnesses} \
+            == {(S, reduce_cell(o, p.t))
+                for (S, o), role in maps.items() if role != "t"}, p
+        assert {reduce_cell(o, p.t)
+                for (_, o), role in maps.items() if role == "t"} \
+            == {(0, 0)}, p
+        groups.add(group_of(flags))
+    assert len(groups) == 7
 
 
 def test_classify_examples():
@@ -177,7 +204,7 @@ def test_dual_has_same_symmetries():
         d = dual(p)
         assert classify_frieze(p) is classify_frieze(d)
         for w in detect_symmetries(p).witnesses:
-            assert is_symmetry(d, w)
+            assert apply(w, d) == d
 
 
 def test_classifier_total():
