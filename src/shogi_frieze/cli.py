@@ -107,9 +107,7 @@ def cmd_ncc(args) -> int:
     if args.oracle:
         from . import oracle
         board = oracle.replicate(p, oracle.sufficient_copies(p))
-        other = oracle.brute_ncc(board)
-        agree = (other.verdict == status.verdict
-                 and other.uncontrolled_class == status.uncontrolled_class)
+        agree = oracle.brute_ncc(board) == status
         print(f"oracle={'agree' if agree else 'disagree'}")
         if not agree:
             return 1

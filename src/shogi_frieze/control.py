@@ -27,19 +27,18 @@ mover's way, stands there; each consumer applies that test itself:
   into ``Segment`` and ``FreeLine`` values, with the occupied band
   computed once per pattern, and unions them into a control set for the
   CLI and rendering;
-* the verdict kernel walks them straight into bit masks over the
-  neighborhood, creating no objects; a walk longer than ``_LISTED_MAX``
-  tests each neighborhood class with ``_steps_to`` instead.  Its
-  ``KernelGeometry`` depends only on the cells and the period: it computes
-  the neighborhood and partition once and memoizes what each (piece,
-  move) reaches.  A ``VerdictKernel`` adds the pieces' orientations and
-  judges any assignment of kinds to the pieces as the union of their
-  moves' masks, less each mover's allies, followed by
-  ``_verdict_from_parts``, the one verdict rule (which the oracle shares).
-  ``ncc_status`` is a kernel on a fresh geometry with each piece's own
-  kind.  A search judges the forms of a cell set on one geometry with
-  the same masks and no kernel, and hands a report's uncontrolled masks
-  to ``_verdict_from_parts``.
+* ``KernelGeometry``, the engine's one verdict judge, walks them straight
+  into bit masks over the neighborhood, creating no objects; a walk longer
+  than ``_LISTED_MAX`` tests each neighborhood class with ``_steps_to``
+  instead.  It depends only on the cells and the period: it computes the
+  neighborhood and partition once and memoizes what each (piece, move)
+  reaches.  Given the pieces' orientations and moves, ``uncontrolled``
+  ORs their masks, less each mover's allies, into the mask of what no
+  piece controls; ``verdicts``, the one verdict rule, maps that mask to
+  its verdict, and ``status`` reads the whole status off it.
+  ``ncc_status`` judges the pieces' own kinds on a fresh geometry, and a
+  search judges every form of a cell set on one geometry.  The oracle
+  keeps a rule of its own, on sets.
 """
 
 from __future__ import annotations
@@ -47,18 +46,21 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from operator import countOf
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .geometry import UNIT_DIRS, Vec
 from .pattern import PeriodicPattern
-from .pieces import Moveset, Orientation, PieceKind
+from .pieces import Moveset, Orientation
 
 
 class RegionClass(enum.Enum):
     INSIDE = "inside"
     BASE = "base"
     OUTSIDE = "outside"
+
+
+# Enum members hash in Python; these tuples index them without hashing.
+_REGIONS, _ORIENTATIONS = tuple(RegionClass), tuple(Orientation)
 
 
 class Verdict(enum.Enum):
@@ -350,9 +352,9 @@ def control_of_pattern(p: PeriodicPattern) -> PeriodicCellSet:
 
 
 class KernelGeometry:
-    """The part of a verdict kernel that depends only on the period and
+    """The engine's one verdict judge: what depends only on the period and
     the occupied classes, never on the pieces' orientations or kinds, so
-    one geometry serves every form on the same cells.
+    one geometry judges every pattern on the same cells.
 
     It holds the neighborhood's partition, one bit per neighborhood class,
     and, memoized per (piece, step) and (piece, ride), the mask of the
@@ -361,6 +363,9 @@ class KernelGeometry:
     which it controls only when that piece is an enemy.  A ride is walked
     class by class once, on first use; a walk longer than ``_LISTED_MAX``
     tests each neighborhood class with ``_steps_to`` instead.
+    ``uncontrolled`` turns orientations and moves on the pieces into the
+    mask of what no piece controls, ``verdicts`` judges that mask, and
+    ``status`` spells it out.
     """
 
     def __init__(self, t: Vec, cells: tuple[Vec, ...]) -> None:
@@ -369,10 +374,48 @@ class KernelGeometry:
         self.partition = _partition(t, cells)
         # the partition's classes are the neighborhood's
         self.bits = {c: 1 << i for i, c in enumerate(self.partition)}
+        self.every = (1 << len(self.bits)) - 1
+        # The verdict rule, on uncontrolled masks: 0 is complete, a nonempty
+        # region's mask other than ``every`` nearly complete, any other mask
+        # fails.  Masks are gathered by position in ``_REGIONS``, and an
+        # empty region's 0 is overwritten.
+        masks = [0] * len(_REGIONS)
+        for i, region in enumerate(self.partition.values()):
+            masks[_REGIONS.index(region)] |= 1 << i
+        self.verdicts = dict.fromkeys(masks, Verdict.NEARLY_COMPLETE)
+        self.verdicts.pop(self.every, None)
+        self.verdicts[0] = Verdict.COMPLETE
         self._band: Optional[tuple[int, int]] = None  # built on first use
         # per piece: its step or ride displacement -> mask
         self.steps: list[dict[Vec, int]] = [{} for _ in self.cells]
         self.rides: list[dict[Vec, int]] = [{} for _ in self.cells]
+
+    def uncontrolled(self, orientations: Sequence[Orientation],
+                     movesets: Sequence[Moveset]) -> int:
+        """The mask of the neighborhood classes that no piece controls, with
+        the i-th piece on ``cells[i]`` facing ``orientations[i]`` and moving
+        by the oriented ``movesets[i]``.  A piece controls what its moves
+        reach except the classes of its allies, the pieces facing its way.
+        """
+        free = [self.every] * len(_ORIENTATIONS)  # per side: all but allies
+        sides = [_ORIENTATIONS.index(o) for o in orientations]
+        for c, j in zip(self.cells, sides, strict=True):
+            free[j] &= ~self.bits.get(c, 0)
+        controlled = 0
+        for i, (j, m) in enumerate(zip(sides, movesets, strict=True)):
+            controlled |= self.reached(i, m) & free[j]
+        return self.every & ~controlled
+
+    def status(self, mask: int) -> NccStatus:
+        """The status of the uncontrolled ``mask``: its verdict, its classes
+        (in bit order), the region they make up when nearly complete and
+        the least of them as witness when it fails."""
+        verdict = self.verdicts.get(mask, Verdict.FAILS)
+        classes = frozenset([c for c, bit in self.bits.items() if mask & bit])
+        region = (self.partition[next(iter(classes))]
+                  if verdict is Verdict.NEARLY_COMPLETE else None)
+        witness = min(classes) if verdict is Verdict.FAILS else None
+        return NccStatus(verdict, region, witness, classes)
 
     def reached(self, i: int, m: Moveset) -> int:
         """The mask of what the moves ``m`` of the i-th piece reach, the
@@ -421,70 +464,10 @@ class KernelGeometry:
         return mask
 
 
-class VerdictKernel:
-    """The control-condition verdicts of one pattern, for any kinds on its
-    pieces: a ``KernelGeometry`` plus the pieces' orientations.
-
-    A piece controls what its moves reach except the classes of its
-    allies, the pieces facing its way.  So a verdict ORs, per piece, the
-    geometry's masks of its kind's moves, clears its allies' bits, and
-    hands the classes no piece controls to ``_verdict_from_parts``.
-    ``status`` takes one kind per piece of ``pattern``, in its order, so
-    one kernel judges every pattern with the same pieces up to kinds: each
-    uniform instantiation of a form, or the same pieces with other kinds.
-    """
-
-    def __init__(self, pattern: PeriodicPattern) -> None:
-        self.pattern = pattern
-        self.geometry = geometry = KernelGeometry(pattern.t, pattern.cells())
-        # what a piece facing each way controls of what it reaches: all but
-        # the classes of its allies
-        every = (1 << len(geometry.bits)) - 1
-        self._free = dict.fromkeys(Orientation, every)
-        for piece in pattern.pieces:
-            self._free[piece.orientation] &= ~geometry.bits.get(piece.cell, 0)
-
-    def uniform(self, kind: PieceKind) -> NccStatus:
-        """The verdict with ``kind`` on every piece."""
-        return self.status((kind,) * len(self.pattern.pieces))
-
-    def status(self, kinds: Sequence[PieceKind]) -> NccStatus:
-        """The verdict with ``kinds[i]`` on the i-th piece."""
-        g = self.geometry
-        controlled = 0
-        for i, (piece, kind) in enumerate(
-                zip(self.pattern.pieces, kinds, strict=True)):
-            o = piece.orientation
-            controlled |= g.reached(i, kind.oriented(o)) & self._free[o]
-        return _verdict_from_parts(g.partition, frozenset(
-            [c for c, bit in g.bits.items() if not controlled & bit]))
-
-
 def ncc_status(p: PeriodicPattern) -> NccStatus:
     """Verdict of the neighborhood control conditions for the pattern's own
-    kinds (see ``_verdict_from_parts`` for the rule)."""
-    return VerdictKernel(p).status([x.kind for x in p.pieces])
-
-
-def _verdict_from_parts(regions: Mapping[Vec, RegionClass],
-                        uncontrolled: frozenset[Vec]) -> NccStatus:
-    """The one verdict rule, shared with the oracle.  ``regions`` maps each
-    neighborhood class to its region; ``uncontrolled`` is the subset of
-    them that no piece controls.
-
-    Complete: nothing is uncontrolled.  Nearly complete: some neighborhood
-    class is controlled and the uncontrolled set equals exactly one
-    nonempty region (base, inside, or outside).  Anything else fails, with
-    the least uncontrolled class as witness.
-    """
-    if not uncontrolled:
-        return NccStatus(Verdict.COMPLETE, uncontrolled=uncontrolled)
-    if len(uncontrolled) < len(regions):
-        region = regions[next(iter(uncontrolled))]
-        if (all(regions[c] is region for c in uncontrolled)
-                and countOf(regions.values(), region) == len(uncontrolled)):
-            return NccStatus(Verdict.NEARLY_COMPLETE,
-                             uncontrolled_class=region,
-                             uncontrolled=uncontrolled)
-    return NccStatus(Verdict.FAILS, witness=min(uncontrolled),
-                     uncontrolled=uncontrolled)
+    kinds (see ``KernelGeometry.verdicts`` for the rule)."""
+    g = KernelGeometry(p.t, p.cells())
+    return g.status(g.uncontrolled(
+        [x.orientation for x in p.pieces],
+        [x.kind.oriented(x.orientation) for x in p.pieces]))

@@ -3,18 +3,19 @@
 Replicates a periodic pattern a fixed odd number of times, then recomputes
 neighborhood, control, partition and verdict by walking cells directly,
 and finds symmetries by trying every offset in a window.  Deliberately
-shares no ray/flood or self-map code with the periodic engine; it exists
-to differentially test it.  Results are read through a central window
-holding exactly one representative per translation class.
+shares no ray/flood, self-map or verdict code with the periodic engine;
+it exists to differentially test it.  Results are read through a central
+window holding exactly one representative per translation class.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import countOf
 from typing import Mapping, Optional
 
-from .control import NccStatus, RegionClass, _verdict_from_parts
+from .control import NccStatus, RegionClass, Verdict
 from .geometry import Vec
 from .pattern import PatternError, PeriodicPattern, PlacedPiece
 from .pieces import Moveset, Orientation, PieceKind
@@ -157,14 +158,14 @@ def brute_partition(b: FiniteBoard) -> dict[tuple[int, int], RegionClass]:
     return result
 
 
-def window_cells(b: FiniteBoard, q_pad: int = 0) -> set[tuple[int, int]]:
+def window_cells(b: FiniteBoard) -> set[tuple[int, int]]:
     """Cells of the central window: one representative per class, near the
     occupied band.  Membership is computed with plain arithmetic."""
     tx, ty = b.t
     tt = tx * tx + ty * ty
     qs = [x * ty - y * tx for (x, y) in b.occupancy]
     qlo, qhi = min(qs), max(qs)
-    reach = (abs(tx) + abs(ty)) * (2 + q_pad)
+    reach = (abs(tx) + abs(ty)) * 2
     out = set()
     for x in range(b.xlo, b.xhi + 1):
         for y in range(b.ylo, b.yhi + 1):
@@ -172,6 +173,30 @@ def window_cells(b: FiniteBoard, q_pad: int = 0) -> set[tuple[int, int]]:
                     qlo - reach <= x * ty - y * tx <= qhi + reach:
                 out.add((x, y))
     return out
+
+
+def _verdict_from_parts(regions: Mapping[Vec, RegionClass],
+                        uncontrolled: frozenset[Vec]) -> NccStatus:
+    """The reference verdict rule, on sets.  ``regions`` maps each
+    neighborhood cell to its region; ``uncontrolled`` is the subset of
+    them that no piece controls.
+
+    Complete: nothing is uncontrolled.  Nearly complete: some neighborhood
+    cell is controlled and the uncontrolled set equals exactly one
+    nonempty region (base, inside, or outside).  Anything else fails, with
+    the least uncontrolled cell as witness.
+    """
+    if not uncontrolled:
+        return NccStatus(Verdict.COMPLETE, uncontrolled=uncontrolled)
+    if len(uncontrolled) < len(regions):
+        region = regions[next(iter(uncontrolled))]
+        if (all(regions[c] is region for c in uncontrolled)
+                and countOf(regions.values(), region) == len(uncontrolled)):
+            return NccStatus(Verdict.NEARLY_COMPLETE,
+                             uncontrolled_class=region,
+                             uncontrolled=uncontrolled)
+    return NccStatus(Verdict.FAILS, witness=min(uncontrolled),
+                     uncontrolled=uncontrolled)
 
 
 def brute_ncc(b: FiniteBoard,

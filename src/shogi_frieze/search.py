@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .control import (KernelGeometry, NccStatus, RegionClass, Verdict,
-                      VerdictKernel, _verdict_from_parts, ncc_status)
+                      ncc_status)
 from .geometry import UNIT_DIRS, Vec, canonical_sign, reduce_cell, self_maps
 from .pattern import Form, PatternError, PeriodicPattern, form_of
 from .pieces import (BISHOP, GOLD, KING, KNIGHT, LANCE, PAWN, ROOK, SILVER,
@@ -101,10 +101,15 @@ class CrystalReport:
 def ncc_vector(form: Form, kinds: Iterable[PieceKind] = KIND_COLUMNS,
                ) -> dict[PieceKind, NccStatus]:
     """Verdict for the form instantiated uniformly with each kind, all on
-    one ``VerdictKernel``: a uniform motif's canonical cells and period do
-    not depend on its kind.  The searches build none (``_CellSet``)."""
-    kernel = VerdictKernel(form.instantiate(KING))
-    return {k: kernel.uniform(k) for k in kinds}
+    one ``KernelGeometry``: a uniform motif's canonical cells and period do
+    not depend on its kind.  The searches share one per cell set
+    (``_CellSet``)."""
+    p = form.instantiate(KING)
+    g = KernelGeometry(p.t, p.cells())
+    orients = [x.orientation for x in p.pieces]
+    return {k: g.status(g.uncontrolled(orients,
+                                       [k.oriented(o) for o in orients]))
+            for k in kinds}
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +338,8 @@ class _CellSet:
     (the cell set's cells, sorted), so one ``KernelGeometry``, built when
     the first form is judged, serves them all.  Per kind, a form ORs each
     piece's reach mask less its allies' bits (the pieces facing its way);
-    what that leaves of the neighborhood is uncontrolled.  Complete:
-    nothing is.  Nearly complete: something is controlled and the
-    uncontrolled mask is one region's.  Decorations never change control,
+    what that leaves of the neighborhood is uncontrolled, and the
+    geometry's ``verdicts`` judges it.  Decorations never change control,
     so the verdicts are memoized by the orientations, with the uncontrolled
     masks that a report's statuses are read from (``statuses``).
     """
@@ -356,11 +360,6 @@ class _CellSet:
         index = {c: i for i, c in enumerate(g.cells)}
         self._pieces = [index[c] for c in self.cells]
         self._bits = [g.bits.get(c, 0) for c in self.cells]
-        self._every = (1 << len(g.bits)) - 1
-        regions = dict.fromkeys(RegionClass, 0)
-        for c, region in g.partition.items():
-            regions[region] |= g.bits[c]
-        self._regions = set(regions.values()) - {0}
         orients, _ = _attributes(self.bounds)
         self._movesets = [[k.oriented(o) for o in orients]
                           for k in self.kinds]
@@ -376,7 +375,7 @@ class _CellSet:
             return memo[0]
         if self.geometry is None:
             self._build()
-        every = self._every
+        every, verdicts = self.geometry.every, self.geometry.verdicts
         free = [every, every]  # what the pieces facing each way control
         for bit, j in zip(self._bits, os):
             free[j] &= ~bit
@@ -391,22 +390,15 @@ class _CellSet:
                 controlled |= masks[i] & free[j]
             uncontrolled = every & ~controlled
             left.append(uncontrolled)
-            if not uncontrolled:
-                out.append(Verdict.COMPLETE)
-            elif uncontrolled != every and uncontrolled in self._regions:
-                out.append(Verdict.NEARLY_COMPLETE)
-            else:
-                out.append(Verdict.FAILS)
+            out.append(verdicts.get(uncontrolled, Verdict.FAILS))
         self._memo[os] = tuple(out), tuple(left)
         return self._memo[os][0]
 
     def statuses(self, a: tuple[int, ...]) -> dict[PieceKind, NccStatus]:
         """The status of each kind on a's form, read off the uncontrolled
         masks that ``vector(a)`` has memoized."""
-        g = self.geometry
         _, left = self._memo[a[:len(self.cells)]]
-        return {k: _verdict_from_parts(g.partition, frozenset(
-                    [c for c, bit in g.bits.items() if mask & bit]))
+        return {k: self.geometry.status(mask)
                 for k, mask in zip(self.kinds, left)}
 
 

@@ -68,9 +68,7 @@ def test_criterion_02_oracle_equivalence():
         st = ncc_status(p)
         ost = oracle.brute_ncc(board)
         ost2 = oracle.brute_ncc(oracle.replicate(p, copies + 2))
-        assert st.verdict == ost.verdict == ost2.verdict
-        assert (st.uncontrolled_class == ost.uncontrolled_class
-                == ost2.uncontrolled_class)
+        assert st == ost == ost2
     record(2, "oracle equivalence (500 patterns)", t0, 120)
 
 

@@ -2,7 +2,8 @@ import random
 
 from shogi_frieze import (GOLD, KING, KNIGHT, LANCE, PAWN, ROOK, RegionClass,
                           Verdict, control_of_pattern, make_pattern,
-                          neighborhood, ncc_status, partition_neighborhood)
+                          neighborhood, ncc_status, oracle,
+                          partition_neighborhood)
 from shogi_frieze.control import FreeLine, _move_control
 from shogi_frieze.geometry import reduce_cell
 from conftest import DOWN, UP, piece, random_pattern
@@ -138,11 +139,16 @@ def test_spaced_kings_complete():
 
 
 def test_solid_knight_row_fails_empty_intersection():
-    p = make_pattern([piece((0, 0), kind=KNIGHT)], (1, 0))
-    st = ncc_status(p)
-    assert st.verdict is Verdict.FAILS
-    assert st.uncontrolled == neighborhood(p)  # nothing controlled in N
-    assert st.witness in st.uncontrolled
+    # At t = (3, 0) the lone knight's whole neighborhood is one region,
+    # outside: leaving all of it uncontrolled fails, not nearly complete.
+    for t in ((1, 0), (3, 0)):
+        p = make_pattern([piece((0, 0), kind=KNIGHT)], t)
+        st = ncc_status(p)
+        assert st.verdict is Verdict.FAILS, t
+        assert st.uncontrolled == neighborhood(p)  # nothing controlled in N
+        assert st.witness in st.uncontrolled
+        board = oracle.replicate(p, oracle.sufficient_copies(p))
+        assert oracle.brute_ncc(board) == st, t
 
 
 def test_solid_pawn_row_fails_mixed_uncontrolled():

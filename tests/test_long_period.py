@@ -105,11 +105,11 @@ def test_long_rook_ride_is_a_segment():
 
 
 def _kernel_matches_control_set(p):
-    """``ncc_status``, the verdict kernel on the pieces' own kinds, equals
-    the verdict read off the control set in every field."""
+    """``ncc_status``, the geometry's mask verdict on the pieces' own kinds,
+    equals the oracle's set rule on the control set in every field."""
     st = _timed(ncc_status, p)
     ctrl, part = control_of_pattern(p), partition_neighborhood(p)
-    assert st == control._verdict_from_parts(
+    assert st == oracle._verdict_from_parts(
         part, frozenset(c for c in part if not ctrl.contains(c)))
     return st
 

@@ -66,8 +66,7 @@ def test_differential_random_patterns():
         assert pc == oc
         assert pn == on
         assert pp == op
-        assert pst.verdict == ost.verdict
-        assert pst.uncontrolled_class == ost.uncontrolled_class
+        assert pst == ost
 
 
 def test_buffer_stability():

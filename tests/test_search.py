@@ -11,9 +11,9 @@ from shogi_frieze import (BISHOP, GOLD, KING, KNIGHT, LANCE, PAWN, ROOK,
                           find_special_form, form_of, fragility_check,
                           make_pattern, ncc_status, ncc_vector, oracle,
                           partition_neighborhood)
-from shogi_frieze.control import (VerdictKernel, _move_control,
-                                  _verdict_from_parts)
+from shogi_frieze.control import KernelGeometry, _move_control
 from shogi_frieze.geometry import canonical_sign, reduce_cell, sub
+from shogi_frieze.oracle import _verdict_from_parts
 from shogi_frieze.pattern import Form, PatternError
 from shogi_frieze.pieces import (chess_knight_moveset, reverse_chariot_moveset,
                                  sideways_silver_moveset)
@@ -276,12 +276,11 @@ def test_p1_scan_builds_one_geometry_per_cell_set(monkeypatch):
     # The forms of one cell set that pass the period and group filters
     # share its period and cells, so the P1 benchmark scan computes one
     # partition per such cell set, judges each form on that cell set's
-    # masks and reads a report's statuses off the same masks: it builds no
-    # verdict kernel.  The P11G scan's position and group filters leave 81
-    # cell sets to key and 36 to judge.  The reports are what a fresh
-    # kernel on each report's pattern gives.
-    counts = dict.fromkeys(("partition", "vector", "kernel", "cell_key",
-                            "judge"), 0)
+    # masks and reads a report's statuses off the same masks.  The P11G
+    # scan's position and group filters leave 81 cell sets to key and 36 to
+    # judge.  The reports are what a fresh geometry on each report's form
+    # gives.
+    counts = dict.fromkeys(("partition", "vector", "cell_key", "judge"), 0)
 
     def counted(owner, name, key):
         original = getattr(owner, name)
@@ -292,13 +291,12 @@ def test_p1_scan_builds_one_geometry_per_cell_set(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
     counted(control, "_partition", "partition")
     counted(_CellSet, "vector", "vector")
-    counted(VerdictKernel, "__init__", "kernel")
     counted(search, "_cell_key", "cell_key")
     counted(search, "_FormJudge", "judge")
     scans = {
         FriezeGroup.P1: (dict.fromkeys(KIND_COLUMNS, False),
                          SearchBounds(3, (3, 3), 3),
-                         dict(partition=339, vector=2_166, kernel=0),
+                         dict(partition=339, vector=2_166),
                          182),
         FriezeGroup.P11G: ({k: k is KING for k in KIND_COLUMNS},
                            SearchBounds(4, (4, 3), 4),
@@ -310,8 +308,7 @@ def test_p1_scan_builds_one_geometry_per_cell_set(monkeypatch):
         assert len(reports) == n, group
         assert {k: counts[k] for k in expected} == expected, (group, counts)
         for r in reports:
-            kernel = VerdictKernel(r.pattern)
-            assert r.details == {k: kernel.uniform(k) for k in target}, r.form
+            assert r.details == ncc_vector(r.form, target), r.form
 
 
 def test_determinism():
@@ -573,8 +570,10 @@ def test_duality_judges_mixed_kinds_on_their_own_period(monkeypatch):
             == _oracle_status(mixed), kinds
     assert ncc_status(two.instantiate_kinds([ROOK, GOLD])).verdict \
         is Verdict.FAILS
-    with pytest.raises(ValueError):  # kinds for a pattern of two pieces
-        VerdictKernel(two.instantiate(KING)).status([ROOK, GOLD])
+    king = two.instantiate(KING)
+    g = KernelGeometry(king.t, king.cells())
+    with pytest.raises(ValueError):  # moves for a pattern of two pieces
+        g.uncontrolled([UP, UP], [ROOK.moveset, GOLD.moveset])
 
     # No small bounds scans the second form before a true pair, so the
     # scan is cut to that form alone; the pair found must hold.
