@@ -29,8 +29,9 @@ first form of each orbit in enumeration order, as the unpruned scan
 filtered by orbit does.  The same self-maps give the period and the group:
 a form's period is redundant when a translation self-map other than the
 identity fixes it, and its group is that of the self-maps that fix it.
-The forms that pass are judged per kind on their cell set's bit masks
-(``_CellSet``), and a report's statuses are read off the same masks.
+The forms that pass are judged on their cell set's bit masks
+(``_CellSet``) one kind column at a time, up to the first that misses the
+target; a report matches every column, and its statuses are read off them.
 Translations and the mirror carry a cell combination that passes the group
 filter to one that passes it, so the filter keeps this order:
 ``find_crystal`` reports what filtering every form of the space by orbit,
@@ -332,16 +333,17 @@ class _FormJudge:
 class _CellSet:
     """A cell set that a scan keeps, with its forms' orbit, period and
     group verdicts (``judge``) and, for the forms whose period is not
-    redundant, their verdicts for each of ``kinds``.
+    redundant, their verdict for each column k, the kind kinds[k].
 
     Such a form has the cells and period of its canonical all-king pattern
     (the cell set's cells, sorted), so one ``KernelGeometry``, built when
-    the first form is judged, serves them all.  Per kind, a form ORs each
-    piece's reach mask less its allies' bits (the pieces facing its way);
-    what that leaves of the neighborhood is uncontrolled, and the
-    geometry's ``verdicts`` judges it.  Decorations never change control,
-    so the verdicts are memoized by the orientations, with the uncontrolled
-    masks that a report's statuses are read from (``statuses``).
+    the first column is judged, serves them all.  Per column, a form ORs
+    each piece's reach mask (built on first need) less its allies' bits
+    (the pieces facing its way); what that leaves of the neighborhood is
+    uncontrolled, and the geometry's ``verdicts`` judges it.  Decorations
+    never change control, so the masks are memoized by the orientations.
+    ``matches`` stops at the first column that misses; a form that matches
+    has every column's mask, and ``statuses`` reads them.
     """
 
     def __init__(self, bounds: SearchBounds, t: Vec, cells: list[Vec],
@@ -350,7 +352,7 @@ class _CellSet:
         self.judge = _FormJudge(bounds, t, cells, use_mirror)
         self.kinds = tuple(kinds)
         self.geometry: Optional[KernelGeometry] = None
-        self._memo: dict[tuple[int, ...], tuple[tuple, tuple]] = {}
+        self._left = [{} for _ in kinds]  # orientations -> uncontrolled
 
     def form(self, a: tuple[int, ...]) -> Form:
         return _form(self.bounds, self.t, self.cells, a)
@@ -366,40 +368,48 @@ class _CellSet:
         # per kind and orientation, each cell's reach mask (on first use)
         self._reach = [[None] * len(orients) for _ in self.kinds]
 
-    def vector(self, a: tuple[int, ...]) -> tuple[Verdict, ...]:
-        """The verdict of each kind on a's form, whose period must not be
-        redundant."""
-        os = a[:len(self.cells)]
-        memo = self._memo.get(os)
-        if memo is not None:
-            return memo[0]
+    def _uncontrolled(self, k: int, os: tuple[int, ...]) -> int:
+        """The mask kinds[k] leaves uncontrolled, the pieces facing os."""
         if self.geometry is None:
             self._build()
-        every, verdicts = self.geometry.every, self.geometry.verdicts
+        every = self.geometry.every
         free = [every, every]  # what the pieces facing each way control
         for bit, j in zip(self._bits, os):
             free[j] &= ~bit
-        out, left = [], []
-        for moves, reach in zip(self._movesets, self._reach):
-            controlled = 0
-            for i, j in enumerate(os):
-                masks = reach[j]
-                if masks is None:
-                    reached, m = self.geometry.reached, moves[j]
-                    masks = reach[j] = [reached(p, m) for p in self._pieces]
-                controlled |= masks[i] & free[j]
-            uncontrolled = every & ~controlled
-            left.append(uncontrolled)
-            out.append(verdicts.get(uncontrolled, Verdict.FAILS))
-        self._memo[os] = tuple(out), tuple(left)
-        return self._memo[os][0]
+        moves, reach = self._movesets[k], self._reach[k]
+        controlled = 0
+        for i, j in enumerate(os):
+            masks = reach[j]
+            if masks is None:
+                reached, m = self.geometry.reached, moves[j]
+                masks = reach[j] = [reached(p, m) for p in self._pieces]
+            controlled |= masks[i] & free[j]
+        return every & ~controlled
+
+    def verdict(self, k: int, a: tuple[int, ...]) -> Verdict:
+        """The verdict of kinds[k] on a's form (its period not redundant)."""
+        os, left = a[:len(self.cells)], self._left[k]
+        mask = left.get(os)
+        if mask is None:
+            mask = left[os] = self._uncontrolled(k, os)
+        return self.geometry.verdicts.get(mask, Verdict.FAILS)
+
+    def matches(self, a: tuple[int, ...], wanted: Sequence[bool],
+                order: list[int]) -> bool:
+        """Whether each kinds[k] satisfies on a's form iff ``wanted[k]``,
+        judged in ``order`` up to the first miss, moved to its front."""
+        for i, k in enumerate(order):
+            if (self.verdict(k, a) is not Verdict.FAILS) != wanted[k]:
+                order.insert(0, order.pop(i))
+                return False
+        return True
 
     def statuses(self, a: tuple[int, ...]) -> dict[PieceKind, NccStatus]:
         """The status of each kind on a's form, read off the uncontrolled
-        masks that ``vector(a)`` has memoized."""
-        _, left = self._memo[a[:len(self.cells)]]
-        return {k: self.geometry.status(mask)
-                for k, mask in zip(self.kinds, left)}
+        masks that judging every column of a memoized."""
+        os = a[:len(self.cells)]
+        return {k: self.geometry.status(left[os])
+                for k, left in zip(self.kinds, self._left)}
 
 
 def _scan(bounds: SearchBounds, kinds: Sequence[PieceKind],
@@ -461,10 +471,11 @@ def find_crystal(group: FriezeGroup, target: Mapping[PieceKind, bool],
     _check_limit(limit)
     kinds = tuple(target)
     wanted = [target[k] for k in kinds]
+    order = list(range(len(kinds)))  # the column that last missed first
     reports: list[CrystalReport] = []
     for cell_set, a in _scan(bounds, kinds, group,
                              use_mirror=_kinds_mirror_safe(kinds)):
-        if [v is not Verdict.FAILS for v in cell_set.vector(a)] != wanted:
+        if not cell_set.matches(a, wanted, order):
             continue
         form = cell_set.form(a)
         details = cell_set.statuses(a)
@@ -500,10 +511,12 @@ def find_special_form(bounds: SearchBounds, *,
     region each kind leaves uncontrolled.  ``limit``, if given, must be at
     least 1."""
     _check_limit(limit)
+    wanted = [True] * len(KIND_COLUMNS)
+    order = list(range(len(KIND_COLUMNS)))
     out: list[SpecialFormReport] = []
     for cell_set, a in _scan(bounds, KIND_COLUMNS):
         if (cell_set.judge.period_redundant(a)
-                or Verdict.FAILS in cell_set.vector(a)):
+                or not cell_set.matches(a, wanted, order)):
             continue
         out.append(SpecialFormReport(cell_set.form(a), cell_set.statuses(a),
                                      cell_set.geometry.partition))
@@ -538,8 +551,9 @@ def find_duality(bounds: SearchBounds) -> DualityExhibits:
                 # judged on its canonical pattern, of the shorter period
                 vector = ncc_vector(form, (GOLD, SILVER))
                 g, s = vector[GOLD].verdict, vector[SILVER].verdict
-            else:
-                g, s = cell_set.vector(a)
+            else:  # silver judged only when gold is complete
+                g = cell_set.verdict(0, a)
+                s = cell_set.verdict(1, a) if g is Verdict.COMPLETE else None
             if g is Verdict.COMPLETE and s is Verdict.NEARLY_COMPLETE:
                 exhibit = form
 

@@ -201,6 +201,35 @@ def test_group_driven_search_matches_filter_all(bounds):
 
 
 @pytest.mark.parametrize("bounds", [
+    SearchBounds(2, (2, 2), 2),
+    SearchBounds(2, (2, 2), 2, allow_decorations=True),
+    SearchBounds(2, (2, 3), 4),
+], ids=["plain", "decorated", "tall"])
+def test_special_form_search_matches_filter_all(bounds):
+    # The searches judge a form's kind columns up to the first that misses
+    # the target, in an order that moves each column that missed to the
+    # front.  find_special_form must still report, in order, every first
+    # form of an orbit with its own period on which no column fails, with
+    # every column's status; and find_crystal must report the same forms
+    # whatever the order of the target's keys.
+    reference = _filter_all(bounds)
+    reports = find_special_form(bounds)
+    assert [r.form for r in reports] == [f for f, _, v in reference
+                                         if all(v.values())]
+    assert reports
+    for r in reports:
+        assert r.statuses == ncc_vector(r.form), r.form
+    for row, group in enumerate(ROW_ORDER):
+        targets = [staircase_target(row)]
+        targets += [v for _, g, v in reference if g is group][:1]
+        for target in targets:
+            reverse = dict(reversed(target.items()))
+            got = find_crystal(group, target, bounds)
+            assert [r.form for r in find_crystal(group, reverse, bounds)] \
+                == [r.form for r in got], (group, target)
+
+
+@pytest.mark.parametrize("bounds", [
     SearchBounds(3, (3, 3), 3),
     SearchBounds(2, (2, 2), 2, allow_decorations=True),
     SearchBounds(2, (2, 3), 4),
@@ -276,11 +305,16 @@ def test_p1_scan_builds_one_geometry_per_cell_set(monkeypatch):
     # The forms of one cell set that pass the period and group filters
     # share its period and cells, so the P1 benchmark scan computes one
     # partition per such cell set, judges each form on that cell set's
-    # masks and reads a report's statuses off the same masks.  The P11G
+    # masks and reads a report's statuses off the same masks.  A form's
+    # columns are judged up to the first that misses the target, and a
+    # kind's reach masks are built only when a form first needs them: the
+    # P1 scan computes 3 829 column masks for its 2 166 forms, not 8 a
+    # form, and 5 659 reach masks (``KernelGeometry.reached``).  The P11G
     # scan's position and group filters leave 81 cell sets to key and 36 to
     # judge.  The reports are what a fresh geometry on each report's form
     # gives.
-    counts = dict.fromkeys(("partition", "vector", "cell_key", "judge"), 0)
+    counts = dict.fromkeys(("partition", "matches", "uncontrolled",
+                            "reached", "cell_key", "judge"), 0)
 
     def counted(owner, name, key):
         original = getattr(owner, name)
@@ -290,13 +324,16 @@ def test_p1_scan_builds_one_geometry_per_cell_set(monkeypatch):
             return original(*args)
         monkeypatch.setattr(owner, name, wrapper)
     counted(control, "_partition", "partition")
-    counted(_CellSet, "vector", "vector")
+    counted(_CellSet, "matches", "matches")
+    counted(_CellSet, "_uncontrolled", "uncontrolled")
+    counted(KernelGeometry, "reached", "reached")
     counted(search, "_cell_key", "cell_key")
     counted(search, "_FormJudge", "judge")
     scans = {
         FriezeGroup.P1: (dict.fromkeys(KIND_COLUMNS, False),
                          SearchBounds(3, (3, 3), 3),
-                         dict(partition=339, vector=2_166),
+                         dict(partition=339, matches=2_166,
+                              uncontrolled=3_829, reached=5_659),
                          182),
         FriezeGroup.P11G: ({k: k is KING for k in KIND_COLUMNS},
                            SearchBounds(4, (4, 3), 4),
@@ -488,7 +525,8 @@ def test_kernel_matches_ncc_status_on_every_form(bounds):
                     statuses = [vector[k] for k in kinds]
                     verdicts = [st.verdict for st in statuses]
                 else:
-                    verdicts = cell_set.vector(a)
+                    verdicts = [cell_set.verdict(k, a)
+                                for k in range(len(kinds))]
                     statuses = list(cell_set.statuses(a).values())
                     if previous is not None:
                         shared += 1
