@@ -31,11 +31,12 @@ mover's way, stands there; each consumer applies that test itself:
   into bit masks over the neighborhood, creating no objects; a walk longer
   than ``_LISTED_MAX`` tests each neighborhood class with ``_steps_to``
   instead.  It depends only on the cells and the period: it computes the
-  neighborhood and partition once and memoizes what each (piece, move)
-  reaches.  Given the pieces' orientations and moves, ``uncontrolled``
-  ORs their masks, less each mover's allies, into the mask of what no
-  piece controls; ``verdicts``, the one verdict rule, maps that mask to
-  its verdict, and ``status`` reads the whole status off it.
+  neighborhood once, base (the occupied classes) first, and memoizes what
+  each (piece, move) reaches.  Given the pieces' orientations and moves,
+  ``uncontrolled`` ORs their masks, less each mover's allies, into the
+  mask of what no piece controls; ``verdict``, the one verdict rule,
+  judges that mask, flooding inside from outside only for a mask that
+  needs it, and ``status`` reads the whole status off it.
   ``ncc_status`` judges the pieces' own kinds on a fresh geometry, and a
   search judges every form of a cell set on one geometry.  The oracle
   keeps a rule of its own, on sets.
@@ -46,7 +47,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .geometry import UNIT_DIRS, Vec
 from .pattern import PeriodicPattern
@@ -59,8 +60,8 @@ class RegionClass(enum.Enum):
     OUTSIDE = "outside"
 
 
-# Enum members hash in Python; these tuples index them without hashing.
-_REGIONS, _ORIENTATIONS = tuple(RegionClass), tuple(Orientation)
+# Enum members hash in Python; this tuple indexes them without hashing.
+_ORIENTATIONS = tuple(Orientation)
 
 
 class Verdict(enum.Enum):
@@ -229,14 +230,16 @@ def partition_neighborhood(p: PeriodicPattern) -> dict[Vec, RegionClass]:
     of one cluster, and an unbounded one leaves the band within a distance
     set by the motif, so the flood never runs along t for |t| steps.
     """
-    return _partition(p.t, p.cells())
+    cells = p.cells()
+    return _partition(p.t, cells, _neighborhood(p.t, cells))
 
 
-def _partition(t: Vec, cells: Sequence[Vec]) -> dict[Vec, RegionClass]:
+def _partition(t: Vec, cells: Sequence[Vec],
+               nbhd: Iterable[Vec]) -> dict[Vec, RegionClass]:
+    """``partition_neighborhood``'s flood on ``nbhd``, in its order."""
     tx, ty = t
     tt = tx * tx + ty * ty
     occupied = set(cells)
-    nbhd = _neighborhood(t, cells)
     qlo, qhi = _occupied_band(cells, t)
     result: dict[Vec, RegionClass] = {}
     flooded: dict[Vec, RegionClass] = {}  # class -> region of its component
@@ -356,39 +359,63 @@ class KernelGeometry:
     the occupied classes, never on the pieces' orientations or kinds, so
     one geometry judges every pattern on the same cells.
 
-    It holds the neighborhood's partition, one bit per neighborhood class,
-    and, memoized per (piece, step) and (piece, ride), the mask of the
-    classes the move reaches (``_move_control``): the empty classes a ride
-    passes or a step lands on, and the class of the piece it lands on,
-    which it controls only when that piece is an enemy.  A ride is walked
-    class by class once, on first use; a walk longer than ``_LISTED_MAX``
-    tests each neighborhood class with ``_steps_to`` instead.
-    ``uncontrolled`` turns orientations and moves on the pieces into the
-    mask of what no piece controls, ``verdicts`` judges that mask, and
-    ``status`` spells it out.
+    It holds one bit per neighborhood class, the occupied ones first
+    (``base``), and, memoized per (piece, step) and (piece, ride), the
+    mask of the classes the move reaches (``_move_control``): the empty
+    classes a ride passes or a step lands on, and the class of the piece
+    it lands on, which it controls only when that piece is an enemy.  A
+    ride is walked class by class once, on first use; a walk longer than
+    ``_LISTED_MAX`` tests each neighborhood class with ``_steps_to``
+    instead.  ``uncontrolled`` turns orientations and moves on the pieces
+    into the mask of what no piece controls, ``verdict`` judges that mask,
+    and ``status`` spells it out; ``partition`` is flooded on first use.
     """
 
     def __init__(self, t: Vec, cells: tuple[Vec, ...]) -> None:
         self.t = t
         self.cells = cells
-        self.partition = _partition(t, cells)
-        # the partition's classes are the neighborhood's
-        self.bits = {c: 1 << i for i, c in enumerate(self.partition)}
-        self.every = (1 << len(self.bits)) - 1
-        # The verdict rule, on uncontrolled masks: 0 is complete, a nonempty
-        # region's mask other than ``every`` nearly complete, any other mask
-        # fails.  Masks are gathered by position in ``_REGIONS``, and an
-        # empty region's 0 is overwritten.
-        masks = [0] * len(_REGIONS)
-        for i, region in enumerate(self.partition.values()):
-            masks[_REGIONS.index(region)] |= 1 << i
-        self.verdicts = dict.fromkeys(masks, Verdict.NEARLY_COMPLETE)
-        self.verdicts.pop(self.every, None)
-        self.verdicts[0] = Verdict.COMPLETE
+        # One bit per neighborhood class, the occupied ones (base) first:
+        # the key order of ``_partition``, which ``status`` keeps.
+        occupied = set(cells)
+        nbhd = _neighborhood(t, cells)
+        order = [c for c in nbhd if c in occupied]
+        self.base = (1 << len(order)) - 1
+        order += [c for c in nbhd if c not in occupied]
+        self.bits = {c: 1 << i for i, c in enumerate(order)}
+        self.every = (1 << len(order)) - 1
+        self._partition: Optional[dict[Vec, RegionClass]] = None
+        self._split: Optional[tuple[int, int]] = None  # inside, outside
         self._band: Optional[tuple[int, int]] = None  # built on first use
         # per piece: its step or ride displacement -> mask
         self.steps: list[dict[Vec, int]] = [{} for _ in self.cells]
         self.rides: list[dict[Vec, int]] = [{} for _ in self.cells]
+
+    @property
+    def partition(self) -> dict[Vec, RegionClass]:
+        """The neighborhood's regions, flooded on first use."""
+        if self._partition is None:
+            self._partition = _partition(self.t, self.cells, self.bits)
+        return self._partition
+
+    def verdict(self, mask: int) -> Verdict:
+        """The verdict rule on an uncontrolled mask: 0 is complete, one
+        nonempty region's mask other than ``every`` nearly complete, any
+        other mask fails.  Only a nonzero mask off base needs the flood."""
+        if not mask:
+            return Verdict.COMPLETE
+        if mask == self.every:
+            return Verdict.FAILS
+        if mask & self.base:
+            return (Verdict.NEARLY_COMPLETE if mask == self.base
+                    else Verdict.FAILS)
+        if self._split is None:
+            inside, bits, region = 0, self.bits, RegionClass.INSIDE
+            for c, r in self.partition.items():
+                if r is region:
+                    inside |= bits[c]
+            self._split = inside, self.every ^ self.base ^ inside
+        return (Verdict.NEARLY_COMPLETE if mask in self._split
+                else Verdict.FAILS)
 
     def uncontrolled(self, orientations: Sequence[Orientation],
                      movesets: Sequence[Moveset]) -> int:
@@ -410,10 +437,11 @@ class KernelGeometry:
         """The status of the uncontrolled ``mask``: its verdict, its classes
         (in bit order), the region they make up when nearly complete and
         the least of them as witness when it fails."""
-        verdict = self.verdicts.get(mask, Verdict.FAILS)
+        verdict = self.verdict(mask)
         classes = frozenset([c for c, bit in self.bits.items() if mask & bit])
-        region = (self.partition[next(iter(classes))]
-                  if verdict is Verdict.NEARLY_COMPLETE else None)
+        region = (None if verdict is not Verdict.NEARLY_COMPLETE
+                  else RegionClass.BASE if mask == self.base
+                  else self.partition[next(iter(classes))])
         witness = min(classes) if verdict is Verdict.FAILS else None
         return NccStatus(verdict, region, witness, classes)
 
@@ -466,7 +494,7 @@ class KernelGeometry:
 
 def ncc_status(p: PeriodicPattern) -> NccStatus:
     """Verdict of the neighborhood control conditions for the pattern's own
-    kinds (see ``KernelGeometry.verdicts`` for the rule)."""
+    kinds (see ``KernelGeometry.verdict`` for the rule)."""
     g = KernelGeometry(p.t, p.cells())
     return g.status(g.uncontrolled(
         [x.orientation for x in p.pieces],

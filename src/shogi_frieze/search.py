@@ -325,6 +325,8 @@ class _FormJudge:
 
     def group(self, a: tuple[int, ...]) -> FriezeGroup:
         """The group of a's pattern; a's period must not be redundant."""
+        if not self.roles:
+            return FriezeGroup.P1
         roles = {role for role, action in self.roles
                  if _image(action, a) == a}
         return group_of(SymmetryFlags(*(r in roles for r in "hvgr"), ()))
@@ -340,7 +342,7 @@ class _CellSet:
     the first column is judged, serves them all.  Per column, a form ORs
     each piece's reach mask (built on first need) less its allies' bits
     (the pieces facing its way); what that leaves of the neighborhood is
-    uncontrolled, and the geometry's ``verdicts`` judges it.  Decorations
+    uncontrolled, and the geometry's ``verdict`` judges it.  Decorations
     never change control, so the masks are memoized by the orientations.
     ``matches`` stops at the first column that misses; a form that matches
     has every column's mask, and ``statuses`` reads them.
@@ -392,7 +394,7 @@ class _CellSet:
         mask = left.get(os)
         if mask is None:
             mask = left[os] = self._uncontrolled(k, os)
-        return self.geometry.verdicts.get(mask, Verdict.FAILS)
+        return self.geometry.verdict(mask)
 
     def matches(self, a: tuple[int, ...], wanted: Sequence[bool],
                 order: list[int]) -> bool:

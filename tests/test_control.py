@@ -4,8 +4,11 @@ from shogi_frieze import (GOLD, KING, KNIGHT, LANCE, PAWN, ROOK, RegionClass,
                           Verdict, control_of_pattern, make_pattern,
                           neighborhood, ncc_status, oracle,
                           partition_neighborhood)
-from shogi_frieze.control import FreeLine, _move_control
+from shogi_frieze.control import (FreeLine, KernelGeometry, NccStatus,
+                                  _move_control)
 from shogi_frieze.geometry import reduce_cell
+from shogi_frieze.pattern import PatternError
+from shogi_frieze.search import SearchBounds, _enumerate_forms
 from conftest import DOWN, UP, piece, random_pattern
 
 
@@ -172,6 +175,67 @@ def test_back_to_back_pawn_rows_nearly_base():
     st = ncc_status(p)
     assert st.verdict is Verdict.NEARLY_COMPLETE
     assert st.uncontrolled_class is RegionClass.BASE
+
+
+def _rule_table(g, part):
+    """The status of every mask of ``g``, by the verdict rule written out
+    on the regions of ``part``: nothing uncontrolled is complete, exactly
+    one nonempty region other than the whole neighborhood nearly
+    complete, anything else fails with the least class as witness."""
+    regions = {}
+    for c, r in part.items():
+        regions.setdefault(r, set()).add(c)
+    table = []
+    for mask in range(g.every + 1):
+        classes = frozenset(c for c, bit in g.bits.items() if mask & bit)
+        region = next((r for r, cs in regions.items() if cs == classes),
+                      None)
+        if not classes:
+            st = NccStatus(Verdict.COMPLETE)
+        elif region is not None and classes != set(part):
+            st = NccStatus(Verdict.NEARLY_COMPLETE, region, None, classes)
+        else:
+            st = NccStatus(Verdict.FAILS, None, min(classes), classes)
+        table.append(st)
+    return table
+
+
+def test_verdict_rule_exhaustive_on_small_spaces():
+    # Every geometry of three small spaces (decorations can keep a longer
+    # period), judged on every mask, against the rule written out on
+    # ``partition_neighborhood``.  The bits follow the partition's key
+    # order, which the statuses' ``uncontrolled`` sets keep.
+    patterns = {}
+    for bounds in (SearchBounds(2, (2, 2), 2),
+                   SearchBounds(2, (2, 2), 2, allow_decorations=True),
+                   SearchBounds(3, (3, 2), 2)):
+        for form in _enumerate_forms(bounds):
+            try:
+                p = form.instantiate(KING)
+            except PatternError:
+                continue
+            patterns.setdefault((p.t, p.cells()), p)
+    # the lone knight at t = (3, 0): one piece, so base is empty, and its
+    # whole neighborhood is one region (outside), which fails
+    knight = make_pattern([piece((0, 0), kind=KNIGHT)], (3, 0))
+    patterns[(knight.t, knight.cells())] = knight
+    assert len(patterns) > 100
+    for (t, cells), p in patterns.items():
+        g = KernelGeometry(t, cells)
+        part = partition_neighborhood(p)
+        assert list(g.bits) == list(part), (t, cells)
+        for mask, st in enumerate(_rule_table(g, part)):
+            assert g.verdict(mask) is st.verdict, (t, cells, mask)
+            assert g.status(mask) == st, (t, cells, mask)
+    g = KernelGeometry(knight.t, knight.cells())
+    assert g.base == 0 and set(partition_neighborhood(knight).values()) \
+        == {RegionClass.OUTSIDE}
+    assert g.verdict(g.every) is Verdict.FAILS
+    # an empty motif is the one geometry whose base is all of it
+    g = KernelGeometry((3, 0), ())
+    assert g.base == g.every == 0
+    assert g.verdict(0) is Verdict.COMPLETE
+    assert g.status(0) == NccStatus(Verdict.COMPLETE)
 
 
 # --- invariants on random patterns ------------------------------------------

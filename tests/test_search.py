@@ -303,17 +303,20 @@ def test_p11g_finds_crystals_on_vertical_translations():
 
 def test_p1_scan_builds_one_geometry_per_cell_set(monkeypatch):
     # The forms of one cell set that pass the period and group filters
-    # share its period and cells, so the P1 benchmark scan computes one
-    # partition per such cell set, judges each form on that cell set's
-    # masks and reads a report's statuses off the same masks.  A form's
-    # columns are judged up to the first that misses the target, and a
-    # kind's reach masks are built only when a form first needs them: the
-    # P1 scan computes 3 829 column masks for its 2 166 forms, not 8 a
-    # form, and 5 659 reach masks (``KernelGeometry.reached``).  The P11G
-    # scan's position and group filters leave 81 cell sets to key and 36 to
-    # judge.  The reports are what a fresh geometry on each report's form
-    # gives.
-    counts = dict.fromkeys(("partition", "matches", "uncontrolled",
+    # share its period and cells, so the P1 benchmark scan builds one
+    # ``KernelGeometry`` per such cell set, judges each form on that cell
+    # set's masks and reads a report's statuses off the same masks.  A
+    # form's columns are judged up to the first that misses the target,
+    # and a kind's reach masks are built only when a form first needs
+    # them: the P1 scan computes 3 829 column masks for its 2 166 forms,
+    # not 8 a form, and 5 659 reach masks (``KernelGeometry.reached``).  A
+    # geometry floods its neighborhood (``_partition``) only for a mask
+    # that misses the occupied classes and is neither empty nor all of
+    # it: 9 of the P1 scan's 339 geometries, 8 of the P11G scan's 15.  The
+    # P11G scan's position and group filters leave 81 cell sets to key and
+    # 36 to judge.  The reports are what a fresh geometry on each report's
+    # form gives.
+    counts = dict.fromkeys(("geometry", "flood", "matches", "uncontrolled",
                             "reached", "cell_key", "judge"), 0)
 
     def counted(owner, name, key):
@@ -323,7 +326,8 @@ def test_p1_scan_builds_one_geometry_per_cell_set(monkeypatch):
             counts[key] += 1
             return original(*args)
         monkeypatch.setattr(owner, name, wrapper)
-    counted(control, "_partition", "partition")
+    counted(KernelGeometry, "__init__", "geometry")
+    counted(control, "_partition", "flood")
     counted(_CellSet, "matches", "matches")
     counted(_CellSet, "_uncontrolled", "uncontrolled")
     counted(KernelGeometry, "reached", "reached")
@@ -332,12 +336,12 @@ def test_p1_scan_builds_one_geometry_per_cell_set(monkeypatch):
     scans = {
         FriezeGroup.P1: (dict.fromkeys(KIND_COLUMNS, False),
                          SearchBounds(3, (3, 3), 3),
-                         dict(partition=339, matches=2_166,
+                         dict(geometry=339, flood=9, matches=2_166,
                               uncontrolled=3_829, reached=5_659),
                          182),
         FriezeGroup.P11G: ({k: k is KING for k in KIND_COLUMNS},
                            SearchBounds(4, (4, 3), 4),
-                           dict(cell_key=81, judge=36), 15),
+                           dict(flood=8, cell_key=81, judge=36), 15),
     }
     for group, (target, bounds, expected, n) in scans.items():
         counts.update(dict.fromkeys(counts, 0))
