@@ -27,19 +27,22 @@ mover's way, stands there; each consumer applies that test itself:
   into ``Segment`` and ``FreeLine`` values, with the occupied band
   computed once per pattern, and unions them into a control set for the
   CLI and rendering;
-* ``KernelGeometry``, the engine's one verdict judge, walks them straight
-  into bit masks over the neighborhood, creating no objects; a walk longer
-  than ``_LISTED_MAX`` tests each neighborhood class with ``_steps_to``
-  instead.  It depends only on the cells and the period: it computes the
-  neighborhood once, base (the occupied classes) first, and memoizes what
-  each (piece, move) reaches.  Given the pieces' orientations and moves,
-  ``uncontrolled`` ORs their masks, less each mover's allies, into the
-  mask of what no piece controls; ``verdict``, the one verdict rule,
-  judges that mask, flooding inside from outside only for a mask that
-  needs it, and ``status`` reads the whole status off it.
-  ``ncc_status`` judges the pieces' own kinds on a fresh geometry, and a
-  search judges every form of a cell set on one geometry.  The oracle
-  keeps a rule of its own, on sets.
+* ``KernelGeometry``, the engine's one verdict judge, turns moves into bit
+  masks over the neighborhood, creating no objects.  A ride bounded by
+  ``_free_length`` to at most ``_LISTED_MAX`` classes finds its own stop
+  by walking to the first occupied class; a longer one asks
+  ``_move_control`` and, past ``_LISTED_MAX`` classes, tests each
+  neighborhood class with ``_steps_to``.  It depends only on the cells
+  and the period: it computes the neighborhood once, base (the occupied
+  classes) first, and memoizes no move.  Given the pieces' orientations
+  and moves, ``uncontrolled`` ORs each side's move masks, less that
+  side's allies, into the mask of what no piece controls; ``verdict``,
+  the one verdict rule, judges that mask, flooding inside from outside
+  only for a mask that needs it, and ``status`` reads the whole status
+  off it.  ``ncc_status`` judges the pieces' own kinds on a fresh
+  geometry, and a search judges every form of a cell set on one
+  geometry, with its own table of move masks.  The oracle keeps a rule
+  of its own, on sets.
 """
 
 from __future__ import annotations
@@ -360,15 +363,19 @@ class KernelGeometry:
     one geometry judges every pattern on the same cells.
 
     It holds one bit per neighborhood class, the occupied ones first
-    (``base``), and, memoized per (piece, step) and (piece, ride), the
-    mask of the classes the move reaches (``_move_control``): the empty
-    classes a ride passes or a step lands on, and the class of the piece
-    it lands on, which it controls only when that piece is an enemy.  A
-    ride is walked class by class once, on first use; a walk longer than
-    ``_LISTED_MAX`` tests each neighborhood class with ``_steps_to``
-    instead.  ``uncontrolled`` turns orientations and moves on the pieces
-    into the mask of what no piece controls, ``verdict`` judges that mask,
-    and ``status`` spells it out; ``partition`` is flooded on first use.
+    (``base``).  ``reach`` gives the mask of the classes one move of a
+    piece reaches: the empty classes a ride passes or a step lands on, and
+    the class of the piece it lands on, which it controls only when that
+    piece is an enemy.  The geometry memoizes no move; a search keeps its
+    own table of move masks per cell set (``search._CellSet``).  A ride
+    whose band bound is at most ``_LISTED_MAX`` classes is walked class
+    by class up to the first occupied class, so one walk gives both its
+    stop and its mask.  A longer one stops at ``_move_control``'s piece
+    and, if it still passes more than ``_LISTED_MAX`` classes, tests each
+    neighborhood class with ``_steps_to``.  ``uncontrolled`` turns
+    orientations and moves on the pieces into the mask of what no piece
+    controls, ``verdict`` judges that mask, and ``status`` spells it out;
+    ``partition`` is flooded on first use.
     """
 
     def __init__(self, t: Vec, cells: tuple[Vec, ...]) -> None:
@@ -376,7 +383,7 @@ class KernelGeometry:
         self.cells = cells
         # One bit per neighborhood class, the occupied ones (base) first:
         # the key order of ``_partition``, which ``status`` keeps.
-        occupied = set(cells)
+        occupied = self.occupied = set(cells)
         nbhd = _neighborhood(t, cells)
         order = [c for c in nbhd if c in occupied]
         self.base = (1 << len(order)) - 1
@@ -386,9 +393,6 @@ class KernelGeometry:
         self._partition: Optional[dict[Vec, RegionClass]] = None
         self._split: Optional[tuple[int, int]] = None  # inside, outside
         self._band: Optional[tuple[int, int]] = None  # built on first use
-        # per piece: its step or ride displacement -> mask
-        self.steps: list[dict[Vec, int]] = [{} for _ in self.cells]
-        self.rides: list[dict[Vec, int]] = [{} for _ in self.cells]
 
     @property
     def partition(self) -> dict[Vec, RegionClass]:
@@ -422,15 +426,22 @@ class KernelGeometry:
         """The mask of the neighborhood classes that no piece controls, with
         the i-th piece on ``cells[i]`` facing ``orientations[i]`` and moving
         by the oriented ``movesets[i]``.  A piece controls what its moves
-        reach except the classes of its allies, the pieces facing its way.
+        reach except the classes of its allies, the pieces facing its way,
+        so each side's reach is ORed first and its allies taken out once.
         """
-        free = [self.every] * len(_ORIENTATIONS)  # per side: all but allies
-        sides = [_ORIENTATIONS.index(o) for o in orientations]
-        for c, j in zip(self.cells, sides, strict=True):
-            free[j] &= ~self.bits.get(c, 0)
+        reach, bits = self.reach, self.bits
+        reached = [0] * len(_ORIENTATIONS)  # per side
+        allies = [0] * len(_ORIENTATIONS)
+        for c, o, m in zip(self.cells, orientations, movesets, strict=True):
+            j = _ORIENTATIONS.index(o)
+            allies[j] |= bits.get(c, 0)
+            for move in m.steps:
+                reached[j] |= reach(c, move, False)
+            for move in m.rides:
+                reached[j] |= reach(c, move, True)
         controlled = 0
-        for i, (j, m) in enumerate(zip(sides, movesets, strict=True)):
-            controlled |= self.reached(i, m) & free[j]
+        for r, a in zip(reached, allies):
+            controlled |= r & ~a
         return self.every & ~controlled
 
     def status(self, mask: int) -> NccStatus:
@@ -445,45 +456,48 @@ class KernelGeometry:
         witness = min(classes) if verdict is Verdict.FAILS else None
         return NccStatus(verdict, region, witness, classes)
 
-    def reached(self, i: int, m: Moveset) -> int:
-        """The mask of what the moves ``m`` of the i-th piece reach, the
-        union of the memoized masks of its moves."""
-        reached = 0
-        for moves, memo, ride in ((m.steps, self.steps[i], False),
-                                  (m.rides, self.rides[i], True)):
-            for move in moves:
-                mask = memo.get(move)
-                if mask is None:
-                    mask = memo[move] = self.reach(self.cells[i], move, ride)
-                reached |= mask
-        return reached
-
     def reach(self, cell: Vec, move: Vec, ride: bool) -> int:
-        """The mask of what a move of the piece on ``cell`` reaches;
-        ``reached`` memoizes it in ``steps`` and ``rides``."""
+        """The mask of what a move of the piece on ``cell`` reaches."""
         t, bits = self.t, self.bits
-        cls, passed = _move_control(t, self.cells, cell, move, ride)
-        mask = bits.get(cls, 0)  # 0 for None
-        if not ride:
+        (x, y), (dx, dy), (tx, ty) = cell, move, t
+        tt = tx * tx + ty * ty
+        if not ride:  # reduce_cell, written out
+            x += dx
+            y += dy
+            n = (x * tx + y * ty) // tt
+            return bits.get((x - n * tx, y - n * ty), 0)
+        # Past the pieces a free ride still meets neighborhood classes until
+        # its ``cross`` leaves their band, and none after.  That band is the
+        # occupied one widened by |tx| + |ty|, the most a unit step moves
+        # ``cross``.  A ride that stops does so within the bound: at a
+        # piece, in the occupied band, or, parallel to t, at its own class
+        # once round its line.
+        if self._band is None:
+            qlo, qhi = _occupied_band(self.cells, t)
+            s = abs(tx) + abs(ty)
+            self._band = qlo - s, qhi + s
+        bound = _free_length(cell, move, t, *self._band)
+        if bound <= _LISTED_MAX:  # walk up to the first occupied class
+            occupied, mask = self.occupied, 0
+            for _ in range(bound):  # reduce_cell, written out
+                x += dx
+                y += dy
+                n = (x * tx + y * ty) // tt
+                cls = (x - n * tx, y - n * ty)
+                mask |= bits.get(cls, 0)
+                if cls in occupied:
+                    break
             return mask
+        cls, passed = _move_control(t, self.cells, cell, move, True)
+        mask = bits.get(cls, 0)  # 0 for None
         if passed is None:
-            # Past the pieces a free ride still meets neighborhood classes
-            # until its ``cross`` leaves their band, and none after.  That
-            # band is the occupied one widened by |tx| + |ty|, the most a
-            # unit step moves ``cross``.
-            if self._band is None:
-                qlo, qhi = _occupied_band(self.cells, t)
-                s = abs(t[0]) + abs(t[1])
-                self._band = qlo - s, qhi + s
-            passed = _free_length(cell, move, t, *self._band)
+            passed = bound
         if passed > _LISTED_MAX:  # too long to walk: test each class
             for c, bit in bits.items():
                 k = _steps_to(c, cell, move, t)
                 if k is not None and k <= passed:
                     mask |= bit
             return mask
-        (x, y), (dx, dy), (tx, ty) = cell, move, t
-        tt = tx * tx + ty * ty
         for _ in range(passed):  # reduce_cell, written out
             x += dx
             y += dy

@@ -17,13 +17,18 @@ from xml.sax.saxutils import escape
 
 from .control import (RegionClass, control_of_pattern, neighborhood,
                       partition_neighborhood)
-from .geometry import Vec, add, reduce_cell, scale
+from .geometry import Vec, reduce_cell
 from .pattern import PatternError, PeriodicPattern, canonicalize
 from .pieces import KIND_LETTERS, Orientation
 
 LAYERS = ("pieces", "neighborhood", "partition", "control")
 
 CELL = 32
+
+# The most cells a picture may have (a 500 x 500 box).  A long t or many
+# periods can ask for a box far larger than the motif; such a picture is
+# refused rather than drawn.
+MAX_CELLS = 250_000
 
 _REGION_LETTER = {RegionClass.INSIDE: "i", RegionClass.BASE: "b",
                   RegionClass.OUTSIDE: "o"}
@@ -49,15 +54,21 @@ class RenderSpec:
 
 def _view(p: PeriodicPattern, spec: RenderSpec):
     """View box covering `periods` copies (padded by 2), with every piece
-    whose cell falls inside it."""
-    anchor_cells = []
-    for k in range(spec.periods):
-        for piece in p.pieces:
-            anchor_cells.append(add(piece.cell, scale(p.t, k)))
-    xs = [c[0] for c in anchor_cells]
-    ys = [c[1] for c in anchor_cells]
+    whose cell falls inside it.  The box is computed from the pieces and
+    the last copy's shift, so its cost does not grow with `periods`; a box
+    of more than ``MAX_CELLS`` cells raises ``PatternError``."""
+    (tx, ty), last = p.t, spec.periods - 1
+    xs = [piece.cell[0] for piece in p.pieces]
+    ys = [piece.cell[1] for piece in p.pieces]
     pad = 2
-    x0, x1, y0, y1 = min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad
+    x0 = min(xs) + min(0, last * tx) - pad
+    x1 = max(xs) + max(0, last * tx) + pad
+    y0 = min(ys) + min(0, last * ty) - pad
+    y1 = max(ys) + max(0, last * ty) + pad
+    width, height = x1 - x0 + 1, y1 - y0 + 1
+    if width * height > MAX_CELLS:
+        raise PatternError(f"a picture of {width} x {height} cells is too "
+                           f"large to draw (at most {MAX_CELLS} cells)")
     pieces = {}
     by_class = p.class_map()
     for y in range(y0, y1 + 1):

@@ -264,6 +264,23 @@ def _image(action, a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([table[a[i]] for i, table in action])
 
 
+def _judge_maps(bounds: SearchBounds) -> list:
+    """``_FormJudge``'s tables, which depend on the bounds only: per linear
+    part S (the translations first), the image of each orientation index
+    (-1 for one the bounds exclude) and of each decoration index."""
+    orients, decors = _attributes(bounds)
+    maps = []
+    for S in (_TRANSLATION,) + _LINEAR_PARTS:
+        turn = (lambda o: o.flipped) if S[1] < 0 else (lambda o: o)
+        otable = [orients.index(turn(o)) if turn(o) in orients else -1
+                  for o in orients]
+        dtable = [decors.index(None if d is None
+                               else (S[0] * d[0], S[1] * d[1]))
+                  for d in decors]
+        maps.append((S, otable, dtable))
+    return maps
+
+
 class _FormJudge:
     """The orbit, period and group verdicts on the forms of one cell set,
     read off its self-maps (``geometry.self_maps``) with every
@@ -271,7 +288,9 @@ class _FormJudge:
     on an assignment (``_assignment_indices``) a: it sends a to the b with
     b[perm[i]] the image of a[i], the orientation turned over when S flips
     y and the decoration mapped by S (-1 for an orientation the bounds
-    exclude).  Its action is stored as ``(source, table)`` per entry of b.
+    exclude).  Its action is stored as ``(source, table)`` per entry of b;
+    the tables (``maps``, from ``_judge_maps``) depend on the bounds only,
+    so a scan builds them once for all its cell sets.
 
     * Orbit: a is the first form of its orbit iff no translation, and with
       ``use_mirror`` no x-mirror (x -> -x), sends it to an earlier
@@ -287,19 +306,14 @@ class _FormJudge:
     """
 
     def __init__(self, bounds: SearchBounds, t: Vec, cells: list[Vec],
-                 use_mirror: bool) -> None:
-        orients, decors = _attributes(bounds)
+                 use_mirror: bool, maps: Optional[list] = None) -> None:
         n = len(cells)
         self.orbit: list = []
         self.translations: list = []
         self.roles: list[tuple[str, list]] = []
-        for S in (_TRANSLATION,) + _LINEAR_PARTS:
-            turn = (lambda o: o.flipped) if S[1] < 0 else (lambda o: o)
-            otable = [orients.index(turn(o)) if turn(o) in orients else -1
-                      for o in orients]
-            dtable = [decors.index(None if d is None
-                                   else (S[0] * d[0], S[1] * d[1]))
-                      for d in decors]
+        if maps is None:
+            maps = _judge_maps(bounds)
+        for S, otable, dtable in maps:
             for o, perm in self_maps(t, cells, S):
                 source = [0] * n
                 for i, k in enumerate(perm):
@@ -332,6 +346,31 @@ class _FormJudge:
         return group_of(SymmetryFlags(*(r in roles for r in "hvgr"), ()))
 
 
+class _ScanTables:
+    """What every cell set of one scan shares, built once per scan: the
+    judge's tables (``_judge_maps``), the distinct moves ``(move, ride)``
+    of the kinds in every orientation the bounds allow, and per kind and
+    orientation index the ids (positions in ``moves``) of its moves.
+    Moves recur across kinds and orientations: the king's steps are
+    those of gold and silver together, in both orientations."""
+
+    def __init__(self, bounds: SearchBounds,
+                 kinds: Sequence[PieceKind]) -> None:
+        self.maps = _judge_maps(bounds)
+        orients, _ = _attributes(bounds)
+        index: dict[tuple[Vec, bool], int] = {}
+        self.ids: list[list[tuple[int, ...]]] = []
+        for kind in kinds:
+            self.ids.append([])
+            for o in orients:
+                m = kind.oriented(o)
+                moves = ([(d, False) for d in m.steps]
+                         + [(d, True) for d in m.rides])
+                self.ids[-1].append(tuple(index.setdefault(x, len(index))
+                                          for x in moves))
+        self.moves = tuple(index)
+
+
 class _CellSet:
     """A cell set that a scan keeps, with its forms' orbit, period and
     group verdicts (``judge``) and, for the forms whose period is not
@@ -339,19 +378,28 @@ class _CellSet:
 
     Such a form has the cells and period of its canonical all-king pattern
     (the cell set's cells, sorted), so one ``KernelGeometry``, built when
-    the first column is judged, serves them all.  Per column, a form ORs
-    each piece's reach mask (built on first need) less its allies' bits
-    (the pieces facing its way); what that leaves of the neighborhood is
+    the first column is judged, serves them all.  Each piece has one flat
+    list of move masks, indexed by the scan's move ids (``_ScanTables``)
+    and filled on first need by the geometry's ``reach``; a kind's reach
+    mask per piece and orientation is the OR of its moves' masks, built
+    when a form first needs it.  Per column, a form ORs the reach masks of
+    the pieces facing each way and takes that side's allies (the pieces
+    facing the same way) out once; what that leaves of the neighborhood is
     uncontrolled, and the geometry's ``verdict`` judges it.  Decorations
     never change control, so the masks are memoized by the orientations.
     ``matches`` stops at the first column that misses; a form that matches
-    has every column's mask, and ``statuses`` reads them.
+    has every column's mask, and ``statuses`` reads them.  ``tables`` are
+    the scan's; a cell set built alone builds its own.
     """
 
     def __init__(self, bounds: SearchBounds, t: Vec, cells: list[Vec],
-                 kinds: Sequence[PieceKind], use_mirror: bool) -> None:
+                 kinds: Sequence[PieceKind], use_mirror: bool,
+                 tables: Optional[_ScanTables] = None) -> None:
         self.bounds, self.t, self.cells = bounds, t, cells
-        self.judge = _FormJudge(bounds, t, cells, use_mirror)
+        if tables is None:
+            tables = _ScanTables(bounds, kinds)
+        self.tables = tables
+        self.judge = _FormJudge(bounds, t, cells, use_mirror, tables.maps)
         self.kinds = tuple(kinds)
         self.geometry: Optional[KernelGeometry] = None
         self._left = [{} for _ in kinds]  # orientations -> uncontrolled
@@ -361,32 +409,41 @@ class _CellSet:
 
     def _build(self) -> None:
         g = self.geometry = KernelGeometry(self.t, tuple(sorted(self.cells)))
-        index = {c: i for i, c in enumerate(g.cells)}
-        self._pieces = [index[c] for c in self.cells]
         self._bits = [g.bits.get(c, 0) for c in self.cells]
+        # per piece, the mask of each move id (on first use)
+        self._moves = [[None] * len(self.tables.moves) for _ in self.cells]
+        # per kind and orientation, each piece's reach mask (on first use)
         orients, _ = _attributes(self.bounds)
-        self._movesets = [[k.oriented(o) for o in orients]
-                          for k in self.kinds]
-        # per kind and orientation, each cell's reach mask (on first use)
         self._reach = [[None] * len(orients) for _ in self.kinds]
+
+    def _reached(self, ids: tuple[int, ...]) -> list[int]:
+        """Each piece's reach mask by the moves ``ids``."""
+        reach, moves = self.geometry.reach, self.tables.moves
+        out = []
+        for cell, masks in zip(self.cells, self._moves):
+            reached = 0
+            for m in ids:
+                mask = masks[m]
+                if mask is None:
+                    mask = masks[m] = reach(cell, *moves[m])
+                reached |= mask
+            out.append(reached)
+        return out
 
     def _uncontrolled(self, k: int, os: tuple[int, ...]) -> int:
         """The mask kinds[k] leaves uncontrolled, the pieces facing os."""
         if self.geometry is None:
             self._build()
-        every = self.geometry.every
-        free = [every, every]  # what the pieces facing each way control
-        for bit, j in zip(self._bits, os):
-            free[j] &= ~bit
-        moves, reach = self._movesets[k], self._reach[k]
-        controlled = 0
+        reach = self._reach[k]
+        reached, allies = [0, 0], [0, 0]  # per side
         for i, j in enumerate(os):
             masks = reach[j]
             if masks is None:
-                reached, m = self.geometry.reached, moves[j]
-                masks = reach[j] = [reached(p, m) for p in self._pieces]
-            controlled |= masks[i] & free[j]
-        return every & ~controlled
+                masks = reach[j] = self._reached(self.tables.ids[k][j])
+            reached[j] |= masks[i]
+            allies[j] |= self._bits[i]
+        return self.geometry.every & ~((reached[0] & ~allies[0])
+                                       | (reached[1] & ~allies[1]))
 
     def verdict(self, k: int, a: tuple[int, ...]) -> Verdict:
         """The verdict of kinds[k] on a's form (its period not redundant)."""
@@ -425,6 +482,7 @@ def _scan(bounds: SearchBounds, kinds: Sequence[PieceKind],
     self-maps (``_has_roles``) skip whole cell sets."""
     roles = GROUP_ROLES[group] if group is not None else ""
     seen_cells: set = set()
+    tables = _ScanTables(bounds, kinds)
     for t in _period_candidates(bounds):
         required = [(role, role_linear_part(role, t)) for role in roles]
         if any(S is None for _, S in required):
@@ -442,7 +500,8 @@ def _scan(bounds: SearchBounds, kinds: Sequence[PieceKind],
                 if key in seen_cells:
                     continue  # a translate or mirror of an earlier cell set
                 seen_cells.add(key)
-                cell_set = _CellSet(bounds, t, cells, kinds, use_mirror)
+                cell_set = _CellSet(bounds, t, cells, kinds, use_mirror,
+                                    tables)
                 judge = cell_set.judge
                 for a in _assignment_indices(bounds, n):
                     if not judge.first_of_orbit(a):

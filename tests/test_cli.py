@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import shogi_frieze
 from shogi_frieze.cli import main
 from conftest import FIXTURE_DIR
 
@@ -137,6 +142,33 @@ def test_render_invalid_layer(capsys, tmp_path):
     f.write_text("period: 3 0\ngrid:\nK^ .. ..\n", encoding="utf-8")
     code, _, err = run(capsys, "render", str(f), "--layers", "bogus")
     assert code == 2 and err
+
+
+@pytest.mark.parametrize("source,periods", [
+    ("p11g", "100000000"),
+    ("period: 1000000000000 0\ngrid:\nK^ R^\n", "2"),
+], ids=["many-periods", "long-t"])
+def test_render_refuses_a_huge_picture(tmp_path, source, periods):
+    # Either picture would span about 10^8 or 10^12 cells; it is refused
+    # at once, with exit 2 and a message, whatever the format.
+    if source == "p11g":
+        f = FIXTURE_DIR / f"{source}.pattern"
+    else:
+        f = tmp_path / "long.pattern"
+        f.write_text(source, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(shogi_frieze.__file__).parent.parent),
+         os.environ.get("PYTHONPATH", "")]))
+    for fmt in ("ascii", "svg"):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "shogi_frieze.cli", "render", str(f),
+             "--periods", periods, "--format", fmt],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert time.perf_counter() - start < 10, fmt
+        assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+        assert "too large" in proc.stderr, proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_search_cli(tmp_path, capsys):

@@ -4,9 +4,11 @@ from shogi_frieze import (GOLD, KING, KNIGHT, LANCE, PAWN, ROOK, RegionClass,
                           Verdict, control_of_pattern, make_pattern,
                           neighborhood, ncc_status, oracle,
                           partition_neighborhood)
-from shogi_frieze.control import (FreeLine, KernelGeometry, NccStatus,
-                                  _move_control)
-from shogi_frieze.geometry import reduce_cell
+from shogi_frieze import control
+from shogi_frieze.control import (_LISTED_MAX, FreeLine, KernelGeometry,
+                                  NccStatus, _free_length, _move_control,
+                                  _steps_to)
+from shogi_frieze.geometry import UNIT_DIRS, reduce_cell
 from shogi_frieze.pattern import PatternError
 from shogi_frieze.search import SearchBounds, _enumerate_forms
 from conftest import DOWN, UP, piece, random_pattern
@@ -236,6 +238,84 @@ def test_verdict_rule_exhaustive_on_small_spaces():
     assert g.base == g.every == 0
     assert g.verdict(0) is Verdict.COMPLETE
     assert g.status(0) == NccStatus(Verdict.COMPLETE)
+
+
+def _reference_reach(g, cell, move, ride, move_control):
+    """What a move of the piece on ``cell`` reaches, by ``move_control``
+    and ``_steps_to`` alone: the class it lands on, and every neighborhood
+    class a ride meets up to its stop (anywhere on its line when free)."""
+    cls, passed = move_control(g.t, g.cells, cell, move, ride)
+    mask = g.bits.get(cls, 0)
+    for c, bit in g.bits.items():
+        k = _steps_to(c, cell, move, g.t) if ride else None
+        if k is not None and (passed is None or k <= passed):
+            mask |= bit
+    return mask
+
+
+def test_reach_matches_a_reference_mask(monkeypatch):
+    # Every move of every piece of every geometry of three small spaces,
+    # and hand cases at the edges of the walk: ``reach`` against a mask
+    # built from ``_move_control`` and ``_steps_to``.  A ride whose bound
+    # (``_free_length`` on the occupied band widened by |tx| + |ty|) is at
+    # most ``_LISTED_MAX`` is walked to its stop without ``_move_control``;
+    # a longer one asks it once.
+    move_control = control._move_control
+    calls = []
+    monkeypatch.setattr(control, "_move_control",
+                        lambda *args: calls.append(args)
+                        or move_control(*args))
+    patterns = {}
+    for bounds in (SearchBounds(2, (2, 2), 2),
+                   SearchBounds(2, (2, 2), 2, allow_decorations=True),
+                   SearchBounds(3, (3, 2), 2)):
+        for form in _enumerate_forms(bounds):
+            try:
+                p = form.instantiate(KING)
+            except PatternError:
+                continue
+            patterns.setdefault((p.t, p.cells()), p)
+    assert len(patterns) > 100
+    hand = [
+        # a lone knight: its own class is no neighborhood class, yet a
+        # ride parallel to t stops there
+        ([piece((0, 0), kind=KNIGHT)], (3, 0)),
+        # rides parallel to t at the edge of the walk: 32 classes, then 33
+        ([piece((0, 0), kind=ROOK)], (32, 0)),
+        ([piece((0, 0), kind=ROOK)], (33, 0)),
+        ([piece((0, 0), kind=ROOK), piece((0, 1))], (0, 33)),
+        # nearly parallel: the ride east from (0, 0) meets the king after
+        # 5 steps, but its bound is 46
+        ([piece((0, 0), kind=ROOK), piece((5, 0))], (40, 1)),
+        # a ride round 99 classes, tested class by class
+        ([piece((0, 0), kind=ROOK)], (100, 0)),
+    ]
+    for pieces, t in hand:
+        p = make_pattern(pieces, t)
+        patterns[(p.t, p.cells())] = p
+    long_rides = 0
+    for (t, cells), p in patterns.items():
+        g = KernelGeometry(t, cells)
+        qs = [x * t[1] - y * t[0] for x, y in cells]
+        s = abs(t[0]) + abs(t[1])
+        for cell in cells:
+            for d in UNIT_DIRS + ((1, 2), (-1, -2)):
+                calls.clear()
+                assert g.reach(cell, d, False) \
+                    == _reference_reach(g, cell, d, False, move_control)
+                if d not in UNIT_DIRS:
+                    continue
+                calls.clear()
+                got = g.reach(cell, d, True)
+                long = _free_length(cell, d, t, min(qs) - s,
+                                    max(qs) + s) > _LISTED_MAX
+                long_rides += long
+                assert len(calls) == long, (t, cell, d)
+                assert got == _reference_reach(g, cell, d, True,
+                                               move_control), (t, cell, d)
+    # both rides along t = (33, 0), both pieces' rides along (0, 33), both
+    # pieces' horizontal rides at (40, 1) and both rides along (100, 0)
+    assert long_rides == 2 + 4 + 4 + 2
 
 
 # --- invariants on random patterns ------------------------------------------

@@ -309,7 +309,9 @@ def test_p1_scan_builds_one_geometry_per_cell_set(monkeypatch):
     # form's columns are judged up to the first that misses the target,
     # and a kind's reach masks are built only when a form first needs
     # them: the P1 scan computes 3 829 column masks for its 2 166 forms,
-    # not 8 a form, and 5 659 reach masks (``KernelGeometry.reached``).  A
+    # not 8 a form.  Each cell set computes a move's mask for a piece
+    # once, whatever kinds and orientations share the move: 10 746 move
+    # masks (``KernelGeometry.reach``) on the P1 scan, 666 on P11G.  A
     # geometry floods its neighborhood (``_partition``) only for a mask
     # that misses the occupied classes and is neither empty nor all of
     # it: 9 of the P1 scan's 339 geometries, 8 of the P11G scan's 15.  The
@@ -317,7 +319,7 @@ def test_p1_scan_builds_one_geometry_per_cell_set(monkeypatch):
     # 36 to judge.  The reports are what a fresh geometry on each report's
     # form gives.
     counts = dict.fromkeys(("geometry", "flood", "matches", "uncontrolled",
-                            "reached", "cell_key", "judge"), 0)
+                            "reach", "cell_key", "judge"), 0)
 
     def counted(owner, name, key):
         original = getattr(owner, name)
@@ -330,18 +332,19 @@ def test_p1_scan_builds_one_geometry_per_cell_set(monkeypatch):
     counted(control, "_partition", "flood")
     counted(_CellSet, "matches", "matches")
     counted(_CellSet, "_uncontrolled", "uncontrolled")
-    counted(KernelGeometry, "reached", "reached")
+    counted(KernelGeometry, "reach", "reach")
     counted(search, "_cell_key", "cell_key")
     counted(search, "_FormJudge", "judge")
     scans = {
         FriezeGroup.P1: (dict.fromkeys(KIND_COLUMNS, False),
                          SearchBounds(3, (3, 3), 3),
                          dict(geometry=339, flood=9, matches=2_166,
-                              uncontrolled=3_829, reached=5_659),
+                              uncontrolled=3_829, reach=10_746),
                          182),
         FriezeGroup.P11G: ({k: k is KING for k in KIND_COLUMNS},
                            SearchBounds(4, (4, 3), 4),
-                           dict(flood=8, cell_key=81, judge=36), 15),
+                           dict(flood=8, cell_key=81, judge=36, reach=666),
+                           15),
     }
     for group, (target, bounds, expected, n) in scans.items():
         counts.update(dict.fromkeys(counts, 0))
