@@ -359,15 +359,11 @@ class _ScanTables:
         self.maps = _judge_maps(bounds)
         orients, _ = _attributes(bounds)
         index: dict[tuple[Vec, bool], int] = {}
-        self.ids: list[list[tuple[int, ...]]] = []
-        for kind in kinds:
-            self.ids.append([])
-            for o in orients:
-                m = kind.oriented(o)
-                moves = ([(d, False) for d in m.steps]
-                         + [(d, True) for d in m.rides])
-                self.ids[-1].append(tuple(index.setdefault(x, len(index))
-                                          for x in moves))
+
+        def ids(m: Moveset) -> tuple[int, ...]:
+            moves = [(d, False) for d in m.steps] + [(d, True) for d in m.rides]
+            return tuple(index.setdefault(x, len(index)) for x in moves)
+        self.ids = [[ids(k.oriented(o)) for o in orients] for k in kinds]
         self.moves = tuple(index)
 
 
