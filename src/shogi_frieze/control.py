@@ -477,32 +477,27 @@ class KernelGeometry:
             s = abs(tx) + abs(ty)
             self._band = qlo - s, qhi + s
         bound = _free_length(cell, move, t, *self._band)
-        if bound <= _LISTED_MAX:  # walk up to the first occupied class
-            occupied, mask = self.occupied, 0
-            for _ in range(bound):  # reduce_cell, written out
-                x += dx
-                y += dy
-                n = (x * tx + y * ty) // tt
-                cls = (x - n * tx, y - n * ty)
-                mask |= bits.get(cls, 0)
-                if cls in occupied:
-                    break
-            return mask
-        cls, passed = _move_control(t, self.cells, cell, move, True)
-        mask = bits.get(cls, 0)  # 0 for None
-        if passed is None:
-            passed = bound
-        if passed > _LISTED_MAX:  # too long to walk: test each class
-            for c, bit in bits.items():
-                k = _steps_to(c, cell, move, t)
-                if k is not None and k <= passed:
-                    mask |= bit
-            return mask
-        for _ in range(passed):  # reduce_cell, written out
+        if bound > _LISTED_MAX:  # (nearly) parallel to a long t
+            cls, passed = _move_control(t, self.cells, cell, move, True)
+            if passed is None or passed > _LISTED_MAX:
+                # too long to walk: test each class
+                passed = bound if passed is None else passed
+                mask = bits.get(cls, 0)  # 0 for None
+                for c, bit in bits.items():
+                    k = _steps_to(c, cell, move, t)
+                    if k is not None and k <= passed:
+                        mask |= bit
+                return mask
+            bound = passed + 1  # up to the piece it lands on
+        occupied, mask = self.occupied, 0
+        for _ in range(bound):  # reduce_cell, written out
             x += dx
             y += dy
             n = (x * tx + y * ty) // tt
-            mask |= bits.get((x - n * tx, y - n * ty), 0)
+            cls = (x - n * tx, y - n * ty)
+            mask |= bits.get(cls, 0)
+            if cls in occupied:  # the first piece the ride meets
+                break
         return mask
 
 
