@@ -7,7 +7,7 @@ from .pieces import (BISHOP, GOLD, KING, KNIGHT, LANCE, PAWN, ROOK, SILVER,
                      moveset)
 from .pattern import (Form, InconsistentMotifError, ParseError, PatternError,
                       PeriodicPattern, PlacedPiece, canonicalize, dual,
-                      form_of, make_pattern, occupant, parse, serialize)
+                      form_of, make_pattern, parse, serialize)
 from .control import (FreeLine, NccStatus, PeriodicCellSet, RegionClass,
                       Segment, Verdict, control_of_pattern, neighborhood,
                       ncc_status, partition_neighborhood)

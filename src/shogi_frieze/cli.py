@@ -46,7 +46,7 @@ class CliError(Exception):
 def _load(path: str) -> PeriodicPattern:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     try:
         return parse(text)

@@ -120,14 +120,6 @@ def canonicalize(p: PeriodicPattern) -> PeriodicPattern:
     return PeriodicPattern(tuple(sorted(by_class.values(), key=_sort_key)), t)
 
 
-def occupant(p: PeriodicPattern, cell: Vec) -> Optional[PlacedPiece]:
-    """The piece at ``cell`` in the infinite pattern, if any."""
-    hit = p.class_map().get(reduce_cell(cell, p.t))
-    if hit is None:
-        return None
-    return replace(hit, cell=cell)
-
-
 def dual(p: PeriodicPattern) -> PeriodicPattern:
     """Swap the two orientations; decorations rotate 180 degrees."""
     out = []

@@ -139,16 +139,6 @@ def _cell_pool(bounds: SearchBounds, t: Vec) -> list[Vec]:
     return cells
 
 
-def _cell_sets(bounds: SearchBounds, t: Vec) -> Iterator[list[Vec]]:
-    """Each combination of pool cells that lie in distinct classes mod t,
-    reduced mod t, in enumeration order."""
-    pool = [reduce_cell(c, t) for c in _cell_pool(bounds, t)]
-    for n in range(1, bounds.max_motif_pieces + 1):
-        for cells in itertools.combinations(pool, n):
-            if len(set(cells)) == n:
-                yield list(cells)
-
-
 def _attributes(bounds: SearchBounds,
                 ) -> tuple[tuple[Orientation, ...], tuple[Optional[Vec], ...]]:
     """The orientations (Up first) and decorations a cell can carry."""
@@ -177,14 +167,6 @@ def _form(bounds: SearchBounds, t: Vec, cells: list[Vec],
                           [decors[i] for i in a[n:]])), t)
 
 
-def _enumerate_forms(bounds: SearchBounds) -> Iterator[Form]:
-    """Every form of the bounded space, unpruned: the naive reference."""
-    for t in _period_candidates(bounds):
-        for cells in _cell_sets(bounds, t):
-            for a in _assignment_indices(bounds, len(cells)):
-                yield _form(bounds, t, cells, a)
-
-
 def _translation_key(t: Vec, cells: list[tuple[int, int, tuple]]):
     """Lexicographically minimal re-anchoring of a motif with period ``t``
     given as ``(x, y, attrs)`` cells: over every anchor a, the sorted
@@ -205,20 +187,13 @@ def _translation_key(t: Vec, cells: list[tuple[int, int, tuple]]):
     return (t, tuple(best))
 
 
-def _kinds_mirror_safe(kinds: Sequence[PieceKind]) -> bool:
-    def x_sym(m):
-        flip = lambda s: frozenset((-dx, dy) for dx, dy in s)
-        return flip(m.steps) == m.steps and flip(m.rides) == m.rides
-    return all(x_sym(k.moveset) for k in kinds)
-
-
-def orbit_key(form: Form, use_mirror: bool):
-    """The least translation key of the form and, with ``use_mirror``, of
+def orbit_key(form: Form, mirror: bool):
+    """The least translation key of the form and, with ``mirror``, of
     its vertical mirror image (x -> -x)."""
     cells = [(x, y, (o.value, d is not None, d or (0, 0)))
              for (x, y), o, d in form.cells]
     key = _translation_key(form.t, cells)
-    if use_mirror:
+    if mirror:
         mirrored = [(-x, y, (ov, has, (-d[0], d[1])))
                     for x, y, (ov, has, d) in cells]
         key = min(key, _translation_key(
@@ -226,11 +201,11 @@ def orbit_key(form: Form, use_mirror: bool):
     return key
 
 
-def _cell_key(t: Vec, cells: list[Vec], use_mirror: bool):
+def _cell_key(t: Vec, cells: list[Vec], mirror: bool):
     """``orbit_key`` of a bare cell set: its classes mod t up to
-    translation and, with ``use_mirror``, the vertical mirror."""
+    translation and, with ``mirror``, the vertical mirror."""
     key = _translation_key(t, [(x, y, ()) for x, y in cells])
-    if use_mirror:
+    if mirror:
         key = min(key, _translation_key(canonical_sign((-t[0], t[1])),
                                         [(-x, y, ()) for x, y in cells]))
     return key
@@ -264,21 +239,49 @@ def _image(action, a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([table[a[i]] for i, table in action])
 
 
-def _judge_maps(bounds: SearchBounds) -> list:
-    """``_FormJudge``'s tables, which depend on the bounds only: per linear
-    part S (the translations first), the image of each orientation index
-    (-1 for one the bounds exclude) and of each decoration index."""
-    orients, decors = _attributes(bounds)
-    maps = []
-    for S in (_TRANSLATION,) + _LINEAR_PARTS:
-        turn = (lambda o: o.flipped) if S[1] < 0 else (lambda o: o)
-        otable = [orients.index(turn(o)) if turn(o) in orients else -1
-                  for o in orients]
-        dtable = [decors.index(None if d is None
-                               else (S[0] * d[0], S[1] * d[1]))
-                  for d in decors]
-        maps.append((S, otable, dtable))
-    return maps
+class _ScanTables:
+    """What every cell set of one scan shares, built once per scan: its
+    ``bounds`` and ``kinds`` and
+
+    * ``maps``, the judge's tables, which depend on the bounds only: per
+      linear part S (the translations first), the image of each
+      orientation index (-1 for one the bounds exclude) and of each
+      decoration index;
+    * ``mirror``, whether the scan prunes by the vertical mirror x -> -x.
+      That is sound only when every kind's moveset is left-right
+      symmetric, as every standard kind's is: then a pattern's mirror
+      image has its verdicts;
+    * ``moves``, the distinct moves ``(move, ride)`` of the kinds in every
+      orientation the bounds allow, and ``ids``, per kind and orientation
+      index the ids (positions in ``moves``) of its moves.  Moves recur
+      across kinds and orientations: the king's steps are those of gold
+      and silver together, in both orientations.
+    """
+
+    def __init__(self, bounds: SearchBounds,
+                 kinds: Sequence[PieceKind]) -> None:
+        self.bounds, self.kinds = bounds, tuple(kinds)
+        orients, decors = _attributes(bounds)
+        self.maps = []
+        for S in (_TRANSLATION,) + _LINEAR_PARTS:
+            turn = (lambda o: o.flipped) if S[1] < 0 else (lambda o: o)
+            otable = [orients.index(turn(o)) if turn(o) in orients else -1
+                      for o in orients]
+            dtable = [decors.index(None if d is None
+                                   else (S[0] * d[0], S[1] * d[1]))
+                      for d in decors]
+            self.maps.append((S, otable, dtable))
+        flip = lambda s: frozenset((-dx, dy) for dx, dy in s)
+        self.mirror = all(flip(k.moveset.steps) == k.moveset.steps
+                          and flip(k.moveset.rides) == k.moveset.rides
+                          for k in self.kinds)
+        index: dict[tuple[Vec, bool], int] = {}
+
+        def ids(m: Moveset) -> tuple[int, ...]:
+            moves = [(d, False) for d in m.steps] + [(d, True) for d in m.rides]
+            return tuple(index.setdefault(x, len(index)) for x in moves)
+        self.ids = [[ids(k.oriented(o)) for o in orients] for k in kinds]
+        self.moves = tuple(index)
 
 
 class _FormJudge:
@@ -288,15 +291,14 @@ class _FormJudge:
     on an assignment (``_assignment_indices``) a: it sends a to the b with
     b[perm[i]] the image of a[i], the orientation turned over when S flips
     y and the decoration mapped by S (-1 for an orientation the bounds
-    exclude).  Its action is stored as ``(source, table)`` per entry of b;
-    the tables (``maps``, from ``_judge_maps``) depend on the bounds only,
-    so a scan builds them once for all its cell sets.
+    exclude).  Its action is stored as ``(source, table)`` per entry of b,
+    with the scan's tables (``_ScanTables.maps``).
 
-    * Orbit: a is the first form of its orbit iff no translation, and with
-      ``use_mirror`` no x-mirror (x -> -x), sends it to an earlier
-      assignment: the orbit's other forms on these cells are its images
-      under those self-maps, and forms on other cells lie on other cell
-      sets (``_cell_key``).
+    * Orbit: a is the first form of its orbit iff no translation, and when
+      the scan prunes by the mirror (``_ScanTables.mirror``) no x-mirror
+      (x -> -x), sends it to an earlier assignment: the orbit's other
+      forms on these cells are its images under those self-maps, and forms
+      on other cells lie on other cell sets (``_cell_key``).
     * Period: a pattern has a period shorter than t iff it has a
       translation symmetry that is no multiple of t, so a's period is
       redundant iff a translation self-map other than the identity fixes
@@ -305,15 +307,12 @@ class _FormJudge:
       that fix a, with their roles (``symmetry._role``).
     """
 
-    def __init__(self, bounds: SearchBounds, t: Vec, cells: list[Vec],
-                 use_mirror: bool, maps: Optional[list] = None) -> None:
+    def __init__(self, tables: _ScanTables, t: Vec, cells: list[Vec]) -> None:
         n = len(cells)
         self.orbit: list = []
         self.translations: list = []
         self.roles: list[tuple[str, list]] = []
-        if maps is None:
-            maps = _judge_maps(bounds)
-        for S, otable, dtable in maps:
+        for S, otable, dtable in tables.maps:
             for o, perm in self_maps(t, cells, S):
                 source = [0] * n
                 for i, k in enumerate(perm):
@@ -325,7 +324,7 @@ class _FormJudge:
                         self.translations.append(action)
                         self.orbit.append(action)
                     continue
-                if S == _X_MIRROR and use_mirror:
+                if S == _X_MIRROR and tables.mirror:
                     self.orbit.append(action)
                 role, _ = _role(S, o, t)
                 if role:
@@ -346,31 +345,11 @@ class _FormJudge:
         return group_of(SymmetryFlags(*(r in roles for r in "hvgr"), ()))
 
 
-class _ScanTables:
-    """What every cell set of one scan shares, built once per scan: the
-    judge's tables (``_judge_maps``), the distinct moves ``(move, ride)``
-    of the kinds in every orientation the bounds allow, and per kind and
-    orientation index the ids (positions in ``moves``) of its moves.
-    Moves recur across kinds and orientations: the king's steps are
-    those of gold and silver together, in both orientations."""
-
-    def __init__(self, bounds: SearchBounds,
-                 kinds: Sequence[PieceKind]) -> None:
-        self.maps = _judge_maps(bounds)
-        orients, _ = _attributes(bounds)
-        index: dict[tuple[Vec, bool], int] = {}
-
-        def ids(m: Moveset) -> tuple[int, ...]:
-            moves = [(d, False) for d in m.steps] + [(d, True) for d in m.rides]
-            return tuple(index.setdefault(x, len(index)) for x in moves)
-        self.ids = [[ids(k.oriented(o)) for o in orients] for k in kinds]
-        self.moves = tuple(index)
-
-
 class _CellSet:
     """A cell set that a scan keeps, with its forms' orbit, period and
     group verdicts (``judge``) and, for the forms whose period is not
-    redundant, their verdict for each column k, the kind kinds[k].
+    redundant, their verdict for each column k, the scan's kind
+    ``tables.kinds[k]``.
 
     Such a form has the cells and period of its canonical all-king pattern
     (the cell set's cells, sorted), so one ``KernelGeometry``, built when
@@ -384,24 +363,18 @@ class _CellSet:
     uncontrolled, and the geometry's ``verdict`` judges it.  Decorations
     never change control, so the masks are memoized by the orientations.
     ``matches`` stops at the first column that misses; a form that matches
-    has every column's mask, and ``statuses`` reads them.  ``tables`` are
-    the scan's; a cell set built alone builds its own.
+    has every column's mask, and ``statuses`` reads them.
     """
 
-    def __init__(self, bounds: SearchBounds, t: Vec, cells: list[Vec],
-                 kinds: Sequence[PieceKind], use_mirror: bool,
-                 tables: Optional[_ScanTables] = None) -> None:
-        self.bounds, self.t, self.cells = bounds, t, cells
-        if tables is None:
-            tables = _ScanTables(bounds, kinds)
-        self.tables = tables
-        self.judge = _FormJudge(bounds, t, cells, use_mirror, tables.maps)
-        self.kinds = tuple(kinds)
+    def __init__(self, tables: _ScanTables, t: Vec, cells: list[Vec]) -> None:
+        self.tables, self.t, self.cells = tables, t, cells
+        self.judge = _FormJudge(tables, t, cells)
         self.geometry: Optional[KernelGeometry] = None
-        self._left = [{} for _ in kinds]  # orientations -> uncontrolled
+        # per kind, orientations -> uncontrolled mask
+        self._left = [{} for _ in tables.kinds]
 
     def form(self, a: tuple[int, ...]) -> Form:
-        return _form(self.bounds, self.t, self.cells, a)
+        return _form(self.tables.bounds, self.t, self.cells, a)
 
     def _build(self) -> None:
         g = self.geometry = KernelGeometry(self.t, tuple(sorted(self.cells)))
@@ -409,8 +382,7 @@ class _CellSet:
         # per piece, the mask of each move id (on first use)
         self._moves = [[None] * len(self.tables.moves) for _ in self.cells]
         # per kind and orientation, each piece's reach mask (on first use)
-        orients, _ = _attributes(self.bounds)
-        self._reach = [[None] * len(orients) for _ in self.kinds]
+        self._reach = [[None] * len(ids) for ids in self.tables.ids]
 
     def _reached(self, ids: tuple[int, ...]) -> list[int]:
         """Each piece's reach mask by the moves ``ids``."""
@@ -464,11 +436,11 @@ class _CellSet:
         masks that judging every column of a memoized."""
         os = a[:len(self.cells)]
         return {k: self.geometry.status(left[os])
-                for k, left in zip(self.kinds, self._left)}
+                for k, left in zip(self.tables.kinds, self._left)}
 
 
 def _scan(bounds: SearchBounds, kinds: Sequence[PieceKind],
-          group: Optional[FriezeGroup] = None, *, use_mirror: bool = True,
+          group: Optional[FriezeGroup] = None,
           ) -> Iterator[tuple[_CellSet, tuple[int, ...]]]:
     """The first form of each orbit in the bounded space, in enumeration
     order, as its cell set (judging ``kinds``) and its assignment:
@@ -492,12 +464,11 @@ def _scan(bounds: SearchBounds, kinds: Sequence[PieceKind],
                 cells = [classes[c] for c in combo]
                 if len(set(cells)) < n or not _has_roles(t, cells, required):
                     continue
-                key = _cell_key(t, cells, use_mirror)
+                key = _cell_key(t, cells, tables.mirror)
                 if key in seen_cells:
                     continue  # a translate or mirror of an earlier cell set
                 seen_cells.add(key)
-                cell_set = _CellSet(bounds, t, cells, kinds, use_mirror,
-                                    tables)
+                cell_set = _CellSet(tables, t, cells)
                 judge = cell_set.judge
                 for a in _assignment_indices(bounds, n):
                     if not judge.first_of_orbit(a):
@@ -530,8 +501,7 @@ def find_crystal(group: FriezeGroup, target: Mapping[PieceKind, bool],
     wanted = [target[k] for k in kinds]
     order = list(range(len(kinds)))  # the column that last missed first
     reports: list[CrystalReport] = []
-    for cell_set, a in _scan(bounds, kinds, group,
-                             use_mirror=_kinds_mirror_safe(kinds)):
+    for cell_set, a in _scan(bounds, kinds, group):
         if not cell_set.matches(a, wanted, order):
             continue
         form = cell_set.form(a)
@@ -549,16 +519,6 @@ class SpecialFormReport:
     form: Form
     statuses: dict[PieceKind, NccStatus]
     partition: dict[Vec, RegionClass]
-
-    def region_control(self) -> dict[PieceKind, dict[RegionClass, bool]]:
-        """Per kind, whether each (nonempty) region is fully controlled."""
-        cells_of = {r: {c for c, rr in self.partition.items() if rr is r}
-                    for r in RegionClass}
-        out: dict[PieceKind, dict[RegionClass, bool]] = {}
-        for kind, st in self.statuses.items():
-            out[kind] = {r: cells_of[r].isdisjoint(st.uncontrolled)
-                         for r in RegionClass if cells_of[r]}
-        return out
 
 
 def find_special_form(bounds: SearchBounds, *,

@@ -61,33 +61,9 @@ class Isometry:
             raise PatternError(f"linear part {self.linear} is not +-1, +-1")
 
     @staticmethod
-    def translate(v: Vec) -> "Isometry":
-        return Isometry((1, 1), v)
-
-    @staticmethod
     def rotate180(center: tuple[float, float]) -> "Isometry":
         return Isometry((-1, -1), (_twice(center[0], "rotation center x"),
                                    _twice(center[1], "rotation center y")))
-
-    @staticmethod
-    def reflect_h(axis_y: float) -> "Isometry":
-        return Isometry((1, -1), (0, _twice(axis_y, "mirror axis")))
-
-    @staticmethod
-    def reflect_v(axis_x: float) -> "Isometry":
-        return Isometry((-1, 1), (_twice(axis_x, "mirror axis"), 0))
-
-    @staticmethod
-    def glide_h(axis_y: float, shift: Vec) -> "Isometry":
-        if shift[1] != 0 or shift[0] == 0:
-            raise PatternError("glide shift must be horizontal and nonzero")
-        return Isometry((1, -1), (shift[0], _twice(axis_y, "glide axis")))
-
-    @staticmethod
-    def glide_v(axis_x: float, shift: Vec) -> "Isometry":
-        if shift[0] != 0 or shift[1] == 0:
-            raise PatternError("glide shift must be vertical and nonzero")
-        return Isometry((-1, 1), (_twice(axis_x, "glide axis"), shift[1]))
 
     @property
     def kind(self) -> IsometryKind:
@@ -249,6 +225,7 @@ def detect_symmetries(p: PeriodicPattern) -> SymmetryFlags:
     each piece onto its image (``_carries``), and is named and listed by
     ``_role``.  The cost depends on the motif only, not on |t|.
     """
+    # a PeriodicPattern built directly need not be canonical
     p = canonicalize(p)
     t, pieces, cells = p.t, p.pieces, p.cells()
     witnesses: list[Isometry] = []

@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -5,11 +6,17 @@ from pathlib import Path
 import pytest
 
 from shogi_frieze import (KING, STANDARD_KINDS, Orientation, PeriodicPattern,
-                          PieceKind, PlacedPiece, dual, make_pattern, parse)
+                          PieceKind, PlacedPiece, dual, make_pattern, moveset,
+                          parse)
 from shogi_frieze.geometry import UNIT_DIRS, reduce_cell
-from shogi_frieze.search import ROW_ORDER
+from shogi_frieze.search import (ROW_ORDER, _assignment_indices, _cell_pool,
+                                 _form, _period_candidates)
 
 UP, DOWN = Orientation.UP, Orientation.DOWN
+
+# A kind whose moveset is not left-right symmetric: a search with it must
+# not prune by the vertical mirror x -> -x.
+LEFTY = PieceKind("lefty", moveset(steps=[(1, 0), (1, 1)], rides=[(1, -1)]))
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -64,3 +71,23 @@ def crystal_fixtures():
         text = (FIXTURE_DIR / f"{group.label}.pattern").read_text("utf-8")
         out[group] = parse(text)
     return out
+
+
+def cell_sets(bounds, t):
+    """Each combination of pool cells that lie in distinct classes mod t,
+    reduced mod t, in enumeration order: the naive reference of the scan's
+    cell sets."""
+    pool = [reduce_cell(c, t) for c in _cell_pool(bounds, t)]
+    for n in range(1, bounds.max_motif_pieces + 1):
+        for cells in itertools.combinations(pool, n):
+            if len(set(cells)) == n:
+                yield list(cells)
+
+
+def enumerate_forms(bounds):
+    """Every form of the bounded space, unpruned: the naive reference of
+    the scan."""
+    for t in _period_candidates(bounds):
+        for cells in cell_sets(bounds, t):
+            for a in _assignment_indices(bounds, len(cells)):
+                yield _form(bounds, t, cells, a)

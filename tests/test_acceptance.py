@@ -210,7 +210,7 @@ def test_criterion_10_symmetry_metamorphics():
         group = classify_frieze(p)
 
         shift = (rng.randint(-3, 3), rng.randint(-3, 3))
-        moved = apply(Isometry.translate(shift), p)
+        moved = apply(Isometry((1, 1), shift), p)
         mst = ncc_status(moved)
         assert mst.verdict == st.verdict
         assert mst.uncontrolled_class == st.uncontrolled_class
@@ -220,7 +220,7 @@ def test_criterion_10_symmetry_metamorphics():
         drot = ncc_status(rotated_dual(p))
         assert drot == st
 
-        mirrored = apply(Isometry.reflect_v(0.0), p)
+        mirrored = apply(Isometry((-1, 1), (0, 0)), p)
         vst = ncc_status(mirrored)
         assert vst.verdict == st.verdict
         assert vst.uncontrolled_class == st.uncontrolled_class

@@ -63,6 +63,27 @@ def test_missing_file_exit_2(capsys):
     assert code == 2 and err
 
 
+NOT_UTF8 = b"period: 1 0\ngrid:\n\xff^\n"
+
+
+@pytest.mark.parametrize("command", ["ncc", "classify", "control", "render"])
+def test_file_not_utf8_exits_2(tmp_path, capsys, command):
+    f = tmp_path / "bad.pattern"
+    f.write_bytes(NOT_UTF8)
+    code, _, err = run(capsys, command, str(f))
+    assert code == 2 and "bad.pattern" in err and "utf-8" in err
+    assert "internal error" not in err
+
+
+def test_fixture_dir_file_not_utf8_exits_2(tmp_path, capsys):
+    for f in FIXTURE_DIR.glob("*.pattern"):
+        (tmp_path / f.name).write_bytes(f.read_bytes())
+    (tmp_path / "p2.pattern").write_bytes(NOT_UTF8)
+    code, _, err = run(capsys, "table", str(tmp_path))
+    assert code == 2 and "p2.pattern" in err and "utf-8" in err
+    assert "internal error" not in err
+
+
 def test_control_output(tmp_path, capsys):
     f = tmp_path / "lance.pattern"
     f.write_text("period: 1 0\ngrid:\nL^\n", encoding="utf-8")

@@ -10,8 +10,8 @@ from shogi_frieze.control import (_LISTED_MAX, FreeLine, KernelGeometry,
                                   _steps_to)
 from shogi_frieze.geometry import UNIT_DIRS, reduce_cell
 from shogi_frieze.pattern import PatternError
-from shogi_frieze.search import SearchBounds, _enumerate_forms
-from conftest import DOWN, UP, piece, random_pattern
+from shogi_frieze.search import SearchBounds
+from conftest import DOWN, UP, enumerate_forms, piece, random_pattern
 
 
 # --- rides ------------------------------------------------------------------
@@ -211,7 +211,7 @@ def test_verdict_rule_exhaustive_on_small_spaces():
     for bounds in (SearchBounds(2, (2, 2), 2),
                    SearchBounds(2, (2, 2), 2, allow_decorations=True),
                    SearchBounds(3, (3, 2), 2)):
-        for form in _enumerate_forms(bounds):
+        for form in enumerate_forms(bounds):
             try:
                 p = form.instantiate(KING)
             except PatternError:
@@ -269,7 +269,7 @@ def test_reach_matches_a_reference_mask(monkeypatch):
     for bounds in (SearchBounds(2, (2, 2), 2),
                    SearchBounds(2, (2, 2), 2, allow_decorations=True),
                    SearchBounds(3, (3, 2), 2)):
-        for form in _enumerate_forms(bounds):
+        for form in enumerate_forms(bounds):
             try:
                 p = form.instantiate(KING)
             except PatternError:

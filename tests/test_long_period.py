@@ -198,16 +198,12 @@ def _scan_witnesses(p):
 
 def _as_isometry(S, o, along, tt, along_t):
     if S == (-1, -1):
-        return Isometry.rotate180((o[0] / 2, o[1] / 2))
+        return Isometry(S, o)
     if along_t and along not in (0, tt / 2):
         return None
-    if S == (1, -1):
-        if o[0] == 0:
-            return Isometry.reflect_h(o[1] / 2)
-        return Isometry.glide_h(o[1] / 2, (o[0], 0)) if along_t else None
-    if o[1] == 0:
-        return Isometry.reflect_v(o[0] / 2)
-    return Isometry.glide_v(o[0] / 2, (0, o[1])) if along_t else None
+    # a shift along the direction S fixes makes a glide, only along t
+    shift = o[0] if S == (1, -1) else o[1]
+    return Isometry(S, o) if along_t or not shift else None
 
 
 def _random_pattern(rng, t, kinds=(KING, LANCE), with_decor=True):
@@ -368,7 +364,7 @@ def test_reanchored_pattern_keeps_group_and_verdict(p, ks, shift):
                      x.orientation, x.decoration)
          for x, k in zip(p.pieces, ks)], t)
     assert anchored == p
-    moved = apply(Isometry.translate(shift), p)
+    moved = apply(Isometry((1, 1), shift), p)
     assert classify_frieze(moved) is classify_frieze(p)
     assert _verdict(moved) == _verdict(p)
     assert ncc_status(moved).uncontrolled == {
@@ -387,7 +383,7 @@ def test_dual_keeps_group_and_verdict_under_rotated_movesets(p):
 @settings(max_examples=150, deadline=None)
 @given(patterns(), st.integers(-6, 6))
 def test_mirrored_pattern_keeps_group_and_verdict(p, axis2):
-    m = apply(Isometry.reflect_v(axis2 / 2), p)
+    m = apply(Isometry((-1, 1), (axis2, 0)), p)
     assert classify_frieze(m) is classify_frieze(p)
     # every standard moveset is left-right symmetric
     assert _verdict(m) == _verdict(p)
@@ -406,6 +402,6 @@ def test_vertical_translations_get_mirrors_and_glides():
     glide = make_pattern([piece((0, 0)), piece((1, 1))], (0, 2))
     assert classify_frieze(glide) is FriezeGroup.P11G
     assert detect_symmetries(glide).witnesses == (
-        Isometry.glide_v(0.5, (0, 1)),)
-    assert apply(Isometry.glide_v(0.5, (0, 1)), glide) == glide
+        Isometry((-1, 1), (1, 1)),)
+    assert apply(Isometry((-1, 1), (1, 1)), glide) == glide
     assert canonicalize(glide) == glide

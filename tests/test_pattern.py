@@ -6,7 +6,7 @@ from shogi_frieze import (KING, LANCE, PAWN, InconsistentMotifError,
                           ParseError, PatternError, PeriodicPattern,
                           PieceKind, canonicalize,
                           classify_frieze, dual, make_pattern, moveset,
-                          ncc_status, occupant, oracle, parse, serialize)
+                          ncc_status, oracle, parse, serialize)
 from shogi_frieze.cli import main as cli_main
 from shogi_frieze.geometry import reduce_cell
 from shogi_frieze.pattern import form_of
@@ -26,9 +26,10 @@ def test_canonicalize_minimal_period():
     assert p.t == (1, 0)
     assert [x.cell for x in p.pieces] == [(0, 0)]
     # occupancy matches the unreduced description: every cell of row 0
+    occupied = p.class_map()
     for x in range(-6, 7):
-        assert occupant(p, (x, 0)) is not None
-        assert occupant(p, (x, 1)) is None
+        assert reduce_cell((x, 0), p.t) in occupied
+        assert reduce_cell((x, 1), p.t) not in occupied
 
 
 def test_canonicalize_reduction_only():
@@ -65,12 +66,13 @@ def test_canonicalize_preserves_occupancy():
             raw[reduce_cell((rng.randint(-3, 3), rng.randint(-3, 3)), t)] = None
         cells = list(raw)
         p = make_pattern([piece(c) for c in cells], t)
+        occupied = p.class_map()
         for x in range(-7, 8):
             for y in range(-7, 8):
                 direct = any(
                     reduce_cell((x - c[0], y - c[1]), t) == (0, 0)
                     for c in cells)
-                assert (occupant(p, (x, y)) is not None) == direct
+                assert (reduce_cell((x, y), p.t) in occupied) == direct
 
 
 def test_canonicalize_errors():
@@ -80,28 +82,6 @@ def test_canonicalize_errors():
         make_pattern([piece((0, 0))], (0, 0))
     with pytest.raises(InconsistentMotifError):
         make_pattern([piece((0, 0), UP), piece((2, 0), DOWN)], (2, 0))
-
-
-def test_occupant_examples():
-    p = make_pattern([piece((0, 0), kind=PAWN)], (3, 0))
-    assert occupant(p, (3, 0)).cell == (3, 0)
-    assert occupant(p, (1, 0)) is None
-    q = make_pattern([piece((0, 0), kind=LANCE)], (1, 1))
-    hit = occupant(q, (5, 5))
-    assert hit is not None and hit.cell == (5, 5) and hit.kind == LANCE
-
-
-def test_occupant_periodicity():
-    rng = random.Random(11)
-    for _ in range(40):
-        p = random_pattern(rng)
-        for _ in range(10):
-            c = (rng.randint(-8, 8), rng.randint(-8, 8))
-            a = occupant(p, c)
-            b = occupant(p, (c[0] + p.t[0], c[1] + p.t[1]))
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert a.kind == b.kind and a.orientation == b.orientation
 
 
 def test_dual_examples():

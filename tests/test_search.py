@@ -19,12 +19,11 @@ from shogi_frieze.pieces import (chess_knight_moveset, reverse_chariot_moveset,
                                  sideways_silver_moveset)
 from shogi_frieze.search import (EXPECTED_TABLE, KIND_COLUMNS, ROW_ORDER,
                                  _assignment_indices, _cell_key, _cell_pool,
-                                 _cell_sets, _CellSet, _first_translate,
-                                 _FormJudge, _enumerate_forms, _form,
-                                 _has_roles, _period_candidates, _scan,
-                                 orbit_key, staircase_target)
+                                 _CellSet, _first_translate, _FormJudge,
+                                 _form, _has_roles, _period_candidates, _scan,
+                                 _ScanTables, orbit_key, staircase_target)
 from shogi_frieze.symmetry import GROUP_ROLES, role_linear_part
-from conftest import DOWN, UP, piece
+from conftest import DOWN, LEFTY, UP, cell_sets, enumerate_forms, piece
 
 
 def singleton_form(orientation=UP, t=(9, 0)):
@@ -78,12 +77,12 @@ def test_find_crystal_reports_reverify():
         assert {k: s.satisfies for k, s in vec.items()} == rep.vector
 
 
-def _first_form_of_each_orbit(bounds, use_mirror):
+def _first_form_of_each_orbit(bounds, mirror):
     """The naive reference of the pruned scan: every form, in enumeration
     order, kept when its orbit key is new and it makes a valid pattern."""
     seen, out = set(), []
-    for form in _enumerate_forms(bounds):
-        key = orbit_key(form, use_mirror)
+    for form in enumerate_forms(bounds):
+        key = orbit_key(form, mirror)
         if key in seen:
             continue
         seen.add(key)
@@ -95,19 +94,23 @@ def _first_form_of_each_orbit(bounds, use_mirror):
     return out
 
 
-@pytest.mark.parametrize("bounds, use_mirror, judged", [
-    (SearchBounds(3, (3, 3), 3), True, 378),
-    (SearchBounds(2, (2, 2), 2, allow_decorations=True), True, 28),
-    (SearchBounds(2, (2, 2), 2, allow_decorations=True), False, 44),
+@pytest.mark.parametrize("bounds, kinds, mirror, judged", [
+    (SearchBounds(3, (3, 3), 3), KIND_COLUMNS, True, 378),
+    (SearchBounds(2, (2, 2), 2, allow_decorations=True), KIND_COLUMNS, True,
+     28),
+    (SearchBounds(2, (2, 2), 2, allow_decorations=True), (LEFTY, KING), False,
+     44),
 ], ids=["p1", "decorated-mirror", "decorated"])
-def test_pruned_scan_is_first_form_of_each_orbit(monkeypatch, bounds,
-                                                 use_mirror, judged):
+def test_pruned_scan_is_first_form_of_each_orbit(monkeypatch, bounds, kinds,
+                                                 mirror, judged):
     # The scan skips a whole cell set whose classes are a translate (or
     # mirror) of an earlier cell set's, then keeps each form of the rest
     # that no self-map of its cell set sends to an earlier form: the same
     # forms, in the same order, as keeping the first form of each orbit
-    # among every form.  It keys no form; the number of cell sets judged
-    # pins how much the cell keys prune (of 2 640, 109 and 109).
+    # among every form.  It prunes by the mirror only when every kind's
+    # moveset is left-right symmetric, which LEFTY's is not.  It keys no
+    # form; the number of cell sets judged pins how much the cell keys
+    # prune (of 2 640, 109 and 109).
     calls, judges = [], []
     monkeypatch.setattr(search, "orbit_key",
                         lambda form, mirror: calls.append(form)
@@ -115,9 +118,8 @@ def test_pruned_scan_is_first_form_of_each_orbit(monkeypatch, bounds,
     judge = search._FormJudge
     monkeypatch.setattr(search, "_FormJudge",
                         lambda *args: judges.append(args) or judge(*args))
-    scanned = [cell_set.form(a) for cell_set, a
-               in _scan(bounds, KIND_COLUMNS, use_mirror=use_mirror)]
-    assert scanned == _first_form_of_each_orbit(bounds, use_mirror)
+    scanned = [cell_set.form(a) for cell_set, a in _scan(bounds, kinds)]
+    assert scanned == _first_form_of_each_orbit(bounds, mirror)
     assert (len(calls), len(judges)) == (0, judged)
 
 
@@ -133,13 +135,18 @@ def test_self_map_verdicts_match_their_references(bounds):
     # its orbit key is new among the forms of its cell set (orbit-mates on
     # other cell sets are the cell key's, checked by the scan tests), a
     # redundant period iff its all-king pattern has a shorter one, and,
-    # on its own period, the group classify_frieze gives.
+    # on its own period, the group classify_frieze gives.  The judge keys
+    # orbits by the mirror too only for kinds with left-right symmetric
+    # movesets.
+    tables = {True: _ScanTables(bounds, KIND_COLUMNS),
+              False: _ScanTables(bounds, (LEFTY, KING))}
+    assert [tab.mirror for tab in tables.values()] == [True, False]
     later = {True: 0, False: 0}
     redundant = 0
     groups = set()
     for t in _period_candidates(bounds):
-        for cells in _cell_sets(bounds, t):
-            judges = {m: _FormJudge(bounds, t, cells, m) for m in later}
+        for cells in cell_sets(bounds, t):
+            judges = {m: _FormJudge(tables[m], t, cells) for m in later}
             seen = {m: set() for m in later}
             for a in _assignment_indices(bounds, len(cells)):
                 form = _form(bounds, t, cells, a)
@@ -163,16 +170,18 @@ def test_self_map_verdicts_match_their_references(bounds):
     assert groups == set(FriezeGroup), groups
 
 
-def _filter_all(bounds):
+def _filter_all(bounds, kinds=KIND_COLUMNS, mirror=True):
     """The naive reference of ``find_crystal``: the first form of each
-    orbit among every form of the space, on every translation, that makes
-    a pattern with its own period, with that pattern's group and its
-    vector over the kind columns (a fresh kernel per form)."""
+    orbit (with ``mirror``, under translations and the mirror) among every
+    form of the space, on every translation, that makes a pattern with its
+    own period, with that pattern's group and its vector over ``kinds`` (a
+    fresh kernel per form)."""
     out = []
-    for form in _first_form_of_each_orbit(bounds, True):
+    for form in _first_form_of_each_orbit(bounds, mirror):
         pattern = form.instantiate(KING)
         if pattern.t == form.t:
-            vector = {k: s.satisfies for k, s in ncc_vector(form).items()}
+            vector = {k: s.satisfies
+                      for k, s in ncc_vector(form, kinds).items()}
             out.append((form, classify_frieze(pattern), vector))
     return out
 
@@ -198,6 +207,27 @@ def test_group_driven_search_matches_filter_all(bounds):
                            if g is group and v == target], (group, target)
             vertical.update(group for f in got if f.t[0] == 0)
     assert len(vertical) >= 4, vertical
+
+
+@pytest.mark.parametrize("bounds", [
+    SearchBounds(2, (2, 2), 2),
+    SearchBounds(2, (2, 2), 2, allow_decorations=True),
+    SearchBounds(2, (2, 3), 4),
+], ids=["plain", "decorated", "tall"])
+def test_asymmetric_kind_search_matches_filter_all(bounds):
+    # LEFTY's moveset is not left-right symmetric, so a form and its mirror
+    # image can get different verdicts and lie in different orbits: a
+    # search with it must not prune by the mirror.  Its reports must be
+    # filter-all's without the mirror, in order, for every group and both
+    # of LEFTY's target values (the king satisfies on every form here).
+    kinds = (LEFTY, KING)
+    reference = _filter_all(bounds, kinds, mirror=False)
+    for group in ROW_ORDER:
+        for value in (True, False):
+            target = {LEFTY: value, KING: True}
+            got = [r.form for r in find_crystal(group, target, bounds)]
+            assert got == [f for f, g, v in reference
+                           if g is group and v == target], (group, target)
 
 
 @pytest.mark.parametrize("bounds", [
@@ -243,6 +273,7 @@ def test_position_and_group_filters_skip_only_repeats(bounds):
     # keeps, one that fails the position test must have the classes, up
     # to translation, of an earlier one that passes it.
     skipped = dict.fromkeys(("translation", "roles", "position"), 0)
+    tables = _ScanTables(bounds, KIND_COLUMNS)
     for t in _period_candidates(bounds):
         combos = []
         for n in range(1, bounds.max_motif_pieces + 1):
@@ -250,7 +281,7 @@ def test_position_and_group_filters_skip_only_repeats(bounds):
                 cells = [reduce_cell(c, t) for c in combo]
                 if len(set(cells)) == n:
                     combos.append((combo, cells))
-        assert [cells for _, cells in combos] == list(_cell_sets(bounds, t))
+        assert [cells for _, cells in combos] == list(cell_sets(bounds, t))
         judges = {}
         for group, roles in GROUP_ROLES.items():
             required = [(r, role_linear_part(r, t)) for r in roles]
@@ -269,7 +300,7 @@ def test_position_and_group_filters_skip_only_repeats(bounds):
                 judge = judges.get(tuple(cells))
                 if judge is None:
                     judge = judges[tuple(cells)] = _FormJudge(
-                        bounds, t, cells, True)
+                        tables, t, cells)
                 for a in _assignment_indices(bounds, len(cells)):
                     assert (judge.period_redundant(a)
                             or judge.group(a) is not group), (group, t, a)
@@ -416,16 +447,20 @@ def test_find_crystal_with_decorations():
 
 
 def test_special_form_region_annotation_helper():
+    # which region of the partition each kind leaves uncontrolled
     rep = find_special_form(SearchBounds(2, (2, 2), 2), limit=1)[0]
-    rc = rep.region_control()
-    assert rc[KNIGHT][RegionClass.OUTSIDE] is True
-    assert rc[KNIGHT][RegionClass.BASE] is False
-    assert rc[PAWN][RegionClass.BASE] is True
-    assert rc[PAWN][RegionClass.OUTSIDE] is False
-    assert rc[LANCE][RegionClass.BASE] is True
-    assert rc[LANCE][RegionClass.OUTSIDE] is False
+    regions = {r: {c for c, rr in rep.partition.items() if rr is r}
+               for r in RegionClass}
+    base, outside = regions[RegionClass.BASE], regions[RegionClass.OUTSIDE]
+    assert base and outside
+
+    def controlled(kind, region):
+        return region.isdisjoint(rep.statuses[kind].uncontrolled)
+    assert controlled(KNIGHT, outside) and not controlled(KNIGHT, base)
+    assert controlled(PAWN, base) and not controlled(PAWN, outside)
+    assert controlled(LANCE, base) and not controlled(LANCE, outside)
     for kind in (BISHOP, SILVER, GOLD, ROOK, KING):
-        assert all(rc[kind].values())
+        assert all(controlled(kind, r) for r in regions.values())
 
 
 def test_fixture_staircase(crystal_fixtures):
@@ -515,12 +550,13 @@ def test_kernel_matches_ncc_status_on_every_form(bounds):
     # shared geometry must hold up where a step's or a ride's landing piece
     # turns from ally to enemy.
     kinds = KIND_COLUMNS + FRAGILE_KINDS
+    tables = _ScanTables(bounds, kinds)
     reference = {}
     checked = shared = 0
     flips = {False: 0, True: 0}
     for t in _period_candidates(bounds):
-        for cells in _cell_sets(bounds, t):
-            cell_set = _CellSet(bounds, t, cells, kinds, True)
+        for cells in cell_sets(bounds, t):
+            cell_set = _CellSet(tables, t, cells)
             previous = None
             for a in _assignment_indices(bounds, len(cells)):
                 form = cell_set.form(a)
@@ -570,14 +606,14 @@ def test_kernel_matches_ncc_status_on_every_form(bounds):
     assert flips[False] > 100 and flips[True] > 100, flips
 
 
-def _plain_orbit_key(form, use_mirror):
+def _plain_orbit_key(form, mirror):
     """orbit_key written with the lattice helpers, for comparison."""
     def translation_key(cells, t):
         return (t, min(tuple(sorted(
             (reduce_cell(sub(c, a), t), o.value, d is not None, d or (0, 0))
             for c, o, d in cells)) for a, _, _ in cells))
     key = translation_key(form.cells, form.t)
-    if use_mirror:
+    if mirror:
         mirrored = [((-c[0], c[1]), o, (-d[0], d[1]) if d else None)
                     for c, o, d in form.cells]
         key = min(key, translation_key(
@@ -587,7 +623,7 @@ def _plain_orbit_key(form, use_mirror):
 
 def test_p1_space_counts_and_orbit_keys():
     bounds = SearchBounds(3, (3, 3), 3)
-    forms = list(_enumerate_forms(bounds))
+    forms = list(enumerate_forms(bounds))
     assert len(forms) == 16_766
     keys = [orbit_key(f, True) for f in forms]
     assert len(set(keys)) == 2_522
@@ -626,8 +662,8 @@ def test_duality_judges_mixed_kinds_on_their_own_period(monkeypatch):
                  ((1, 0), DOWN, None), ((1, 1), UP, None)), (2, -2))
     assert four.instantiate(KING).t == (1, -1)
     bounds = SearchBounds(4, (3, 3), 2)
-    cell_set = _CellSet(bounds, four.t, [c for c, _, _ in four.cells],
-                        (GOLD, SILVER), True)
+    cell_set = _CellSet(_ScanTables(bounds, (GOLD, SILVER)), four.t,
+                        [c for c, _, _ in four.cells])
     a = (1, 0, 1, 0) + (0,) * 4  # down, up, down, up; no decorations
     assert cell_set.form(a) == four
     monkeypatch.setattr(search, "_scan",

@@ -15,13 +15,13 @@ from conftest import DOWN, UP, piece, random_pattern, rotated_dual
 
 def test_apply_reflect_v_wraparound():
     p = make_pattern([piece((1, 0), kind=PAWN)], (2, 0))
-    q = apply(Isometry.reflect_v(0.0), p)
+    q = apply(Isometry((-1, 1), (0, 0)), p)
     assert q == p  # (-1,0) reduces back to (1,0)
 
 
 def test_apply_reflect_h_flips():
     p = make_pattern([piece((0, 0), kind=PAWN)], (3, 0))
-    q = apply(Isometry.reflect_h(0.5), p)
+    q = apply(Isometry((1, -1), (0, 1)), p)
     assert q.pieces[0].cell == (0, 1)
     assert q.pieces[0].orientation is DOWN
 
@@ -35,27 +35,27 @@ def test_apply_rotate180():
 
 def test_apply_validates_half_integers():
     with pytest.raises(PatternError):
-        Isometry.reflect_h(0.25)
+        Isometry.rotate180((0.25, 0.0))
     with pytest.raises(PatternError):
-        Isometry.glide_h(0.5, (0, 0))
+        generate_from_recipe([piece((0, 0))], FriezeGroup.P11M, (2, 0),
+                             axis_y=0.25)
 
 
 def test_isometry_is_linear_part_and_offset():
     assert [f.name for f in dataclasses.fields(Isometry)] == ["linear",
                                                               "offset"]
-    assert Isometry.glide_h(1.5, (2, 0)) == Isometry((1, -1), (2, 3))
+    assert Isometry.rotate180((1.5, 1.0)) == Isometry((-1, -1), (3, 2))
 
 
 @pytest.mark.parametrize("iso, kind, params", [
-    (Isometry.translate((3, -1)), IsometryKind.TRANSLATE,
-     dict(shift=(3, -1))),
-    (Isometry.rotate180((0.5, -1.0)), IsometryKind.ROTATE180,
+    (Isometry((1, 1), (3, -1)), IsometryKind.TRANSLATE, dict(shift=(3, -1))),
+    (Isometry((-1, -1), (1, -2)), IsometryKind.ROTATE180,
      dict(center=(0.5, -1.0))),
-    (Isometry.reflect_h(1.5), IsometryKind.REFLECT_H, dict(axis_y=1.5)),
-    (Isometry.reflect_v(-0.5), IsometryKind.REFLECT_V, dict(axis_x=-0.5)),
-    (Isometry.glide_h(0.5, (2, 0)), IsometryKind.GLIDE_H,
+    (Isometry((1, -1), (0, 3)), IsometryKind.REFLECT_H, dict(axis_y=1.5)),
+    (Isometry((-1, 1), (-1, 0)), IsometryKind.REFLECT_V, dict(axis_x=-0.5)),
+    (Isometry((1, -1), (2, 1)), IsometryKind.GLIDE_H,
      dict(axis_y=0.5, shift=(2, 0))),
-    (Isometry.glide_v(-1.0, (0, -3)), IsometryKind.GLIDE_V,
+    (Isometry((-1, 1), (-2, -3)), IsometryKind.GLIDE_V,
      dict(axis_x=-1.0, shift=(0, -3))),
 ])
 def test_constructors_read_back_kind_and_parameters(iso, kind, params):
@@ -67,15 +67,15 @@ def test_constructors_read_back_kind_and_parameters(iso, kind, params):
 
 def test_map_cell_matches_formulas():
     cells = [(0, 0), (3, -2), (-1, 5)]
-    a, b, s = 1.5, -0.5, 2
+    a2, b2, s = 3, -1, 2  # twice the axes (or center) x = 1.5, y = -0.5
     formulas = [
-        (Isometry.translate((s, -1)), lambda x, y: (x + s, y - 1), False),
-        (Isometry.rotate180((a, b)), lambda x, y: (2 * a - x, 2 * b - y),
-         True),
-        (Isometry.reflect_h(b), lambda x, y: (x, 2 * b - y), True),
-        (Isometry.reflect_v(a), lambda x, y: (2 * a - x, y), False),
-        (Isometry.glide_h(b, (s, 0)), lambda x, y: (x + s, 2 * b - y), True),
-        (Isometry.glide_v(a, (0, s)), lambda x, y: (2 * a - x, y + s), False),
+        (Isometry((1, 1), (s, -1)), lambda x, y: (x + s, y - 1), False),
+        (Isometry.rotate180((a2 / 2, b2 / 2)),
+         lambda x, y: (a2 - x, b2 - y), True),
+        (Isometry((1, -1), (0, b2)), lambda x, y: (x, b2 - y), True),
+        (Isometry((-1, 1), (a2, 0)), lambda x, y: (a2 - x, y), False),
+        (Isometry((1, -1), (s, b2)), lambda x, y: (x + s, b2 - y), True),
+        (Isometry((-1, 1), (a2, s)), lambda x, y: (a2 - x, y + s), False),
     ]
     for iso, formula, flips in formulas:
         assert iso.flips_orientation is flips
@@ -87,17 +87,17 @@ def test_is_symmetry_translate():
     rng = random.Random(3)
     for _ in range(20):
         p = random_pattern(rng)
-        assert apply(Isometry.translate(p.t), p) == p
+        assert apply(Isometry((1, 1), p.t), p) == p
 
 
 def test_is_symmetry_reflect_h_single_orientation_false():
     p = make_pattern([piece((0, 0))], (2, 0))
-    assert apply(Isometry.reflect_h(0.0), p) != p
+    assert apply(Isometry((1, -1), (0, 0)), p) != p
 
 
 def test_is_symmetry_reflect_v_lone_piece():
     p = make_pattern([piece((0, 0))], (2, 0))
-    assert apply(Isometry.reflect_v(0.0), p) == p
+    assert apply(Isometry((-1, 1), (0, 0)), p) == p
 
 
 def test_detect_one_up_per_period():
@@ -189,7 +189,7 @@ def test_classify_diagonal_periods_are_p1_or_p2():
 
 def test_involutions():
     rng = random.Random(43)
-    sigmas = [Isometry.reflect_h(0.5), Isometry.reflect_v(1.0),
+    sigmas = [Isometry((1, -1), (0, 1)), Isometry((-1, 1), (2, 0)),
               Isometry.rotate180((0.5, 0.5))]
     for _ in range(25):
         p = random_pattern(rng)
