@@ -3,8 +3,7 @@
 from .geometry import Vec, reduce_cell
 from .pieces import (BISHOP, GOLD, KING, KNIGHT, LANCE, PAWN, ROOK, SILVER,
                      STANDARD_KINDS, Moveset, Orientation, PieceKind,
-                     UnknownKindError, has_horizontal_mirror_symmetry,
-                     moveset)
+                     UnknownKindError, moveset)
 from .pattern import (Form, InconsistentMotifError, ParseError, PatternError,
                       PeriodicPattern, PlacedPiece, canonicalize, dual,
                       form_of, make_pattern, parse, serialize)

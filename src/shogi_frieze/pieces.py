@@ -131,12 +131,6 @@ KIND_LETTERS = {
 }
 
 
-def has_horizontal_mirror_symmetry(m: Moveset) -> bool:
-    """True iff negating dy everywhere reproduces the same moveset."""
-    flip = lambda s: frozenset((dx, -dy) for dx, dy in s)
-    return flip(m.steps) == m.steps and flip(m.rides) == m.rides
-
-
 # Moveset variants used by the fragility experiments.
 
 def reverse_chariot_moveset() -> Moveset:

@@ -617,17 +617,18 @@ def fragility_check(fixtures: Mapping[FriezeGroup, PeriodicPattern],
                     ) -> list[tuple[FriezeGroup, PieceKind]]:
     """Cells of the satisfies-table that change under a moveset substitution.
     A substituted column holds a different kind: the same name with the
-    substituted moveset."""
+    substituted moveset.  An unsubstituted column holds the same kind on
+    both sides, so one verdict per fixture covers the base columns and the
+    substituted kinds."""
     groups = {classify_frieze(fixtures[g]) for g in ROW_ORDER}
     if groups != set(ROW_ORDER):
         raise PatternError("fixtures must classify to the 7 distinct groups")
-    columns = [PieceKind(k.name, substitution[k]) if k in substitution else k
-               for k in KIND_COLUMNS]
-    base = satisfies_table(fixtures)
-    subst = satisfies_table(fixtures, columns)
+    swaps = [(k, PieceKind(k.name, substitution[k]))
+             for k in KIND_COLUMNS if k in substitution]
+    kinds = KIND_COLUMNS + tuple(new for _, new in swaps)
     changed = []
     for group in ROW_ORDER:
-        for kind, column in zip(KIND_COLUMNS, columns):
-            if base[group][kind].satisfies != subst[group][column].satisfies:
-                changed.append((group, kind))
+        status = ncc_vector(form_of(fixtures[group]), kinds)
+        changed += [(group, kind) for kind, new in swaps
+                    if status[kind].satisfies != status[new].satisfies]
     return changed

@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from shogi_frieze import (KING, STANDARD_KINDS, Orientation, PeriodicPattern,
-                          PieceKind, PlacedPiece, dual, make_pattern, moveset,
-                          parse)
+from shogi_frieze import (KING, STANDARD_KINDS, Moveset, Orientation,
+                          PeriodicPattern, PieceKind, PlacedPiece, dual,
+                          make_pattern, moveset, parse)
 from shogi_frieze.geometry import UNIT_DIRS, reduce_cell
 from shogi_frieze.search import (ROW_ORDER, _assignment_indices, _cell_pool,
                                  _form, _period_candidates)
@@ -53,6 +53,12 @@ def random_pattern(rng: random.Random, *, max_pieces=6, span=4, tmax=5,
             by_class[c] = replace(by_class[c],
                                   decoration=rng.choice(UNIT_DIRS))
     return make_pattern(by_class.values(), t)
+
+
+def has_horizontal_mirror_symmetry(m: Moveset) -> bool:
+    """True iff negating dy everywhere reproduces the same moveset."""
+    flip = lambda s: frozenset((dx, -dy) for dx, dy in s)
+    return flip(m.steps) == m.steps and flip(m.rides) == m.rides
 
 
 def rotated_dual(p):

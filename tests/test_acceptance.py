@@ -14,8 +14,8 @@ from shogi_frieze import (BISHOP, GOLD, KING, KNIGHT, LANCE, PAWN, ROOK,
                           Verdict, apply, classify_frieze, dual, find_crystal,
                           find_duality, find_special_form, form_of,
                           fragility_check, generate_from_recipe,
-                          has_horizontal_mirror_symmetry, make_pattern,
-                          ncc_status, ncc_vector, parse, serialize)
+                          make_pattern, ncc_status, ncc_vector, parse,
+                          serialize)
 from shogi_frieze import oracle
 from shogi_frieze.cli import main as cli_main
 from shogi_frieze.control import control_of_pattern, neighborhood, \
@@ -27,8 +27,8 @@ from shogi_frieze.search import (EXPECTED_TABLE, KIND_COLUMNS, ROW_ORDER,
                                  staircase_target)
 
 import conftest
-from conftest import (DOWN, UP, FIXTURE_DIR, piece, random_pattern,
-                      rotated_dual)
+from conftest import (DOWN, UP, FIXTURE_DIR, has_horizontal_mirror_symmetry,
+                      piece, random_pattern, rotated_dual)
 
 
 def record(num, name, t0, budget):

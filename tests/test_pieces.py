@@ -2,11 +2,11 @@ import pytest
 
 from shogi_frieze import (BISHOP, GOLD, KING, KNIGHT, LANCE, PAWN, ROOK,
                           STANDARD_KINDS, Orientation, PieceKind,
-                          UnknownKindError, has_horizontal_mirror_symmetry,
-                          moveset)
+                          UnknownKindError, moveset)
 from shogi_frieze.pieces import (MovesetError, chess_knight_moveset,
                                  reverse_chariot_moveset,
                                  sideways_silver_moveset)
+from conftest import has_horizontal_mirror_symmetry
 
 UP, DOWN = Orientation.UP, Orientation.DOWN
 

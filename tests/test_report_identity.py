@@ -6,22 +6,28 @@ on its own verdict kernel: every report, its pattern, its per-kind statuses
 (witness and uncontrolled classes included) and their order must stay as
 that search gave them.  The classify constants are the witnesses and the
 canonical patterns of a seeded sample, as the classifier gave them when
-periods and symmetries were tested piece by piece.  CI runs this file under
-two hash seeds, because nothing in a report may depend on one.
+periods and symmetries were tested piece by piece.  The render constants
+are the ascii and svg pictures of the fixtures and a seeded sample, as
+``render`` drew them when it reduced every cell once per layer.  CI runs
+this file under two hash seeds, because nothing in a report or a picture
+may depend on one.
 """
 
+import functools
 import hashlib
 import random
 
 import pytest
 
-from shogi_frieze import (KIND_COLUMNS, KING, PAWN, ROW_ORDER, STANDARD_KINDS,
-                          FriezeGroup, Orientation, PatternError,
-                          PeriodicPattern, PlacedPiece, SearchBounds,
-                          canonicalize, detect_symmetries, find_crystal,
-                          find_duality, find_special_form,
-                          generate_from_recipe, staircase_target)
+from shogi_frieze import (GOLD, KIND_COLUMNS, KING, PAWN, ROW_ORDER,
+                          STANDARD_KINDS, FriezeGroup, Orientation,
+                          PatternError, PeriodicPattern, PlacedPiece,
+                          SearchBounds, canonicalize, detect_symmetries,
+                          find_crystal, find_duality, find_special_form,
+                          generate_from_recipe, parse, staircase_target)
 from shogi_frieze.geometry import UNIT_DIRS, reduce_cell
+from shogi_frieze.render import RenderSpec, render
+from conftest import FIXTURE_DIR, LEFTY
 
 SMALL = {
     "plain": SearchBounds(2, (2, 2), 2),
@@ -184,3 +190,63 @@ def test_classify_sample_unchanged(name):
     step = {"detect_symmetries": detect_symmetries,
             "canonicalize": canonicalize}[name]
     assert _digest([step(p) for p in _classify_sample()]) == CLASSIFY[name]
+
+
+@functools.cache
+def _render_sample():
+    """The 7 fixtures, then seeded motifs on horizontal, vertical and
+    diagonal translations, stamped one to three times along t, with mixed
+    kinds, a custom kind (``LEFTY``) and decorations."""
+    out = [parse((FIXTURE_DIR / f"{g.label}.pattern").read_text("utf-8"))
+           for g in ROW_ORDER]
+    rng = random.Random(1907)
+    directions = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, -2), (0, -1))
+    kind_sets = ((KING,), (KING, PAWN), STANDARD_KINDS, (LEFTY, GOLD))
+    orientations = (Orientation.UP, Orientation.DOWN)
+    for i in range(56):
+        dx, dy = directions[i % len(directions)]
+        n = rng.randint(1, 3)
+        u = (dx * n, dy * n)
+        kinds = kind_sets[i // len(directions) % len(kind_sets)]
+        motif = {}
+        for _ in range(rng.randint(1, 4)):
+            c = reduce_cell((rng.randint(-3, 3), rng.randint(-3, 3)), u)
+            deco = rng.choice(UNIT_DIRS) if rng.random() < 0.3 else None
+            motif[c] = (rng.choice(kinds), rng.choice(orientations), deco)
+        copies = rng.choice((1, 1, 2, 3))
+        t = (u[0] * copies, u[1] * copies)
+        out.append(PeriodicPattern(tuple(
+            PlacedPiece((x + k * u[0], y + k * u[1]), *a)
+            for (x, y), a in motif.items() for k in range(copies)), t))
+    return out
+
+
+RENDER_LAYERS = ("pieces", "pieces,partition,control", "neighborhood,control",
+                 "pieces,neighborhood,partition,control")
+
+RENDER = {
+    ("ascii", "pieces"):
+        "19cb5e8bb9b3175c031528537a052c884d30edf00c6c199c6026ad5264cac14a",
+    ("ascii", "pieces,partition,control"):
+        "f8c411d93b8494fc4ef931a94b19a43c4d1897f721a1ad1def30187479888bd4",
+    ("ascii", "neighborhood,control"):
+        "1cc483b46f2c67a877d1c313ec59b5b5b4c6d609ccfe1eb6b008403a2e9399e6",
+    ("ascii", "pieces,neighborhood,partition,control"):
+        "f8c411d93b8494fc4ef931a94b19a43c4d1897f721a1ad1def30187479888bd4",
+    ("svg", "pieces"):
+        "fc170f41a03832f416fba428cca7dd6b365021b007d883b31dff2570bbbd1cab",
+    ("svg", "pieces,partition,control"):
+        "cffd3f310c35440b09de6a1608eb76d531fe4dfb6ea0e94f2f1098d5e0dfc098",
+    ("svg", "neighborhood,control"):
+        "8db10113bbddda4d57a7153fb85e5c5924272889a5d403d8a7858739cdafd47c",
+    ("svg", "pieces,neighborhood,partition,control"):
+        "cffd3f310c35440b09de6a1608eb76d531fe4dfb6ea0e94f2f1098d5e0dfc098",
+}
+
+
+@pytest.mark.parametrize("fmt, layers", [
+    (fmt, layers) for fmt in ("ascii", "svg") for layers in RENDER_LAYERS])
+def test_render_output_unchanged(fmt, layers):
+    pictures = [render(p, RenderSpec(fmt, tuple(layers.split(",")), periods))
+                for periods in (1, 3) for p in _render_sample()]
+    assert _digest(pictures) == RENDER[fmt, layers]

@@ -10,7 +10,7 @@ from shogi_frieze import (BISHOP, GOLD, KING, KNIGHT, LANCE, PAWN, ROOK,
                           control_of_pattern, find_crystal, find_duality,
                           find_special_form, form_of, fragility_check,
                           make_pattern, ncc_status, ncc_vector, oracle,
-                          partition_neighborhood)
+                          partition_neighborhood, satisfies_table)
 from shogi_frieze.control import KernelGeometry, _move_control
 from shogi_frieze.geometry import canonical_sign, reduce_cell, sub
 from shogi_frieze.oracle import _verdict_from_parts
@@ -487,6 +487,28 @@ def test_fragility_substitutions_break_table(crystal_fixtures, kind, builder):
     changed = fragility_check(crystal_fixtures, {kind: builder()})
     assert changed
     assert all(k == kind for _, k in changed)
+
+
+def test_fragility_matches_two_tables(crystal_fixtures):
+    """For every nonempty set of the CLI's substitutions, the cells that
+    change are those whose verdict differs between the base table and a
+    second table built with the substituted columns."""
+    movesets = {LANCE: reverse_chariot_moveset(),
+                SILVER: sideways_silver_moveset(),
+                KNIGHT: chess_knight_moveset()}
+    base = satisfies_table(crystal_fixtures)
+    for n in range(1, len(movesets) + 1):
+        for chosen in itertools.combinations(movesets, n):
+            substitution = {k: movesets[k] for k in chosen}
+            columns = [PieceKind(k.name, substitution[k])
+                       if k in substitution else k for k in KIND_COLUMNS]
+            table = satisfies_table(crystal_fixtures, columns)
+            want = [(group, kind) for group in ROW_ORDER
+                    for kind, column in zip(KIND_COLUMNS, columns)
+                    if base[group][kind].satisfies
+                    != table[group][column].satisfies]
+            assert want
+            assert fragility_check(crystal_fixtures, substitution) == want
 
 
 FRAGILE_KINDS = (PieceKind(LANCE.name, reverse_chariot_moveset()),
