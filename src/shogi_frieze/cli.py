@@ -45,7 +45,8 @@ class CliError(Exception):
 
 def _load(path: str) -> PeriodicPattern:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     try:
@@ -250,10 +251,16 @@ def cmd_fragility(args) -> int:
     return 0
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process: parsing leaves it
     unchanged, so every call of ``main`` can share it."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser,
+                        dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subparsers by command name."""
     ap = argparse.ArgumentParser(
         prog="shogi-frieze",
         description="Analyze periodic shogi patterns: control conditions, "
@@ -310,11 +317,27 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one of: " + ", ".join(sorted(_SUBSTITUTIONS)))
     p.set_defaults(func=cmd_fragility)
 
-    return ap
+    return ap, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` in one parser pass: a known
+    command goes straight to its subparser, and leftovers are reported by
+    the top-level parser as ``parse_args`` would, so output and exit codes
+    are the same.  No command, an unknown one and ``-h`` stay with the
+    top-level parser."""
+    ap, commands = _parsers()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return ap.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        ap.error("unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except CliError as exc:

@@ -212,7 +212,7 @@ def parse(text: str) -> PeriodicPattern:
     letters = dict(_LETTER_TO_KIND)
     declared: dict[str, PieceKind] = {}
     grid_rows: list[list[str]] = []
-    decors: list[tuple[Vec, Vec]] = []
+    decors: dict[Vec, Vec] = {}  # the last line for a cell wins
     in_grid = False
 
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -261,8 +261,7 @@ def parse(text: str) -> PeriodicPattern:
             parts = stripped[len("decor:"):].split()
             if len(parts) != 3 or parts[2] not in _DECOR_NAMES:
                 raise ParseError(f"line {lineno}: bad decor line")
-            decors.append(((int(parts[0]), int(parts[1])),
-                           _DECOR_NAMES[parts[2]]))
+            decors[int(parts[0]), int(parts[1])] = _DECOR_NAMES[parts[2]]
         else:
             raise ParseError(f"line {lineno}: unrecognized line {stripped!r}")
 
@@ -273,7 +272,11 @@ def parse(text: str) -> PeriodicPattern:
     if not grid_rows:
         raise ParseError("missing grid")
 
-    pieces: dict[Vec, PlacedPiece] = {}
+    # Each piece is built once, decorated and on its class, so that
+    # make_pattern has nothing to move; it still merges or rejects two grid
+    # cells of one class, and shrinks a non-minimal period.
+    t = canonical_sign(period)
+    pieces = []
     height = len(grid_rows)
     for i, row in enumerate(grid_rows):
         y = origin[1] + (height - 1 - i)
@@ -287,14 +290,13 @@ def parse(text: str) -> PeriodicPattern:
                 raise ParseError(f"unknown kind letter {token[0]!r}")
             o = Orientation.UP if token[1] == "^" else Orientation.DOWN
             cell = (origin[0] + j, y)
-            pieces[cell] = PlacedPiece(cell, kind, o)
+            pieces.append(PlacedPiece(reduce_cell(cell, t), kind, o,
+                                      decors.pop(cell, None)))
 
-    for cell, d in decors:
-        if cell not in pieces:
-            raise ParseError(f"decor on empty cell {cell}")
-        pieces[cell] = replace(pieces[cell], decoration=d)
+    if decors:  # the decor lines left name empty cells; report the first
+        raise ParseError(f"decor on empty cell {next(iter(decors))}")
 
-    return make_pattern(pieces.values(), period)
+    return make_pattern(pieces, period)
 
 
 def serialize(p: PeriodicPattern) -> str:

@@ -319,3 +319,123 @@ def test_internal_error_with_empty_message_names_its_type(monkeypatch,
     code, out, err = run(capsys, "classify", str(FIXTURE_DIR / "p2.pattern"))
     assert code == 1 and out == ""
     assert "MemoryError" in err
+
+
+def test_import_loads_no_network_modules():
+    # modules new to sys.modules after the import, so that whatever a site
+    # .pth file loads at start-up does not count
+    code = ("import sys; before = set(sys.modules); "
+            "import shogi_frieze.cli; "
+            "print('\\n'.join(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(shogi_frieze.__file__).parent.parent),
+         os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "shogi_frieze.cli" in loaded
+    network = [m for m in loaded
+               if m in ("urllib.request", "http.client", "ssl", "socket")
+               or m == "email" or m.startswith("email.")]
+    assert network == []
+
+
+_USAGE = ("usage: shogi-frieze [-h]\n"
+          "                    {classify,ncc,control,table,render,search,"
+          "fragility} ...\n")
+
+# (argv, exit code, stdout, stderr) of argparse's own exits, with the help
+# formatted for 80 columns
+ARGPARSE_EXITS = [
+    ((), 2, "", _USAGE + "shogi-frieze: error: the following arguments are "
+     "required: command\n"),
+    (("bogus",), 2, "", _USAGE + "shogi-frieze: error: argument command: "
+     "invalid choice: 'bogus' (choose from 'classify', 'ncc', 'control', "
+     "'table', 'render', 'search', 'fragility')\n"),
+    (("--bogus",), 2, "", _USAGE + "shogi-frieze: error: the following "
+     "arguments are required: command\n"),
+    (("-h",), 0, _USAGE +
+     "\n"
+     "Analyze periodic shogi patterns: control conditions, frieze "
+     "classification,\n"
+     "search.\n"
+     "\n"
+     "positional arguments:\n"
+     "  {classify,ncc,control,table,render,search,fragility}\n"
+     "    classify            frieze group and witness isometries\n"
+     "    ncc                 neighborhood control verdict\n"
+     "    control             control classes, long segments and free lines\n"
+     "    table               7x8 verdict table from fixture crystals\n"
+     "    render              ascii or svg diagram\n"
+     "    search              exhaustive bounded crystal search\n"
+     "    fragility           table cells changed by a moveset substitution\n"
+     "\n"
+     "options:\n"
+     "  -h, --help            show this help message and exit\n", ""),
+    (("ncc", "-h"), 0,
+     "usage: shogi-frieze ncc [-h] file\n"
+     "\n"
+     "positional arguments:\n"
+     "  file\n"
+     "\n"
+     "options:\n"
+     "  -h, --help  show this help message and exit\n", ""),
+    (("ncc",), 2, "", "usage: shogi-frieze ncc [-h] file\n"
+     "shogi-frieze ncc: error: the following arguments are required: file\n"),
+    (("ncc", "FILE", "--bogus"), 2, "",
+     _USAGE + "shogi-frieze: error: unrecognized arguments: --bogus\n"),
+    (("ncc", "FILE", "extra", "--bogus"), 2, "",
+     _USAGE + "shogi-frieze: error: unrecognized arguments: extra --bogus\n"),
+    (("render", "FILE", "--format", "png"), 2, "",
+     "usage: shogi-frieze render [-h] [--format {ascii,svg}] "
+     "[--layers LAYERS]\n"
+     "                           [--periods PERIODS] [--out OUT]\n"
+     "                           file\n"
+     "shogi-frieze render: error: argument --format: invalid choice: 'png' "
+     "(choose from 'ascii', 'svg')\n"),
+    (("search", "--group", "p1", "--target", "xxxxxxxx", "--max-pieces", "2",
+      "--max-period", "2"), 2, "",
+     "usage: shogi-frieze search [-h] --group GROUP --target TARGET "
+     "--max-pieces\n"
+     "                           MAX_PIECES --max-period MAX_PERIOD "
+     "--box BOX\n"
+     "                           [--decor] [--both-orientations] "
+     "[--limit LIMIT]\n"
+     "                           [--out OUT]\n"
+     "shogi-frieze search: error: the following arguments are required: "
+     "--box\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", ARGPARSE_EXITS,
+                         ids=[" ".join(case[0]) or "no-arguments"
+                              for case in ARGPARSE_EXITS])
+def test_argparse_exits_unchanged(argv, code, out, err, monkeypatch, capsys):
+    from shogi_frieze.cli import build_parser
+    monkeypatch.setenv("COLUMNS", "80")
+    for parse in (main, build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(list(argv))
+        assert (exc.value.code, *capsys.readouterr()) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("ncc", "FILE", "--oracle"),
+    ("render", "FILE", "--format", "svg", "--layers", "pieces,control",
+     "--periods", "3", "--out", "OUT"),
+    ("search", "--group", "p2mm", "--target", "x0000000", "--max-pieces", "2",
+     "--max-period", "2", "--box", "2x2", "--decor", "--both-orientations",
+     "--limit", "1", "--out", "OUT"),
+    ("fragility", "--substitute", "lance=reverse-chariot",
+     "--substitute", "knight=chess-knight"),
+    ("table",),
+    ("ncc", "--", "-FILE"),
+])
+def test_one_pass_parse_matches_parse_args(argv):
+    # `command` only names the subparser in the top-level parser's
+    # messages; no command reads it
+    from shogi_frieze.cli import _parse, build_parser
+    expected = vars(build_parser().parse_args(list(argv)))
+    del expected["command"]
+    assert vars(_parse(list(argv))) == expected

@@ -1,14 +1,15 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from shogi_frieze import (KING, LANCE, PAWN, InconsistentMotifError,
+from shogi_frieze import (KING, LANCE, PAWN, ROOK, InconsistentMotifError,
                           ParseError, PatternError, PeriodicPattern,
-                          PieceKind, canonicalize,
+                          PieceKind, PlacedPiece, canonicalize,
                           classify_frieze, dual, make_pattern, moveset,
                           ncc_status, oracle, parse, serialize)
 from shogi_frieze.cli import main as cli_main
-from shogi_frieze.geometry import reduce_cell
+from shogi_frieze.geometry import canonical_sign, reduce_cell
 from shogi_frieze.pattern import form_of
 from shogi_frieze.pieces import reverse_chariot_moveset
 from conftest import DOWN, UP, FIXTURE_DIR, piece, random_pattern
@@ -134,6 +135,9 @@ def test_parse_origin_and_decor():
 def test_parse_decor_on_empty_cell():
     with pytest.raises(ParseError):
         parse("period: 3 0\ngrid:\nK^ .. ..\ndecor: 1 0 ne\n")
+    # the grid cell is empty though its class holds a king
+    with pytest.raises(ParseError, match=r"decor on empty cell \(2, 0\)"):
+        parse("period: 2 0\ngrid:\nK^ .. ..\ndecor: 2 0 ne\n")
 
 
 def test_parse_custom_kind_header():
@@ -236,6 +240,82 @@ def test_roundtrip_random():
     for _ in range(60):
         p = random_pattern(rng)
         assert parse(serialize(p)) == p
+
+
+_TOKEN_KINDS = {"K": KING, "P": PAWN, "R": ROOK, "L": LANCE}
+_DECOR_BY_NAME = {"n": (0, 1), "e": (1, 0), "sw": (-1, -1), "nw": (-1, 1)}
+
+
+def _random_file(rng):
+    """A pattern file, and the pieces it places built as ``make_pattern``'s
+    input: on the raw grid cells, in grid order, decorated by ``replace``.
+    Its motif may repeat along a divisor of t (a shorter period) or along t
+    (two grid cells in one class, alike or not)."""
+    u = rng.choice(((1, 0), (0, 1), (1, 1), (2, -1), (1, 2)))
+    sign, k = rng.choice((1, -1)), rng.randint(1, 3)
+    t = (sign * k * u[0], sign * k * u[1])
+    origin = (rng.randint(-10**9, 10**9), rng.randint(-10**9, 10**9))
+    w, h = rng.randint(1, 6), rng.randint(1, 4)
+    looks = {}
+    for _ in range(rng.randint(1, 4)):
+        looks[rng.randrange(w), rng.randrange(h)] = (
+            rng.choice("KPRL") + rng.choice("^v"),
+            rng.choice((None, None) + tuple(_DECOR_BY_NAME)))
+    if rng.random() < 0.6:
+        step = rng.choice((u, t))
+        for (dx, dy), look in list(looks.items()):
+            for m in range(-3, 4):
+                c = (dx + m * step[0], dy + m * step[1])
+                if 0 <= c[0] < w and 0 <= c[1] < h:
+                    looks.setdefault(c, look)
+    grid = [(dx, dy) for dy in range(h - 1, -1, -1) for dx in range(w)]
+    decors = [(c, looks[c][1]) for c in grid if c in looks and looks[c][1]]
+    if decors and rng.random() < 0.2:  # a second decor line: the last wins
+        decors.append((rng.choice(decors)[0], rng.choice(list(_DECOR_BY_NAME))))
+    lines = [f"period: {t[0]} {t[1]}", f"origin: {origin[0]} {origin[1]}",
+             "grid:"]
+    lines += [" ".join(looks.get((dx, dy), ("..",))[0] for dx in range(w))
+              for dy in range(h - 1, -1, -1)]
+    lines += [f"decor: {origin[0] + dx} {origin[1] + dy} {name}"
+              for (dx, dy), name in decors]
+    pieces = {}
+    for dx, dy in grid:
+        if (dx, dy) in looks:
+            token = looks[dx, dy][0]
+            cell = (origin[0] + dx, origin[1] + dy)
+            pieces[cell] = PlacedPiece(cell, _TOKEN_KINDS[token[0]],
+                                       UP if token[1] == "^" else DOWN)
+    for (dx, dy), name in decors:
+        cell = (origin[0] + dx, origin[1] + dy)
+        pieces[cell] = replace(pieces[cell], decoration=_DECOR_BY_NAME[name])
+    return "\n".join(lines) + "\n", list(pieces.values()), t
+
+
+def _pattern_or_message(build):
+    try:
+        return build()
+    except InconsistentMotifError as exc:
+        return str(exc)
+
+
+def test_parse_matches_make_pattern_on_the_grid_cells():
+    rng = random.Random(2011)
+    seen = {"negative t": 0, "vertical t": 0, "shorter period": 0,
+            "decorated": 0, "merged": 0, "conflict": 0}
+    for _ in range(600):
+        text, pieces, t = _random_file(rng)
+        got = _pattern_or_message(lambda: parse(text))
+        assert got == _pattern_or_message(lambda: make_pattern(pieces, t))
+        seen["negative t"] += t != canonical_sign(t)
+        seen["vertical t"] += t[0] == 0
+        if isinstance(got, str):
+            seen["conflict"] += 1
+            continue
+        seen["shorter period"] += got.t != canonical_sign(t)
+        seen["decorated"] += any(x.decoration for x in got.pieces)
+        seen["merged"] += len({reduce_cell(x.cell, canonical_sign(t))
+                               for x in pieces}) < len(pieces)
+    assert min(seen.values()) >= 20, seen
 
 
 def test_form_instantiate():
