@@ -27,10 +27,6 @@ def add(a: Vec, b: Vec) -> Vec:
     return (a[0] + b[0], a[1] + b[1])
 
 
-def sub(a: Vec, b: Vec) -> Vec:
-    return (a[0] - b[0], a[1] - b[1])
-
-
 def neg(a: Vec) -> Vec:
     return (-a[0], -a[1])
 

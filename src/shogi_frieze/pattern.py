@@ -33,7 +33,7 @@ class ParseError(PatternError):
     pass
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class PlacedPiece:
     cell: Vec
     kind: PieceKind
@@ -202,6 +202,16 @@ def _parse_vec_list(text: str) -> list[Vec]:
     return out
 
 
+def _vec(fields: list[str], lineno: int, what: str) -> Vec:
+    """The two integers of a header line's ``fields``; anything else is
+    ``line N: bad <what>``."""
+    try:
+        x, y = map(int, fields)
+    except ValueError:
+        raise ParseError(f"line {lineno}: bad {what}") from None
+    return x, y
+
+
 def _fmt_vec_list(vecs: Iterable[Vec]) -> str:
     return ";".join(f"({a},{b})" for a, b in sorted(vecs))
 
@@ -216,23 +226,16 @@ def parse(text: str) -> PeriodicPattern:
     in_grid = False
 
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.rstrip("\n")
-        stripped = line.strip()
+        stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if in_grid and not any(stripped.startswith(h) for h in ("decor:",)):
+        if in_grid and not stripped.startswith("decor:"):
             grid_rows.append(stripped.split(" "))
             continue
         if stripped.startswith("period:"):
-            parts = stripped[len("period:"):].split()
-            if len(parts) != 2:
-                raise ParseError(f"line {lineno}: bad period")
-            period = (int(parts[0]), int(parts[1]))
+            period = _vec(stripped[len("period:"):].split(), lineno, "period")
         elif stripped.startswith("origin:"):
-            parts = stripped[len("origin:"):].split()
-            if len(parts) != 2:
-                raise ParseError(f"line {lineno}: bad origin")
-            origin = (int(parts[0]), int(parts[1]))
+            origin = _vec(stripped[len("origin:"):].split(), lineno, "origin")
         elif stripped.startswith("kind:"):
             parts = stripped[len("kind:"):].split()
             if len(parts) != 4 or not parts[2].startswith("steps=") \
@@ -258,10 +261,10 @@ def parse(text: str) -> PeriodicPattern:
         elif stripped == "grid:":
             in_grid = True
         elif stripped.startswith("decor:"):
-            parts = stripped[len("decor:"):].split()
-            if len(parts) != 3 or parts[2] not in _DECOR_NAMES:
+            *xy, name = stripped[len("decor:"):].split() or [""]
+            if name not in _DECOR_NAMES:
                 raise ParseError(f"line {lineno}: bad decor line")
-            decors[int(parts[0]), int(parts[1])] = _DECOR_NAMES[parts[2]]
+            decors[_vec(xy, lineno, "decor line")] = _DECOR_NAMES[name]
         else:
             raise ParseError(f"line {lineno}: unrecognized line {stripped!r}")
 

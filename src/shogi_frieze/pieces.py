@@ -8,7 +8,7 @@ the full 180-degree rotation of the Up frame.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .geometry import Vec, is_unit, neg
@@ -67,6 +67,7 @@ _STANDARD_MOVESETS: dict[str, Moveset] = {
 }
 
 
+@dataclass(frozen=True)
 class PieceKind:
     """A piece kind as a value: a name and its Up-frame moveset.  Equality
     and hash cover both, so one name with two movesets gives two kinds.  A
@@ -74,16 +75,15 @@ class PieceKind:
     given alone has none, and reading it raises ``UnknownKindError``.  The
     Down moveset is built once, with the kind."""
 
-    __slots__ = ("name", "_up", "_down")
+    name: str
+    _up: Optional[Moveset] = None
+    _down: Optional[Moveset] = field(default=None, init=False, compare=False)
 
-    def __init__(self, name: str, moveset: Optional[Moveset] = None) -> None:
-        up = _STANDARD_MOVESETS.get(name) if moveset is None else moveset
-        object.__setattr__(self, "name", name)
+    def __post_init__(self) -> None:
+        up = (_STANDARD_MOVESETS.get(self.name) if self._up is None
+              else self._up)
         object.__setattr__(self, "_up", up)
         object.__setattr__(self, "_down", None if up is None else up.rotated())
-
-    def __setattr__(self, attr, value):
-        raise AttributeError("PieceKind is immutable")
 
     @property
     def moveset(self) -> Moveset:
@@ -97,18 +97,7 @@ class PieceKind:
             raise UnknownKindError(f"kind {self.name!r} has no moveset")
         return m
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PieceKind):
-            return NotImplemented
-        return (self.name, self._up) == (other.name, other._up)
-
-    def __hash__(self) -> int:
-        return hash((self.name, self._up))
-
-    def __reduce__(self):
-        return PieceKind, (self.name, self._up)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
+    def __repr__(self) -> str:
         return f"PieceKind({self.name!r})"
 
 

@@ -53,7 +53,7 @@ class RenderSpec:
             if layer not in LAYERS:
                 raise PatternError(f"unknown layer {layer!r}")
         if self.periods < 1:
-            raise PatternError("periodsShown must be at least 1")
+            raise PatternError("periods must be at least 1")
 
 
 def _view(p: PeriodicPattern, spec: RenderSpec) -> tuple[int, int, int, int]:

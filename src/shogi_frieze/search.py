@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .control import (KernelGeometry, NccStatus, RegionClass, Verdict,
                       ncc_status)
@@ -135,8 +135,7 @@ def _cell_pool(bounds: SearchBounds, t: Vec) -> list[Vec]:
     w, h = bounds.box
     if t[1] == 0:
         w = min(w, t[0])
-    cells = [(x, y) for x in range(w) for y in range(h)]
-    return cells
+    return [(x, y) for x in range(w) for y in range(h)]
 
 
 def _attributes(bounds: SearchBounds,
@@ -480,11 +479,29 @@ def _scan(bounds: SearchBounds, kinds: Sequence[PieceKind],
                     yield cell_set, a
 
 
-def _check_limit(limit: Optional[int]) -> None:
+def _find(bounds: SearchBounds, target: Mapping[PieceKind, bool],
+          group: Optional[FriezeGroup], limit: Optional[int],
+          report: Callable[[_CellSet, tuple[int, ...]], object]) -> list:
+    """``report(cell_set, a)`` of the first ``limit`` (all, if None) forms
+    that ``_scan`` yields for ``group`` whose period is not redundant and on
+    which each kind of ``target`` satisfies iff its value."""
     # a limit below 1 cannot stop a scan before its first report, and an
     # empty result would read as a certificate of exhaustion
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
+    kinds = tuple(target)
+    wanted = [target[k] for k in kinds]
+    order = list(range(len(kinds)))  # the column that last missed first
+    out = []
+    for cell_set, a in _scan(bounds, kinds, group):
+        # a group scan has skipped the redundant periods
+        if group is None and cell_set.judge.period_redundant(a):
+            continue
+        if cell_set.matches(a, wanted, order):
+            out.append(report(cell_set, a))
+            if len(out) == limit:
+                break
+    return out
 
 
 def find_crystal(group: FriezeGroup, target: Mapping[PieceKind, bool],
@@ -496,22 +513,13 @@ def find_crystal(group: FriezeGroup, target: Mapping[PieceKind, bool],
     An empty list certifies exhaustion of the bounded space.  ``limit``
     stops the scan early after that many reports; it must be at least 1.
     """
-    _check_limit(limit)
-    kinds = tuple(target)
-    wanted = [target[k] for k in kinds]
-    order = list(range(len(kinds)))  # the column that last missed first
-    reports: list[CrystalReport] = []
-    for cell_set, a in _scan(bounds, kinds, group):
-        if not cell_set.matches(a, wanted, order):
-            continue
+    def report(cell_set: _CellSet, a: tuple[int, ...]) -> CrystalReport:
         form = cell_set.form(a)
         details = cell_set.statuses(a)
-        reports.append(CrystalReport(
-            form, form.instantiate(KING), group,
-            {k: s.satisfies for k, s in details.items()}, details))
-        if limit is not None and len(reports) >= limit:
-            break
-    return reports
+        return CrystalReport(form, form.instantiate(KING), group,
+                             {k: s.satisfies for k, s in details.items()},
+                             details)
+    return _find(bounds, target, group, limit, report)
 
 
 @dataclass(frozen=True)
@@ -527,19 +535,10 @@ def find_special_form(bounds: SearchBounds, *,
     predicate, annotated with the region partition for comparing which
     region each kind leaves uncontrolled.  ``limit``, if given, must be at
     least 1."""
-    _check_limit(limit)
-    wanted = [True] * len(KIND_COLUMNS)
-    order = list(range(len(KIND_COLUMNS)))
-    out: list[SpecialFormReport] = []
-    for cell_set, a in _scan(bounds, KIND_COLUMNS):
-        if (cell_set.judge.period_redundant(a)
-                or not cell_set.matches(a, wanted, order)):
-            continue
-        out.append(SpecialFormReport(cell_set.form(a), cell_set.statuses(a),
-                                     cell_set.geometry.partition))
-        if limit is not None and len(out) >= limit:
-            break
-    return out
+    return _find(bounds, dict.fromkeys(KIND_COLUMNS, True), None, limit,
+                 lambda cell_set, a: SpecialFormReport(
+                     cell_set.form(a), cell_set.statuses(a),
+                     cell_set.geometry.partition))
 
 
 @dataclass(frozen=True)
@@ -580,11 +579,8 @@ def find_duality(bounds: SearchBounds) -> DualityExhibits:
                 kinds_c = [GOLD if mask & (1 << i) else ROOK
                            for i in range(n)]
                 kinds_d = [SILVER if k is GOLD else BISHOP for k in kinds_c]
-                try:
-                    c = form.instantiate_kinds(kinds_c)
-                    d = form.instantiate_kinds(kinds_d)
-                except PatternError:
-                    continue
+                c = form.instantiate_kinds(kinds_c)
+                d = form.instantiate_kinds(kinds_d)
                 # judged on their own geometry: mixed kinds can keep the
                 # longer period of a motif that is redundant for one kind
                 if ncc_status(c).verdict is not Verdict.COMPLETE:

@@ -273,6 +273,42 @@ def test_fragility_cli_identity(capsys):
     assert code == 0 and out.strip() == "changed=0"
 
 
+def _two_p2_fixtures(tmp_path):
+    """The bundled crystals with p11g's file replaced by a copy of p2's."""
+    for f in FIXTURE_DIR.glob("*.pattern"):
+        (tmp_path / f.name).write_bytes(f.read_bytes())
+    (tmp_path / "p11g.pattern").write_bytes(
+        (FIXTURE_DIR / "p2.pattern").read_bytes())
+    return str(tmp_path)
+
+
+@pytest.mark.parametrize("command", [("table",), ("fragility", "--fixtures")])
+def test_fixture_dir_with_two_files_of_one_group_exits_2(tmp_path, capsys,
+                                                         command):
+    path = _two_p2_fixtures(tmp_path)
+    code, out, err = run(capsys, *command, path)
+    assert (code, out, err) == (2, "", f"{path}: two fixtures classify "
+                                       "to p2\n")
+
+
+_SEARCH = ("search", "--group", "p1", "--max-pieces", "1", "--max-period",
+           "1")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("fragility", "--substitute", "bogus"),
+     "unknown substitution 'bogus'; options: knight=chess-knight, "
+     "lance=reverse-chariot, silver=sideways-silver"),
+    (_SEARCH + ("--target", "xxq", "--box", "2x2"),
+     "target must be 8 chars of x (fail) / o (satisfy)"),
+    (_SEARCH + ("--target", "xxxxxxxx", "--box", "2y2"), "bad box '2y2'"),
+    (("render", str(FIXTURE_DIR / "p2.pattern"), "--periods", "0"),
+     "periods must be at least 1"),
+], ids=["substitute", "target", "box", "periods"])
+def test_bad_flag_exits_2_with_its_message(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", message + "\n")
+
+
 def test_parser_built_once_and_calls_share_no_state(capsys):
     from shogi_frieze.cli import build_parser
     assert build_parser() is build_parser()

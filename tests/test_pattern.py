@@ -3,11 +3,11 @@ from dataclasses import replace
 
 import pytest
 
-from shogi_frieze import (KING, LANCE, PAWN, ROOK, InconsistentMotifError,
-                          ParseError, PatternError, PeriodicPattern,
-                          PieceKind, PlacedPiece, canonicalize,
-                          classify_frieze, dual, make_pattern, moveset,
-                          ncc_status, oracle, parse, serialize)
+from shogi_frieze import (KING, LANCE, PAWN, ROOK, STANDARD_KINDS,
+                          InconsistentMotifError, ParseError, PatternError,
+                          PeriodicPattern, PieceKind, PlacedPiece,
+                          canonicalize, classify_frieze, dual, make_pattern,
+                          moveset, ncc_status, oracle, parse, serialize)
 from shogi_frieze.cli import main as cli_main
 from shogi_frieze.geometry import canonical_sign, reduce_cell
 from shogi_frieze.pattern import form_of
@@ -121,6 +121,50 @@ def test_parse_errors():
         parse("period: 0 0\ngrid:\nK^\n")
     with pytest.raises(ParseError):
         parse("period: 2 0\ngrid:\nK?\n")
+
+
+_GRID = "grid:\nK^ .. ..\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("period: 3\n" + _GRID, "line 1: bad period"),
+    ("period: a 0\n" + _GRID, "line 1: bad period"),
+    ("period: 3 0\norigin: 1\n" + _GRID, "line 2: bad origin"),
+    ("period: 3 0\norigin: 1 x\n" + _GRID, "line 2: bad origin"),
+    ("period: 3 0\nkind: C fairy steps=\n" + _GRID,
+     "line 2: bad kind header"),
+    ("period: 3 0\nkind: CD fairy steps= rides=(0,1)\n" + _GRID,
+     "line 2: kind letter must be one char"),
+    ("period: 3 0\nkind: K fairy steps= rides=(0,1)\n" + _GRID,
+     "line 2: letter 'K' taken"),
+    ("period: 3 0\nkind: C fairy steps=0,1 rides=\n" + _GRID,
+     "line 2: bad displacement '0,1'"),
+    ("period: 3 0\nkind: C fairy steps=(0,x) rides=\n" + _GRID,
+     "line 2: bad displacement '(0,x)'"),
+    ("period: 3 0\nkind: C fairy steps= rides=(0,2)\n" + _GRID,
+     "line 2: ride direction (0, 2) is not a unit vector"),
+    ("period: 3 0\n" + _GRID + "decor: 0 0\n", "line 4: bad decor line"),
+    ("period: 3 0\n" + _GRID + "decor: 0 0 up\n", "line 4: bad decor line"),
+    ("period: 3 0\n" + _GRID + "decor: a 0 ne\n", "line 4: bad decor line"),
+    ("period: 3 0\nbogus\n" + _GRID, "line 2: unrecognized line 'bogus'"),
+    ("period: 3 0\n", "missing grid"),
+])
+def test_parse_error_names_its_line(text, message, tmp_path, capsys):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+    path = tmp_path / "bad.pattern"
+    path.write_text(text, encoding="utf-8")
+    assert cli_main(["ncc", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"{path}: {message}\n")
+
+
+def test_parse_skips_comments_and_blank_lines():
+    text = (FIXTURE_DIR / "p11g.pattern").read_text("utf-8")
+    lines = text.splitlines()
+    noisy = ["# a comment", ""] + [x for line in lines
+                                   for x in (line, "  # after it", "   ")]
+    assert parse("\n".join(noisy)) == parse(text)
 
 
 def test_parse_origin_and_decor():
@@ -240,6 +284,23 @@ def test_roundtrip_random():
     for _ in range(60):
         p = random_pattern(rng)
         assert parse(serialize(p)) == p
+
+
+_FAIRIES = (PieceKind("fairy-a", moveset(steps=[(1, 2)], rides=[(0, -1)])),
+            PieceKind("fairy-b", moveset(steps=[(-1, 0), (2, -1)])))
+
+
+def test_roundtrip_random_decorated_and_custom():
+    rng = random.Random(21)
+    decorated = custom = 0
+    for _ in range(3000):
+        p = random_pattern(rng, kinds=STANDARD_KINDS + _FAIRIES, decor=0.5)
+        text = serialize(p)
+        assert parse(text) == p
+        assert serialize(parse(text)) == text
+        decorated += "\ndecor: " in text
+        custom += "\nkind: " in text
+    assert decorated > 2000 and custom > 1000, (decorated, custom)
 
 
 _TOKEN_KINDS = {"K": KING, "P": PAWN, "R": ROOK, "L": LANCE}

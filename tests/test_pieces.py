@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from shogi_frieze import (BISHOP, GOLD, KING, KNIGHT, LANCE, PAWN, ROOK,
@@ -85,6 +88,19 @@ def test_custom_kind_without_moveset():
 def test_kind_is_immutable():
     with pytest.raises(AttributeError):
         KING.name = "queen"
+
+
+@pytest.mark.parametrize("kind", [
+    KING, PieceKind("lance", reverse_chariot_moveset()),
+    PieceKind("test-fairy", moveset(steps=[(1, 2)], rides=[(0, -1)])),
+    PieceKind("never-declared"),
+], ids=["king", "substituted", "custom", "no-moveset"])
+def test_kind_is_a_value(kind):
+    for other in (pickle.loads(pickle.dumps(kind)), copy.deepcopy(kind)):
+        assert other == kind and hash(other) == hash(kind)
+        assert repr(other) == repr(kind) == f"PieceKind({kind.name!r})"
+        if kind.name != "never-declared":
+            assert other.oriented(DOWN) == kind.oriented(DOWN)
 
 
 def test_malformed_movesets():

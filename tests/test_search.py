@@ -12,7 +12,7 @@ from shogi_frieze import (BISHOP, GOLD, KING, KNIGHT, LANCE, PAWN, ROOK,
                           make_pattern, ncc_status, ncc_vector, oracle,
                           partition_neighborhood, satisfies_table)
 from shogi_frieze.control import KernelGeometry, _move_control
-from shogi_frieze.geometry import canonical_sign, reduce_cell, sub
+from shogi_frieze.geometry import canonical_sign, reduce_cell
 from shogi_frieze.oracle import _verdict_from_parts
 from shogi_frieze.pattern import Form, PatternError
 from shogi_frieze.pieces import (chess_knight_moveset, reverse_chariot_moveset,
@@ -478,6 +478,14 @@ def test_fragility_identity(crystal_fixtures):
     assert fragility_check(crystal_fixtures, {}) == []
 
 
+def test_fragility_refuses_a_repeated_fixture(crystal_fixtures):
+    fixtures = dict(crystal_fixtures)
+    fixtures[FriezeGroup.P11G] = fixtures[FriezeGroup.P2]
+    with pytest.raises(PatternError, match="fixtures must classify to the "
+                                           "7 distinct groups"):
+        fragility_check(fixtures, {})
+
+
 @pytest.mark.parametrize("kind,builder", [
     (LANCE, reverse_chariot_moveset),
     (SILVER, sideways_silver_moveset),
@@ -632,8 +640,9 @@ def _plain_orbit_key(form, mirror):
     """orbit_key written with the lattice helpers, for comparison."""
     def translation_key(cells, t):
         return (t, min(tuple(sorted(
-            (reduce_cell(sub(c, a), t), o.value, d is not None, d or (0, 0))
-            for c, o, d in cells)) for a, _, _ in cells))
+            (reduce_cell((x - ax, y - ay), t), o.value, d is not None,
+             d or (0, 0))
+            for (x, y), o, d in cells)) for (ax, ay), _, _ in cells))
     key = translation_key(form.cells, form.t)
     if mirror:
         mirrored = [((-c[0], c[1]), o, (-d[0], d[1]) if d else None)
