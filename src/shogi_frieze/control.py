@@ -9,40 +9,35 @@ regions:
 * a sliding ray parallel to t runs round the classes of its own line and,
   leaving from a piece, is stopped at the latest by that piece's own
   class; a non-parallel ray drifts monotonically in ``cross`` and is
-  provably free once it leaves the occupied band.  Both are solved
-  arithmetically, with no walk, so their cost does not grow with |t|;
+  provably free once it leaves the occupied band.  So a ride stops, if
+  at all, within a bound the band sets (``_free_length``), and a ride
+  whose bound is long is solved arithmetically (``_steps_to``), so its
+  cost does not grow with |t|;
 * an empty region is unbounded iff it reaches a class whose ``cross`` lies
   outside the occupied band (the half-plane beyond the band is one empty,
   connected, infinite region).
 
-Where one step or ride ends is ``_move_control``, the one move rule.  It
-answers in plain integers and ignores orientations: the class the move
-lands on (a step's target; a ride's first piece, the least ``_steps_to``
-over the pieces, or None when the ride is free) and the number of classes
-a ride passes before it (None when free).  A move controls the classes it
+A step lands on the class of its target.  Where a ride stops, and what it
+passes on the way, is ``_ride``, the one ride rule: it walks a ride whose
+bound is at most ``_LISTED_MAX`` classes and asks ``_move_control`` about
+a longer one.  It ignores orientations.  A move controls the classes it
 passes and the class it lands on unless an ally, a piece facing the
 mover's way, stands there; each consumer applies that test itself:
 
-* ``control_of_pattern`` wraps the integers of every move of every piece
-  into ``Segment`` and ``FreeLine`` values, with the occupied band
-  computed once per pattern, and unions them into a control set for the
-  CLI and rendering;
+* ``control_of_pattern`` unions every piece's step targets and rides, on
+  the occupied band, into a control set for the CLI and rendering;
 * ``KernelGeometry``, the engine's one verdict judge, turns moves into bit
-  masks over the neighborhood, creating no objects.  A ride bounded by
-  ``_free_length`` to at most ``_LISTED_MAX`` classes finds its own stop
-  by walking to the first occupied class; a longer one asks
-  ``_move_control`` and, past ``_LISTED_MAX`` classes, tests each
-  neighborhood class with ``_steps_to``.  It depends only on the cells
-  and the period: it computes the neighborhood once, base (the occupied
-  classes) first, and memoizes no move.  Given the pieces' orientations
-  and moves, ``uncontrolled`` ORs each side's move masks, less that
-  side's allies, into the mask of what no piece controls; ``verdict``,
-  the one verdict rule, judges that mask, flooding inside from outside
-  only for a mask that needs it, and ``status`` reads the whole status
-  off it.  ``ncc_status`` judges the pieces' own kinds on a fresh
-  geometry, and a search judges every form of a cell set on one
-  geometry, with its own table of move masks.  The oracle keeps a rule
-  of its own, on sets.
+  masks over the neighborhood, asking ``_ride`` on the occupied band
+  widened by |tx| + |ty|.  It depends only on the cells and the period:
+  it computes the neighborhood once, base (the occupied classes) first,
+  and memoizes no move.  Given the pieces' orientations and moves,
+  ``uncontrolled`` ORs each side's move masks, less that side's allies,
+  into the mask of what no piece controls; ``verdict``, the one verdict
+  rule, judges that mask, flooding inside from outside only for a mask
+  that needs it, and ``status`` reads the whole status off it.
+  ``ncc_status`` judges the pieces' own kinds on a fresh geometry, and a
+  search judges every form of a cell set on one geometry, with its own
+  table of move masks.  The oracle keeps a rule of its own, on sets.
 """
 
 from __future__ import annotations
@@ -50,9 +45,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Container, Iterable, Optional, Sequence
 
-from .geometry import UNIT_DIRS, Vec
+from .geometry import UNIT_DIRS, Vec, reduce_cell
 from .pattern import PeriodicPattern
 from .pieces import Moveset, Orientation
 
@@ -290,24 +285,12 @@ def _partition(t: Vec, cells: Sequence[Vec],
     return result
 
 
-def _move_control(t: Vec, cells: Sequence[Vec], cell: Vec, move: Vec,
-                  ride: bool) -> tuple[Optional[Vec], Optional[int]]:
-    """Where one step or ride from ``cell`` ends, as plain integers and
-    whatever the orientations: the class it lands on (a step's target, a
-    ride's first piece, None for a free ride) and the number of classes a
-    ride passes before it (0 for a step, None for a free ride).
-
-    A ride stops at the piece it reaches in the fewest steps (``_steps_to``
-    per piece in ``cells``).  The move controls the classes it passes, and
-    the class it lands on unless an ally (a piece facing the mover's way)
-    stands there; the callers apply that test.  The cost depends on the
-    motif only.
-    """
-    if not ride:
-        tx, ty = t
-        x, y = cell[0] + move[0], cell[1] + move[1]
-        n = (x * tx + y * ty) // (tx * tx + ty * ty)  # reduce_cell
-        return (x - n * tx, y - n * ty), 0
+def _move_control(t: Vec, cells: Sequence[Vec], cell: Vec,
+                  move: Vec) -> tuple[Optional[Vec], Optional[int]]:
+    """The piece a ride from ``cell`` reaches in the fewest steps
+    (``_steps_to`` per piece in ``cells``) and the number of classes it
+    passes before it, or (None, None) for a free ride.  ``_ride`` asks it
+    about rides too long to walk; the cost depends on the motif only."""
     steps, hit = None, None
     for c in cells:
         k = _steps_to(c, cell, move, t)
@@ -318,11 +301,49 @@ def _move_control(t: Vec, cells: Sequence[Vec], cell: Vec, move: Vec,
     return hit, steps - 1
 
 
+def _ride(t: Vec, cells: Sequence[Vec], occupied: Container[Vec],
+          band: tuple[int, int], cell: Vec,
+          move: Vec) -> tuple[Optional[Vec], list[Vec] | Segment]:
+    """Where the ride from ``cell`` by ``move`` stops, and what it passes:
+    the class of the first piece it meets (None when it is free) and the
+    classes before it, as a list when there are at most ``_LISTED_MAX``
+    and otherwise as a ``Segment``.  A free ride's classes run until its
+    ``cross`` leaves ``band``, which must hold the occupied classes.
+
+    A ride that stops does so within ``_free_length``'s bound on ``band``:
+    the pieces lie inside the band, and a ride parallel to t comes back to
+    its own class within one round of its line.  So a ride whose bound is
+    at most ``_LISTED_MAX`` is walked class by class to its stop; a longer
+    one (parallel or nearly parallel to a long t) asks ``_move_control``,
+    and is walked only if it passes at most ``_LISTED_MAX`` classes.
+    """
+    bound = _free_length(cell, move, t, *band)
+    if bound > _LISTED_MAX:
+        hit, passed = _move_control(t, cells, cell, move)
+        if hit is None:  # free
+            passed = bound
+        if passed > _LISTED_MAX:
+            return hit, Segment(cell, move, passed, t)
+        bound = passed + 1  # up to the piece it lands on
+    (x, y), (dx, dy), (tx, ty) = cell, move, t
+    tt = tx * tx + ty * ty
+    classes = []
+    for _ in range(bound):  # reduce_cell, written out
+        x += dx
+        y += dy
+        n = (x * tx + y * ty) // tt
+        cls = (x - n * tx, y - n * ty)
+        if cls in occupied:
+            return cls, classes
+        classes.append(cls)
+    return None, classes
+
+
 def control_of_pattern(p: PeriodicPattern) -> PeriodicCellSet:
     """Classes (and free lines) of all squares the pattern's pieces can
-    move to: the union of ``_move_control`` over every step and ride.  A
-    ride parallel (or nearly parallel) to a long t stays a segment, so it
-    costs no more than a short one."""
+    move to: every step's target and every ride's ``_ride``.  A ride
+    parallel (or nearly parallel) to a long t stays a segment, so it costs
+    no more than a short one."""
     t, cells = p.t, p.cells()
     occupied = p.class_map()
     band = _occupied_band(cells, t)
@@ -333,23 +354,21 @@ def control_of_pattern(p: PeriodicPattern) -> PeriodicCellSet:
     for piece in p.pieces:
         cell, orientation = piece.cell, piece.orientation
         m = piece.kind.oriented(orientation)
-        for step in m.steps:
-            cls, _ = _move_control(t, cells, cell, step, False)
+        for dx, dy in m.steps:
+            cls = reduce_cell((cell[0] + dx, cell[1] + dy), t)
             hit = occupied.get(cls)
             if hit is None or hit.orientation is not orientation:
                 classes.add(cls)
         for ride in m.rides:
-            cls, passed = _move_control(t, cells, cell, ride, True)
-            if cls is not None and occupied[cls].orientation is not orientation:
-                classes.add(cls)
-            if passed is None:
+            cls, passed = _ride(t, cells, occupied, band, cell, ride)
+            if cls is None:
                 free_lines.add(FreeLine(cell, ride))
-                passed = _free_length(cell, ride, t, *band)
-            segment = Segment(cell, ride, passed, t)
-            if passed <= _LISTED_MAX:
-                classes.update(segment.classes())
+            elif occupied[cls].orientation is not orientation:
+                classes.add(cls)
+            if isinstance(passed, Segment):
+                segments.add(passed)
             else:
-                segments.add(segment)
+                classes.update(passed)
 
     key = lambda x: (x.anchor, x.direction)
     return PeriodicCellSet(frozenset(classes),
@@ -368,14 +387,11 @@ class KernelGeometry:
     the class of the piece it lands on, which it controls only when that
     piece is an enemy.  The geometry memoizes no move; a search keeps its
     own table of move masks per cell set (``search._CellSet``).  A ride
-    whose band bound is at most ``_LISTED_MAX`` classes is walked class
-    by class up to the first occupied class, so one walk gives both its
-    stop and its mask.  A longer one stops at ``_move_control``'s piece
-    and, if it still passes more than ``_LISTED_MAX`` classes, tests each
-    neighborhood class with ``_steps_to``.  ``uncontrolled`` turns
-    orientations and moves on the pieces into the mask of what no piece
-    controls, ``verdict`` judges that mask, and ``status`` spells it out;
-    ``partition`` is flooded on first use.
+    stops where ``_ride`` says, asked on the occupied band widened by
+    |tx| + |ty|, past which no neighborhood class lies.  ``uncontrolled``
+    turns orientations and moves on the pieces into the mask of what no
+    piece controls, ``verdict`` judges that mask, and ``status`` spells it
+    out; ``partition`` is flooded on first use.
     """
 
     def __init__(self, t: Vec, cells: tuple[Vec, ...]) -> None:
@@ -458,46 +474,26 @@ class KernelGeometry:
 
     def reach(self, cell: Vec, move: Vec, ride: bool) -> int:
         """The mask of what a move of the piece on ``cell`` reaches."""
-        t, bits = self.t, self.bits
-        (x, y), (dx, dy), (tx, ty) = cell, move, t
-        tt = tx * tx + ty * ty
+        bits, (tx, ty) = self.bits, self.t
         if not ride:  # reduce_cell, written out
-            x += dx
-            y += dy
-            n = (x * tx + y * ty) // tt
+            x, y = cell[0] + move[0], cell[1] + move[1]
+            n = (x * tx + y * ty) // (tx * tx + ty * ty)
             return bits.get((x - n * tx, y - n * ty), 0)
         # Past the pieces a free ride still meets neighborhood classes until
         # its ``cross`` leaves their band, and none after.  That band is the
         # occupied one widened by |tx| + |ty|, the most a unit step moves
-        # ``cross``.  A ride that stops does so within the bound: at a
-        # piece, in the occupied band, or, parallel to t, at its own class
-        # once round its line.
+        # ``cross``.
         if self._band is None:
-            qlo, qhi = _occupied_band(self.cells, t)
+            qlo, qhi = _occupied_band(self.cells, self.t)
             s = abs(tx) + abs(ty)
             self._band = qlo - s, qhi + s
-        bound = _free_length(cell, move, t, *self._band)
-        if bound > _LISTED_MAX:  # (nearly) parallel to a long t
-            cls, passed = _move_control(t, self.cells, cell, move, True)
-            if passed is None or passed > _LISTED_MAX:
-                # too long to walk: test each class
-                passed = bound if passed is None else passed
-                mask = bits.get(cls, 0)  # 0 for None
-                for c, bit in bits.items():
-                    k = _steps_to(c, cell, move, t)
-                    if k is not None and k <= passed:
-                        mask |= bit
-                return mask
-            bound = passed + 1  # up to the piece it lands on
-        occupied, mask = self.occupied, 0
-        for _ in range(bound):  # reduce_cell, written out
-            x += dx
-            y += dy
-            n = (x * tx + y * ty) // tt
-            cls = (x - n * tx, y - n * ty)
-            mask |= bits.get(cls, 0)
-            if cls in occupied:  # the first piece the ride meets
-                break
+        hit, passed = _ride(self.t, self.cells, self.occupied, self._band,
+                            cell, move)
+        mask = bits.get(hit, 0)  # 0 for None
+        if isinstance(passed, Segment):  # too long to walk: test each class
+            passed = [c for c in bits if passed.contains(c)]
+        for c in passed:
+            mask |= bits.get(c, 0)
         return mask
 
 

@@ -217,12 +217,15 @@ def _fmt_vec_list(vecs: Iterable[Vec]) -> str:
 
 
 def parse(text: str) -> PeriodicPattern:
-    period: Optional[Vec] = None
+    """The pattern a file describes; a ``ParseError`` names the line at
+    fault, except for a missing period header or grid."""
+    period: Optional[Vec] = None  # read on line ``period_line``
     origin: Vec = (0, 0)
     letters = dict(_LETTER_TO_KIND)
     declared: dict[str, PieceKind] = {}
-    grid_rows: list[list[str]] = []
-    decors: dict[Vec, Vec] = {}  # the last line for a cell wins
+    grid_rows: list[tuple[int, list[str]]] = []  # (line, tokens)
+    # cell -> (line, direction); the last line for a cell wins
+    decors: dict[Vec, tuple[int, Vec]] = {}
     in_grid = False
 
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -230,10 +233,11 @@ def parse(text: str) -> PeriodicPattern:
         if not stripped or stripped.startswith("#"):
             continue
         if in_grid and not stripped.startswith("decor:"):
-            grid_rows.append(stripped.split(" "))
+            grid_rows.append((lineno, stripped.split(" ")))
             continue
         if stripped.startswith("period:"):
             period = _vec(stripped[len("period:"):].split(), lineno, "period")
+            period_line = lineno
         elif stripped.startswith("origin:"):
             origin = _vec(stripped[len("origin:"):].split(), lineno, "origin")
         elif stripped.startswith("kind:"):
@@ -264,14 +268,14 @@ def parse(text: str) -> PeriodicPattern:
             *xy, name = stripped[len("decor:"):].split() or [""]
             if name not in _DECOR_NAMES:
                 raise ParseError(f"line {lineno}: bad decor line")
-            decors[_vec(xy, lineno, "decor line")] = _DECOR_NAMES[name]
+            decors[_vec(xy, lineno, "decor line")] = lineno, _DECOR_NAMES[name]
         else:
             raise ParseError(f"line {lineno}: unrecognized line {stripped!r}")
 
     if period is None:
         raise ParseError("missing period header")
     if period == (0, 0):
-        raise ParseError("zero period")
+        raise ParseError(f"line {period_line}: zero period")
     if not grid_rows:
         raise ParseError("missing grid")
 
@@ -281,23 +285,25 @@ def parse(text: str) -> PeriodicPattern:
     t = canonical_sign(period)
     pieces = []
     height = len(grid_rows)
-    for i, row in enumerate(grid_rows):
+    for i, (lineno, row) in enumerate(grid_rows):
         y = origin[1] + (height - 1 - i)
         for j, token in enumerate(row):
             if token == "..":
                 continue
             if len(token) != 2 or token[1] not in "^v":
-                raise ParseError(f"bad cell token {token!r}")
+                raise ParseError(f"line {lineno}: bad cell token {token!r}")
             kind = letters.get(token[0])
             if kind is None:
-                raise ParseError(f"unknown kind letter {token[0]!r}")
+                raise ParseError(
+                    f"line {lineno}: unknown kind letter {token[0]!r}")
             o = Orientation.UP if token[1] == "^" else Orientation.DOWN
             cell = (origin[0] + j, y)
-            pieces.append(PlacedPiece(reduce_cell(cell, t), kind, o,
-                                      decors.pop(cell, None)))
+            _, deco = decors.pop(cell, (0, None))
+            pieces.append(PlacedPiece(reduce_cell(cell, t), kind, o, deco))
 
-    if decors:  # the decor lines left name empty cells; report the first
-        raise ParseError(f"decor on empty cell {next(iter(decors))}")
+    # the decor lines left name empty cells; report the first
+    for cell, (lineno, _) in decors.items():
+        raise ParseError(f"line {lineno}: decor on empty cell {cell}")
 
     return make_pattern(pieces, period)
 

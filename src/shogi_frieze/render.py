@@ -97,6 +97,17 @@ def _cells(p: PeriodicPattern, box: tuple[int, int, int, int],
             yield x, y, v
 
 
+def _layers(p: PeriodicPattern, spec: RenderSpec):
+    """Whether pieces are shown, then the neighborhood, the partition and
+    the control set of ``p``, each empty (None for control) unless
+    ``spec.layers`` asks for it."""
+    want = set(spec.layers)
+    return ("pieces" in want,
+            neighborhood(p) if "neighborhood" in want else frozenset(),
+            partition_neighborhood(p) if "partition" in want else {},
+            control_of_pattern(p) if "control" in want else None)
+
+
 def render(p: PeriodicPattern, spec: RenderSpec) -> str:
     p = canonicalize(p)
     if spec.format == "ascii":
@@ -117,11 +128,7 @@ def _escape(text: str) -> str:
 
 def render_ascii(p: PeriodicPattern, spec: RenderSpec) -> str:
     x0, x1, _, _ = box = _view(p, spec)
-    want = set(spec.layers)
-    show_pieces = "pieces" in want
-    nbhd = neighborhood(p) if "neighborhood" in want else frozenset()
-    regions = partition_neighborhood(p) if "partition" in want else {}
-    ctrl = control_of_pattern(p) if "control" in want else None
+    show_pieces, nbhd, regions, ctrl = _layers(p, spec)
 
     def look(cls: Vec, piece: Optional[PlacedPiece]) -> str:
         if show_pieces and piece is not None:
@@ -149,11 +156,7 @@ def _piece_path(x: int, y: int, up: bool) -> str:
 
 def render_svg(p: PeriodicPattern, spec: RenderSpec) -> str:
     x0, x1, y0, y1 = box = _view(p, spec)
-    want = set(spec.layers)
-    show_pieces = "pieces" in want
-    regions = partition_neighborhood(p) if "partition" in want else {}
-    nbhd = neighborhood(p) if "neighborhood" in want else frozenset()
-    ctrl = control_of_pattern(p) if "control" in want else None
+    show_pieces, nbhd, regions, ctrl = _layers(p, spec)
 
     def look(cls: Vec, piece: Optional[PlacedPiece]):
         if cls in regions:

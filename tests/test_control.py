@@ -1,13 +1,13 @@
 import random
 
-from shogi_frieze import (GOLD, KING, KNIGHT, LANCE, PAWN, ROOK, RegionClass,
-                          Verdict, control_of_pattern, make_pattern,
-                          neighborhood, ncc_status, oracle,
+from shogi_frieze import (BISHOP, GOLD, KING, KNIGHT, LANCE, PAWN, ROOK,
+                          RegionClass, Verdict, control_of_pattern,
+                          make_pattern, neighborhood, ncc_status, oracle,
                           partition_neighborhood)
 from shogi_frieze import control
 from shogi_frieze.control import (_LISTED_MAX, FreeLine, KernelGeometry,
                                   NccStatus, _free_length, _move_control,
-                                  _steps_to)
+                                  _occupied_band, _steps_to)
 from shogi_frieze.geometry import UNIT_DIRS, reduce_cell
 from shogi_frieze.pattern import PatternError
 from shogi_frieze.search import SearchBounds
@@ -21,7 +21,7 @@ def test_ray_blocked_by_ally():
     # the lance's way, so the lance controls what it passes and not it
     p = make_pattern([piece((0, 0), kind=LANCE), piece((0, 3), kind=PAWN)],
                      (10, 0))
-    assert _move_control(p.t, p.cells(), (0, 0), (0, 1), True) == ((0, 3), 2)
+    assert _move_control(p.t, p.cells(), (0, 0), (0, 1)) == ((0, 3), 2)
     ctrl = control_of_pattern(p)
     assert ctrl.contains((0, 1)) and ctrl.contains((0, 2))
     assert not ctrl.contains((0, 3))
@@ -30,7 +30,7 @@ def test_ray_blocked_by_ally():
 def test_ray_captures_enemy_inclusively():
     p = make_pattern([piece((0, 0), kind=LANCE),
                       piece((0, 3), DOWN, kind=PAWN)], (10, 0))
-    assert _move_control(p.t, p.cells(), (0, 0), (0, 1), True) == ((0, 3), 2)
+    assert _move_control(p.t, p.cells(), (0, 0), (0, 1)) == ((0, 3), 2)
     ctrl = control_of_pattern(p)
     assert all(ctrl.contains((0, y)) for y in (1, 2, 3))
 
@@ -38,8 +38,8 @@ def test_ray_captures_enemy_inclusively():
 def test_ray_wraps_to_own_copy_and_free_vertical():
     p = make_pattern([piece((0, 0), kind=ROOK)], (4, 0))
     cells = p.cells()
-    assert _move_control(p.t, cells, (0, 0), (1, 0), True) == ((0, 0), 3)
-    assert _move_control(p.t, cells, (0, 0), (0, 1), True) == (None, None)
+    assert _move_control(p.t, cells, (0, 0), (1, 0)) == ((0, 0), 3)
+    assert _move_control(p.t, cells, (0, 0), (0, 1)) == (None, None)
     ctrl = control_of_pattern(p)
     assert {(1, 0), (2, 0), (3, 0)} <= ctrl.listed
     assert not ctrl.contains((0, 0))  # the rook's own copy is its ally
@@ -241,13 +241,17 @@ def test_verdict_rule_exhaustive_on_small_spaces():
 
 
 def _reference_reach(g, cell, move, ride, move_control):
-    """What a move of the piece on ``cell`` reaches, by ``move_control``
-    and ``_steps_to`` alone: the class it lands on, and every neighborhood
-    class a ride meets up to its stop (anywhere on its line when free)."""
-    cls, passed = move_control(g.t, g.cells, cell, move, ride)
+    """What a move of the piece on ``cell`` reaches, by ``reduce_cell``,
+    ``move_control`` and ``_steps_to`` alone: a step's target, or the
+    class a ride lands on and every neighborhood class it meets up to its
+    stop (anywhere on its line when free)."""
+    if not ride:
+        target = (cell[0] + move[0], cell[1] + move[1])
+        return g.bits.get(reduce_cell(target, g.t), 0)
+    cls, passed = move_control(g.t, g.cells, cell, move)
     mask = g.bits.get(cls, 0)
     for c, bit in g.bits.items():
-        k = _steps_to(c, cell, move, g.t) if ride else None
+        k = _steps_to(c, cell, move, g.t)
         if k is not None and (passed is None or k <= passed):
             mask |= bit
     return mask
@@ -258,8 +262,8 @@ def test_reach_matches_a_reference_mask(monkeypatch):
     # and hand cases at the edges of the walk: ``reach`` against a mask
     # built from ``_move_control`` and ``_steps_to``.  A ride whose bound
     # (``_free_length`` on the occupied band widened by |tx| + |ty|) is at
-    # most ``_LISTED_MAX`` is walked to its stop without ``_move_control``;
-    # a longer one asks it once.
+    # most ``_LISTED_MAX`` is walked to its stop (``_ride``) without
+    # ``_move_control``; a longer one asks it once.
     move_control = control._move_control
     calls = []
     monkeypatch.setattr(control, "_move_control",
@@ -316,6 +320,40 @@ def test_reach_matches_a_reference_mask(monkeypatch):
     # both rides along t = (33, 0), both pieces' rides along (0, 33), both
     # pieces' horizontal rides at (40, 1) and both rides along (100, 0)
     assert long_rides == 2 + 4 + 4 + 2
+
+
+def test_control_asks_move_control_only_for_long_rides(monkeypatch):
+    # ``control_of_pattern`` walks a ride to its stop (``_ride``) when its
+    # bound (``_free_length`` on the occupied band) is at most
+    # ``_LISTED_MAX``, and asks ``_move_control`` once for a longer one:
+    # seeded patterns of every standard kind, and rides along, nearly
+    # along and across long periods.
+    move_control = control._move_control
+    calls = []
+    monkeypatch.setattr(control, "_move_control",
+                        lambda *args: calls.append(args)
+                        or move_control(*args))
+    rng = random.Random(29)
+    patterns = [random_pattern(rng, tmax=6) for _ in range(200)]
+    for t in ((32, 0), (33, 0), (34, 0), (0, 100), (40, 1), (1, 40),
+              (40, 40), (40, -40), (41, 39)):
+        patterns.append(make_pattern([piece((0, 0), kind=ROOK),
+                                      piece((0, 1), DOWN, kind=LANCE),
+                                      piece((1, 0), kind=BISHOP)], t))
+    long_rides = 0
+    for p in patterns:
+        band = _occupied_band(p.cells(), p.t)
+        long = sum(_free_length(x.cell, d, p.t, *band) > _LISTED_MAX
+                   for x in p.pieces
+                   for d in x.kind.oriented(x.orientation).rides)
+        calls.clear()
+        control_of_pattern(p)
+        assert len(calls) == long, p
+        long_rides += long
+    # five of the seeded patterns' rides, nearly parallel to t, and 15 of
+    # the motifs' rides: none at t = (32, 0), where a ride round its line
+    # has the bound 32
+    assert long_rides == 5 + 15
 
 
 # --- invariants on random patterns ------------------------------------------

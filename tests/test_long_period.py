@@ -20,8 +20,8 @@ from shogi_frieze import (BISHOP, KING, LANCE, ROOK, STANDARD_KINDS,
                           generate_from_recipe, make_pattern,
                           partition_neighborhood, ncc_status, oracle)
 from shogi_frieze import control
-from shogi_frieze.control import (Segment, _free_length, _move_control,
-                                  _occupied_band)
+from shogi_frieze.control import (Segment, _move_control, _occupied_band,
+                                  _ride)
 from shogi_frieze.geometry import UNIT_DIRS, cross, dot, reduce_cell
 from shogi_frieze.symmetry import apply
 from conftest import DOWN, UP, piece, rotated_dual
@@ -100,8 +100,7 @@ def test_long_rook_ride_is_a_segment():
     assert ctrl.contains((BIG // 2, 0))
     assert not ctrl.contains((0, 0)) and not ctrl.contains((1, 1))
     # the ride lands on the rook's own copy, its ally, after BIG - 1 classes
-    assert _move_control(p.t, p.cells(), (0, 0), (1, 0), True) \
-        == ((0, 0), BIG - 1)
+    assert _move_control(p.t, p.cells(), (0, 0), (1, 0)) == ((0, 0), BIG - 1)
 
 
 def _kernel_matches_control_set(p):
@@ -252,14 +251,14 @@ def test_witnesses_match_scan_of_every_listed_parameter():
 # ---------------------------------------------------------------------------
 # Rides against a walk, segment membership against the oracle
 
-def _walk(p, origin, d):
+def _walk(p, origin, d, band):
     """The ride walked square by square: (passed classes, landing class),
     the landing class None for a free ride.  Off t's direction it is free
-    once it drifts past the occupied band; parallel to t, once it comes
-    back to a class it passed."""
+    once it drifts past ``band``, a band holding the occupied one;
+    parallel to t, once it comes back to a class it passed."""
     t = p.t
     occupied = p.class_map()
-    qs = [cross(c, t) for c in occupied]
+    qlo, qhi = band
     qd = cross(d, t)
     passed, pos = [], origin
     while True:
@@ -268,35 +267,49 @@ def _walk(p, origin, d):
         if cls in occupied:
             return passed, cls
         q = cross(cls, t)
-        if qd > 0 and q > max(qs) or qd < 0 and q < min(qs) \
-                or cls in passed:
+        if qd > 0 and q > qhi or qd < 0 and q < qlo or cls in passed:
             return passed, None
         passed.append(cls)
 
 
-def test_move_control_matches_a_walk():
-    # rides from pieces and from empty squares; a free ride's passed
-    # classes run until its cross leaves the occupied band, as the control
-    # set lists them
+def test_ride_matches_a_walk():
+    # rides from pieces and from empty squares, on the occupied band (as
+    # the control set lists them) and on the band widened by |tx| + |ty|
+    # (as the kernel masks them); a free ride's passed classes run until
+    # its cross leaves the band.  Besides short random periods, t runs
+    # along, or nearly along, a unit direction for 20 to 60 steps, so
+    # that rides of more than _LISTED_MAX classes take the Segment path.
     rng = random.Random(79)
-    for _ in range(150):
-        p = _random_pattern(rng, _random_t(rng, 6), STANDARD_KINDS,
-                            with_decor=False)
+    paths = {list: 0, Segment: 0}
+    for i in range(240):
+        t = _random_t(rng, 6)
+        if i % 2:
+            u = rng.choice(UNIT_DIRS)
+            k = rng.randint(20, 60)
+            t = (k * u[0] + rng.randint(-1, 1) * (i % 4 == 3),
+                 k * u[1] + rng.randint(-1, 1) * (i % 4 == 3))
+        p = _random_pattern(rng, t, STANDARD_KINDS, with_decor=False)
         t, cells = p.t, p.cells()
-        band = _occupied_band(cells, t)
-        for x in p.pieces:
-            empty = (x.cell[0] + rng.randint(-3, 3),
-                     x.cell[1] + rng.randint(-3, 3))
-            for origin in (x.cell, empty):
-                anchor = reduce_cell(origin, t)
-                for d in UNIT_DIRS:
-                    hit, passed = _move_control(t, cells, origin, d, True)
-                    if passed is None:
-                        passed = _free_length(anchor, d, t, *band)
-                    walked, landed = _walk(p, origin, d)
-                    assert hit == landed, (p, origin, d)
-                    assert list(Segment(anchor, d, passed, t).classes()) \
-                        == walked, (p, origin, d)
+        qlo, qhi = _occupied_band(cells, t)
+        s = abs(t[0]) + abs(t[1])
+        for band in ((qlo, qhi), (qlo - s, qhi + s)):
+            for x in p.pieces:
+                empty = (x.cell[0] + rng.randint(-3, 3),
+                         x.cell[1] + rng.randint(-3, 3))
+                for origin in (x.cell, empty):
+                    for d in UNIT_DIRS:
+                        hit, passed = _ride(t, cells, set(cells), band,
+                                            origin, d)
+                        walked, landed = _walk(p, origin, d, band)
+                        assert hit == landed, (p, origin, d, band)
+                        paths[type(passed)] += 1
+                        if type(passed) is Segment:
+                            assert len(walked) > control._LISTED_MAX
+                            passed = passed.classes()
+                        else:
+                            assert len(walked) <= control._LISTED_MAX
+                        assert list(passed) == walked, (p, origin, d, band)
+    assert min(paths.values()) > 100, paths
 
 
 def test_segment_contains_agrees_with_listing_and_oracle(monkeypatch):

@@ -148,6 +148,12 @@ _GRID = "grid:\nK^ .. ..\n"
     ("period: 3 0\n" + _GRID + "decor: a 0 ne\n", "line 4: bad decor line"),
     ("period: 3 0\nbogus\n" + _GRID, "line 2: unrecognized line 'bogus'"),
     ("period: 3 0\n", "missing grid"),
+    ("period: 3 0\n" + _GRID + "K? .. ..\n", "line 4: bad cell token 'K?'"),
+    ("period: 3 0\n\ngrid:\n.. Q^ ..\n",
+     "line 4: unknown kind letter 'Q'"),
+    ("period: 3 0\n" + _GRID + "decor: 0 0 ne\n# note\ndecor: 1 0 ne\n",
+     "line 6: decor on empty cell (1, 0)"),
+    ("# a zero period\nperiod: 0 0\n" + _GRID, "line 2: zero period"),
 ])
 def test_parse_error_names_its_line(text, message, tmp_path, capsys):
     with pytest.raises(ParseError) as info:

@@ -8,7 +8,10 @@ that search gave them.  The classify constants are the witnesses and the
 canonical patterns of a seeded sample, as the classifier gave them when
 periods and symmetries were tested piece by piece.  The render constants
 are the ascii and svg pictures of the fixtures and a seeded sample, as
-``render`` drew them when it reduced every cell once per layer.  CI runs
+``render`` drew them when it reduced every cell once per layer.  The
+control constant is what ``control_of_pattern`` listed, kept as segments
+and kept as free lines for the render sample and long-ride motifs, as it
+gave them when it walked each ride with ``Segment.classes``.  CI runs
 this file under two hash seeds, because nothing in a report or a picture
 may depend on one.
 """
@@ -19,12 +22,13 @@ import random
 
 import pytest
 
-from shogi_frieze import (GOLD, KIND_COLUMNS, KING, PAWN, ROW_ORDER,
-                          STANDARD_KINDS, FriezeGroup, Orientation,
+from shogi_frieze import (BISHOP, GOLD, KIND_COLUMNS, KING, PAWN, ROOK,
+                          ROW_ORDER, STANDARD_KINDS, FriezeGroup, Orientation,
                           PatternError, PeriodicPattern, PlacedPiece,
-                          SearchBounds, canonicalize, detect_symmetries,
-                          find_crystal, find_duality, find_special_form,
-                          generate_from_recipe, parse, staircase_target)
+                          SearchBounds, canonicalize, control_of_pattern,
+                          detect_symmetries, find_crystal, find_duality,
+                          find_special_form, generate_from_recipe,
+                          make_pattern, parse, staircase_target)
 from shogi_frieze.geometry import UNIT_DIRS, reduce_cell
 from shogi_frieze.render import RenderSpec, render
 from conftest import FIXTURE_DIR, LEFTY
@@ -250,3 +254,27 @@ def test_render_output_unchanged(fmt, layers):
     pictures = [render(p, RenderSpec(fmt, tuple(layers.split(",")), periods))
                 for periods in (1, 3) for p in _render_sample()]
     assert _digest(pictures) == RENDER[fmt, layers]
+
+
+def _control_sample():
+    """``_render_sample()``, then motifs that take each long-ride path: a
+    lone rook at t = (33, 0) (a ride round 32 classes, listed), at
+    (34, 0) and (0, 100) (segments of 33 and 99 classes) and at (40, 1)
+    (free and nearly parallel to t), and a bishop with a king at (1, 0)
+    at t = (40, 40) (diagonal segments of 39 classes)."""
+    up, down = Orientation.UP, Orientation.DOWN
+    rook = [PlacedPiece((0, 0), ROOK, up)]
+    bishop = [PlacedPiece((0, 0), BISHOP, up), PlacedPiece((1, 0), KING, down)]
+    return _render_sample() + [
+        make_pattern(pieces, t) for pieces, t in (
+            (rook, (33, 0)), (rook, (34, 0)), (rook, (0, 100)),
+            (rook, (40, 1)), (bishop, (40, 40)))]
+
+
+CONTROL = "4b9e5b7ec2f9e784842e97d5392546015f22d30899476c16ea765ff4d8977728"
+
+
+def test_control_output_unchanged():
+    sets = [control_of_pattern(p) for p in _control_sample()]
+    assert _digest([(sorted(c.listed), c.segments, c.free_lines)
+                    for c in sets]) == CONTROL

@@ -28,3 +28,19 @@ def test_discover_fixtures_full():
     t0 = time.time()
     _run_discover_fixtures()
     assert time.time() - t0 < 10
+
+
+def test_code_lines_counts_code_only(tmp_path):
+    """The code-line count leaves out blank lines, comments and docstrings,
+    and counts each line of a statement that spans lines."""
+    source = ('"""Module\n\ndocstring."""\n\n# a comment\n'
+              'def f(x):\n    """Docstring."""\n    return (x +  # sum\n'
+              '            1)\n')
+    path = tmp_path / "sample.py"
+    path.write_text(source, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "code_lines.py"), str(path)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    counts = [line.split()[0] for line in proc.stdout.splitlines()]
+    assert counts == ["3", "3"]

@@ -551,7 +551,11 @@ def _ally_to_enemy(before, after, kinds):
     for was, now in zip(before.pieces, after.pieces):
         for ride in flips:
             for move in _moves(was, kinds, ride) & _moves(now, kinds, ride):
-                cls, _ = _move_control(after.t, cells, now.cell, move, ride)
+                if ride:
+                    cls, _ = _move_control(after.t, cells, now.cell, move)
+                else:
+                    cls = reduce_cell((now.cell[0] + move[0],
+                                       now.cell[1] + move[1]), after.t)
                 j = index.get(cls)
                 if (j is not None
                         and before.pieces[j].orientation is was.orientation
