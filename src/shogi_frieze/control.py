@@ -303,11 +303,12 @@ def _move_control(t: Vec, cells: Sequence[Vec], cell: Vec,
 
 def _ride(t: Vec, cells: Sequence[Vec], occupied: Container[Vec],
           band: tuple[int, int], cell: Vec,
-          move: Vec) -> tuple[Optional[Vec], list[Vec] | Segment]:
+          move: Vec) -> tuple[Optional[Vec], list[Vec] | int]:
     """Where the ride from ``cell`` by ``move`` stops, and what it passes:
     the class of the first piece it meets (None when it is free) and the
     classes before it, as a list when there are at most ``_LISTED_MAX``
-    and otherwise as a ``Segment``.  A free ride's classes run until its
+    and otherwise as their number (the ``Segment`` from ``cell`` by
+    ``move`` of that length).  A free ride's classes run until its
     ``cross`` leaves ``band``, which must hold the occupied classes.
 
     A ride that stops does so within ``_free_length``'s bound on ``band``:
@@ -323,7 +324,7 @@ def _ride(t: Vec, cells: Sequence[Vec], occupied: Container[Vec],
         if hit is None:  # free
             passed = bound
         if passed > _LISTED_MAX:
-            return hit, Segment(cell, move, passed, t)
+            return hit, passed
         bound = passed + 1  # up to the piece it lands on
     (x, y), (dx, dy), (tx, ty) = cell, move, t
     tt = tx * tx + ty * ty
@@ -365,8 +366,8 @@ def control_of_pattern(p: PeriodicPattern) -> PeriodicCellSet:
                 free_lines.add(FreeLine(cell, ride))
             elif occupied[cls].orientation is not orientation:
                 classes.add(cls)
-            if isinstance(passed, Segment):
-                segments.add(passed)
+            if isinstance(passed, int):
+                segments.add(Segment(cell, ride, passed, t))
             else:
                 classes.update(passed)
 
@@ -490,8 +491,12 @@ class KernelGeometry:
         hit, passed = _ride(self.t, self.cells, self.occupied, self._band,
                             cell, move)
         mask = bits.get(hit, 0)  # 0 for None
-        if isinstance(passed, Segment):  # too long to walk: test each class
-            passed = [c for c in bits if passed.contains(c)]
+        if isinstance(passed, int):  # too long to walk: test each class
+            for c, bit in bits.items():
+                k = _steps_to(c, cell, move, self.t)
+                if k is not None and k <= passed:
+                    mask |= bit
+            return mask
         for c in passed:
             mask |= bits.get(c, 0)
         return mask

@@ -100,11 +100,15 @@ def _cells(p: PeriodicPattern, box: tuple[int, int, int, int],
 def _layers(p: PeriodicPattern, spec: RenderSpec):
     """Whether pieces are shown, then the neighborhood, the partition and
     the control set of ``p``, each empty (None for control) unless
-    ``spec.layers`` asks for it."""
+    ``spec.layers`` asks for it.  The partition's keys are the
+    neighborhood and every look tests them first, so with the partition
+    the neighborhood is not computed again."""
     want = set(spec.layers)
+    regions = partition_neighborhood(p) if "partition" in want else {}
     return ("pieces" in want,
-            neighborhood(p) if "neighborhood" in want else frozenset(),
-            partition_neighborhood(p) if "partition" in want else {},
+            neighborhood(p) if "neighborhood" in want and not regions
+            else frozenset(),
+            regions,
             control_of_pattern(p) if "control" in want else None)
 
 

@@ -14,13 +14,20 @@ combinations (``_has_roles``): a pattern with the group has a symmetry of
 each of its roles (``symmetry.GROUP_ROLES``), which sends its classes mod t
 onto themselves, so a combination with no self-map of that role, named as
 ``detect_symmetries`` names it (``symmetry._role``), is skipped with all
-its assignments.
+its assignments.  A group scan does not visit the combinations of every
+size to skip most of them: it generates, from one of its roles (g, else
+h, r, v), the unions of whole cycles of that role's maps on the pool's
+classes (``_symmetric_combinations``), in enumeration order, and
+``_has_roles`` then tests all its roles.
 
 Pruning works on orbits under translations and, when every searched kind
 has a left-right symmetric moveset, the vertical mirror: a combination
 with no pool cell at x = 0 or none at y = 0 (``_first_translate``), or
 whose classes mod t are such an image of an earlier combination's
-(``_cell_key``), is skipped with all its assignments.  The rest are
+(``_cell_key``), is skipped with all its assignments.  With the mirror, a
+translation (tx, ty) with tx != 0 and ty > 0 is skipped whole: its pool
+is the box, which x -> w - 1 - x maps onto itself, so each of its cell
+sets is a mirror image of one on (tx, -ty), which comes earlier.  The rest are
 judged by their self-maps, the maps c -> S c + o that send their classes
 mod t onto themselves (``geometry.self_maps``), listed once per
 combination (``_FormJudge``).  An assignment is kept when no translation
@@ -225,6 +232,65 @@ def _has_roles(t: Vec, cells: list[Vec],
     return all(any(_role(S, o, t)[0] == role
                    for o, _ in self_maps(t, cells, S))
                for role, S in required)
+
+
+def _symmetric_combinations(t: Vec, pool: list[Vec],
+                            classes: Mapping[Vec, Vec], role: str,
+                            max_n: int) -> list[tuple[Vec, ...]]:
+    """The combinations of at most ``max_n`` pool cells, in distinct
+    classes mod t, whose classes a map c -> S c + o with ``role``
+    (``symmetry._role``, S its linear part) sends onto themselves, in
+    enumeration order: by size, then as ``itertools.combinations`` gives
+    them.  Such a map is a bijection of the classes, so their set is a
+    union of whole cycles of it on the pool's classes; o is c_j - S c_0
+    mod t for pool classes c_0 and c_j, and each class of the union is
+    taken on any of its pool cells.  ``_has_roles`` stays the rule that
+    accepts a combination: this only proposes them."""
+    cells_of: dict[Vec, list[Vec]] = {}
+    for c in pool:
+        cells_of.setdefault(classes[c], []).append(c)
+    S = role_linear_part(role, t)
+    sx, sy = S
+    offsets = {reduce_cell((xj - sx * x0, yj - sy * y0), t)
+               for xj, yj in cells_of for x0, y0 in cells_of}
+    found = set()
+    for ox, oy in offsets:
+        if _role(S, (ox, oy), t)[0] != role:
+            continue
+        image = {c: reduce_cell((sx * c[0] + ox, sy * c[1] + oy), t)
+                 for c in cells_of}
+        cycles, seen = [], set()
+        for c in image:
+            if c in seen:
+                continue
+            cycle, d = [c], image[c]
+            while d != c and d in image:
+                cycle.append(d)
+                d = image[d]
+            seen.update(cycle)
+            if d == c and len(cycle) <= max_n:
+                cycles.append(cycle)
+        for k in range(1, max_n + 1):
+            for chosen in itertools.combinations(cycles, k):
+                union = [c for cycle in chosen for c in cycle]
+                if len(union) <= max_n:
+                    found.update(tuple(sorted(combo)) for combo in
+                                 itertools.product(*map(cells_of.get, union)))
+    return sorted(found, key=lambda combo: (len(combo), combo))
+
+
+def _combinations(bounds: SearchBounds, t: Vec, pool: list[Vec],
+                  classes: Mapping[Vec, Vec],
+                  roles: str) -> Iterable[tuple[Vec, ...]]:
+    """The combinations of pool cells a scan visits on t, in enumeration
+    order: every one, or with ``roles`` those that a self-map with one of
+    them sends onto themselves (g first, then h, r, v)."""
+    n = bounds.max_motif_pieces
+    if not roles:
+        return itertools.chain.from_iterable(
+            itertools.combinations(pool, k) for k in range(1, n + 1))
+    role = next(r for r in "ghrv" if r in roles)
+    return _symmetric_combinations(t, pool, classes, role, n)
 
 
 def _first_translate(combo: Sequence[Vec]) -> bool:
@@ -446,37 +512,41 @@ def _scan(bounds: SearchBounds, kinds: Sequence[PieceKind],
     ``(cell_set, a)``.  With a ``group``, the forms whose pattern has a
     period shorter than t or another group are skipped.  The position test
     (``_first_translate``) and the group's filter on translations and
-    self-maps (``_has_roles``) skip whole cell sets."""
+    self-maps (``_has_roles``) skip whole cell sets; the mirror skips
+    whole translations, and a group's roles propose the combinations its
+    filter can keep (``_combinations``)."""
     roles = GROUP_ROLES[group] if group is not None else ""
     seen_cells: set = set()
     tables = _ScanTables(bounds, kinds)
     for t in _period_candidates(bounds):
+        if tables.mirror and t[0] and t[1] > 0:
+            continue  # each cell set mirrors one on (tx, -ty), scanned before
         required = [(role, role_linear_part(role, t)) for role in roles]
         if any(S is None for _, S in required):
             continue
         pool = _cell_pool(bounds, t)
         classes = {c: reduce_cell(c, t) for c in pool}
-        for n in range(1, bounds.max_motif_pieces + 1):
-            for combo in itertools.combinations(pool, n):
-                if not _first_translate(combo):
+        for combo in _combinations(bounds, t, pool, classes, roles):
+            if not _first_translate(combo):
+                continue
+            cells = [classes[c] for c in combo]
+            n = len(cells)
+            if len(set(cells)) < n or not _has_roles(t, cells, required):
+                continue
+            key = _cell_key(t, cells, tables.mirror)
+            if key in seen_cells:
+                continue  # a translate or mirror of an earlier cell set
+            seen_cells.add(key)
+            cell_set = _CellSet(tables, t, cells)
+            judge = cell_set.judge
+            for a in _assignment_indices(bounds, n):
+                if not judge.first_of_orbit(a):
                     continue
-                cells = [classes[c] for c in combo]
-                if len(set(cells)) < n or not _has_roles(t, cells, required):
+                if group is not None and (
+                        judge.period_redundant(a)
+                        or judge.group(a) is not group):
                     continue
-                key = _cell_key(t, cells, tables.mirror)
-                if key in seen_cells:
-                    continue  # a translate or mirror of an earlier cell set
-                seen_cells.add(key)
-                cell_set = _CellSet(tables, t, cells)
-                judge = cell_set.judge
-                for a in _assignment_indices(bounds, n):
-                    if not judge.first_of_orbit(a):
-                        continue
-                    if group is not None and (
-                            judge.period_redundant(a)
-                            or judge.group(a) is not group):
-                        continue
-                    yield cell_set, a
+                yield cell_set, a
 
 
 def _find(bounds: SearchBounds, target: Mapping[PieceKind, bool],

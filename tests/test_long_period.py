@@ -278,9 +278,10 @@ def test_ride_matches_a_walk():
     # (as the kernel masks them); a free ride's passed classes run until
     # its cross leaves the band.  Besides short random periods, t runs
     # along, or nearly along, a unit direction for 20 to 60 steps, so
-    # that rides of more than _LISTED_MAX classes take the Segment path.
+    # that rides of more than _LISTED_MAX classes take the Segment path
+    # (``_ride`` returns their number, the length of the segment).
     rng = random.Random(79)
-    paths = {list: 0, Segment: 0}
+    paths = {list: 0, int: 0}
     for i in range(240):
         t = _random_t(rng, 6)
         if i % 2:
@@ -303,9 +304,9 @@ def test_ride_matches_a_walk():
                         walked, landed = _walk(p, origin, d, band)
                         assert hit == landed, (p, origin, d, band)
                         paths[type(passed)] += 1
-                        if type(passed) is Segment:
+                        if type(passed) is int:
                             assert len(walked) > control._LISTED_MAX
-                            passed = passed.classes()
+                            passed = Segment(origin, d, passed, t).classes()
                         else:
                             assert len(walked) <= control._LISTED_MAX
                         assert list(passed) == walked, (p, origin, d, band)

@@ -19,9 +19,11 @@ from shogi_frieze.pieces import (chess_knight_moveset, reverse_chariot_moveset,
                                  sideways_silver_moveset)
 from shogi_frieze.search import (EXPECTED_TABLE, KIND_COLUMNS, ROW_ORDER,
                                  _assignment_indices, _cell_key, _cell_pool,
-                                 _CellSet, _first_translate, _FormJudge,
-                                 _form, _has_roles, _period_candidates, _scan,
-                                 _ScanTables, orbit_key, staircase_target)
+                                 _CellSet, _combinations, _first_translate,
+                                 _FormJudge, _form, _has_roles,
+                                 _period_candidates, _scan, _ScanTables,
+                                 _symmetric_combinations, orbit_key,
+                                 staircase_target)
 from shogi_frieze.symmetry import GROUP_ROLES, role_linear_part
 from conftest import DOWN, LEFTY, UP, cell_sets, enumerate_forms, piece
 
@@ -307,6 +309,91 @@ def test_position_and_group_filters_skip_only_repeats(bounds):
     assert all(skipped.values()), skipped
 
 
+@pytest.mark.parametrize("bounds", [
+    SearchBounds(3, (3, 3), 3),
+    SearchBounds(2, (2, 3), 4),
+    SearchBounds(3, (2, 2), 5),
+    SearchBounds(4, (4, 3), 4),
+], ids=["p1", "tall", "diagonal", "p11g"])
+def test_symmetric_combinations_are_what_has_roles_accepts(bounds):
+    # A group scan generates its combinations from one of its roles instead
+    # of filtering every combination by ``_has_roles``.  Per role, the
+    # generator must give exactly the combinations with distinct classes
+    # that have a self-map of that role, and per group, what the scan
+    # visits must leave, after ``_has_roles`` on all its roles, exactly
+    # what filtering every combination leaves; both in enumeration order.
+    # On tall and diagonal translations a class has several pool cells.
+    # On t = (4, 0) the cells (0, 0) and (2, 0) have the shorter period
+    # (2, 0): both an h and a g map send them onto themselves.
+    n = bounds.max_motif_pieces
+    repeated = False
+    for t in _period_candidates(bounds):
+        pool = _cell_pool(bounds, t)
+        classes = {c: reduce_cell(c, t) for c in pool}
+        repeated |= len(set(classes.values())) < len(pool)
+        combos = [combo for k in range(1, n + 1)
+                  for combo in itertools.combinations(pool, k)
+                  if len({classes[c] for c in combo}) == k]
+        accepted = {}
+        for role in "ghrv":
+            S = role_linear_part(role, t)
+            if S is None:
+                continue
+            accepted[role] = [combo for combo in combos if _has_roles(
+                t, [classes[c] for c in combo], [(role, S)])]
+            assert _symmetric_combinations(t, pool, classes, role, n) \
+                == accepted[role], (t, role)
+        for group, roles in GROUP_ROLES.items():
+            if not roles or any(r not in accepted for r in roles):
+                continue
+            required = [(r, role_linear_part(r, t)) for r in roles]
+            visited = [combo for combo in _combinations(bounds, t, pool,
+                                                        classes, roles)
+                       if _has_roles(t, [classes[c] for c in combo], required)]
+            assert visited == [combo for combo in accepted[roles[0]]
+                               if all(combo in accepted[r] for r in roles)], \
+                (t, group)
+        if t == (4, 0) and bounds.box[0] > 2:
+            for role in "hg":
+                assert ((0, 0), (2, 0)) in accepted[role]
+    assert repeated == (bounds.box[1] > 1 and bounds.max_period > 1)
+
+
+@pytest.mark.parametrize("bounds", [
+    SearchBounds(3, (3, 3), 3),
+    SearchBounds(2, (2, 3), 4),
+    SearchBounds(3, (2, 2), 5),
+], ids=["p1", "tall", "diagonal"])
+def test_skipped_translations_repeat_kept_cell_sets(monkeypatch, bounds):
+    # With the mirror, a scan skips the translations whose mirror image
+    # comes earlier: every combination there that passes the position test
+    # must have the cell key of one the scan kept before.  Without the
+    # mirror (LEFTY), it skips none.
+    visited = []
+    pool = search._cell_pool
+    monkeypatch.setattr(search, "_cell_pool",
+                        lambda b, t: visited.append(t) or pool(b, t))
+    candidates = list(_period_candidates(bounds))
+    list(_scan(bounds, (LEFTY, KING)))
+    assert visited == candidates
+    visited.clear()
+    list(_scan(bounds, KIND_COLUMNS))
+    kept, skipped = set(), 0
+    for t in candidates:
+        keys = set()
+        for k in range(1, bounds.max_motif_pieces + 1):
+            for combo in itertools.combinations(pool(bounds, t), k):
+                cells = [reduce_cell(c, t) for c in combo]
+                if _first_translate(combo) and len(set(cells)) == k:
+                    keys.add(_cell_key(t, cells, True))
+        if t in visited:
+            kept |= keys
+        else:
+            assert keys <= kept, t
+            skipped += 1
+    assert skipped
+
+
 def test_period_candidates_are_generated_lazily():
     # ring by ring, in the order of the sorted list they replace
     for mp in range(1, 13):
@@ -346,11 +433,17 @@ def test_p1_scan_builds_one_geometry_per_cell_set(monkeypatch):
     # geometry floods its neighborhood (``_partition``) only for a mask
     # that misses the occupied classes and is neither empty nor all of
     # it: 9 of the P1 scan's 339 geometries, 8 of the P11G scan's 15.  The
-    # P11G scan's position and group filters leave 81 cell sets to key and
-    # 36 to judge.  The reports are what a fresh geometry on each report's
-    # form gives.
+    # scans visit only cell sets that can be new: the P1 scan skips the
+    # translations whose mirror image it scanned before, so it runs the
+    # position test on 1 725 combinations and keys 724 cell sets (2 886
+    # and 1 222 with every translation), and the P11G scan generates the
+    # 179 combinations that a glide sends onto themselves, of which the
+    # position test leaves 81 to ``_has_roles`` and the cell key (4 283
+    # and 1 931 filtering every combination) and 36 to judge.  The reports
+    # are what a fresh geometry on each report's form gives.
     counts = dict.fromkeys(("geometry", "flood", "matches", "uncontrolled",
-                            "reach", "cell_key", "judge"), 0)
+                            "reach", "position", "roles", "cell_key",
+                            "judge"), 0)
 
     def counted(owner, name, key):
         original = getattr(owner, name)
@@ -364,17 +457,21 @@ def test_p1_scan_builds_one_geometry_per_cell_set(monkeypatch):
     counted(_CellSet, "matches", "matches")
     counted(_CellSet, "_uncontrolled", "uncontrolled")
     counted(KernelGeometry, "reach", "reach")
+    counted(search, "_first_translate", "position")
+    counted(search, "_has_roles", "roles")
     counted(search, "_cell_key", "cell_key")
     counted(search, "_FormJudge", "judge")
     scans = {
         FriezeGroup.P1: (dict.fromkeys(KIND_COLUMNS, False),
                          SearchBounds(3, (3, 3), 3),
                          dict(geometry=339, flood=9, matches=2_166,
-                              uncontrolled=3_829, reach=10_746),
+                              uncontrolled=3_829, reach=10_746,
+                              position=1_725, cell_key=724),
                          182),
         FriezeGroup.P11G: ({k: k is KING for k in KIND_COLUMNS},
                            SearchBounds(4, (4, 3), 4),
-                           dict(flood=8, cell_key=81, judge=36, reach=666),
+                           dict(flood=8, position=179, roles=81, cell_key=81,
+                                judge=36, reach=666),
                            15),
     }
     for group, (target, bounds, expected, n) in scans.items():
