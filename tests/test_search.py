@@ -322,9 +322,11 @@ def test_symmetric_combinations_are_what_has_roles_accepts(bounds):
     # that have a self-map of that role, and per group, what the scan
     # visits must leave, after ``_has_roles`` on all its roles, exactly
     # what filtering every combination leaves; both in enumeration order.
-    # On tall and diagonal translations a class has several pool cells.
-    # On t = (4, 0) the cells (0, 0) and (2, 0) have the shorter period
-    # (2, 0): both an h and a g map send them onto themselves.
+    # On translations off the x axis a class has several pool cells.  On
+    # t = (4, 0) the cells (0, 0) and (2, 0) have the shorter period
+    # (2, 0): an h map fixes both and a g map swaps them.  (A map with a
+    # role squares to a translation by a multiple of t on any class it
+    # cycles, so its cycles have one or two classes.)
     n = bounds.max_motif_pieces
     repeated = False
     for t in _period_candidates(bounds):
@@ -356,7 +358,7 @@ def test_symmetric_combinations_are_what_has_roles_accepts(bounds):
         if t == (4, 0) and bounds.box[0] > 2:
             for role in "hg":
                 assert ((0, 0), (2, 0)) in accepted[role]
-    assert repeated == (bounds.box[1] > 1 and bounds.max_period > 1)
+    assert repeated
 
 
 @pytest.mark.parametrize("bounds", [
