@@ -36,8 +36,9 @@ mover's way, stands there; each consumer applies that test itself:
   rule, judges that mask, flooding inside from outside only for a mask
   that needs it, and ``status`` reads the whole status off it.
   ``ncc_status`` judges the pieces' own kinds on a fresh geometry, and a
-  search judges every form of a cell set on one geometry, with its own
-  table of move masks.  The oracle keeps a rule of its own, on sets.
+  search judges every form of a cell set on one geometry, with move masks
+  read off its translation's ``_ride`` paths and ``reach`` only for a ride
+  too long to list.  The oracle keeps a rule of its own, on sets.
 """
 
 from __future__ import annotations
@@ -387,12 +388,13 @@ class KernelGeometry:
     piece reaches: the empty classes a ride passes or a step lands on, and
     the class of the piece it lands on, which it controls only when that
     piece is an enemy.  The geometry memoizes no move; a search keeps its
-    own table of move masks per cell set (``search._CellSet``).  A ride
-    stops where ``_ride`` says, asked on the occupied band widened by
-    |tx| + |ty|, past which no neighborhood class lies.  ``uncontrolled``
-    turns orientations and moves on the pieces into the mask of what no
-    piece controls, ``verdict`` judges that mask, and ``status`` spells it
-    out; ``partition`` is flooded on first use.
+    own move masks per cell set (``search._CellSet``), read off paths it
+    keeps per translation, and asks ``reach`` only about a ride too long
+    to list.  A ride stops where ``_ride`` says, asked on the occupied
+    band widened by |tx| + |ty|, past which no neighborhood class lies.
+    ``uncontrolled`` turns orientations and moves on the pieces into the
+    mask of what no piece controls, ``verdict`` judges that mask, and
+    ``status`` spells it out; ``partition`` is flooded on first use.
     """
 
     def __init__(self, t: Vec, cells: tuple[Vec, ...]) -> None:

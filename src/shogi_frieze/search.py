@@ -36,9 +36,14 @@ first form of each orbit in enumeration order, as the unpruned scan
 filtered by orbit does.  The same self-maps give the period and the group:
 a form's period is redundant when a translation self-map other than the
 identity fixes it, and its group is that of the self-maps that fix it.
-The forms that pass are judged on their cell set's bit masks
+One call per cell set (``_FormJudge.assignments``) gives the assignments
+that pass, and a cell set whose only self-map is the identity passes them
+all unread.  The forms that pass are judged on their cell set's bit masks
 (``_CellSet``) one kind column at a time, up to the first that misses the
 target; a report matches every column, and its statuses are read off them.
+Where a move goes from a class does not depend on the cell set, so each
+translation keeps one table of the moves' paths from its pool's classes
+(``_MoveRows``), and every cell set on it reads its move masks off it.
 Translations and the mirror carry a cell combination that passes the group
 filter to one that passes it, so the filter keeps this order:
 ``find_crystal`` reports what filtering every form of the space by orbit,
@@ -53,13 +58,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .control import (KernelGeometry, NccStatus, RegionClass, Verdict,
-                      ncc_status)
+                      _occupied_band, _ride, ncc_status)
 from .geometry import UNIT_DIRS, Vec, canonical_sign, reduce_cell, self_maps
 from .pattern import Form, PatternError, PeriodicPattern, form_of
 from .pieces import (BISHOP, GOLD, KING, KNIGHT, LANCE, PAWN, ROOK, SILVER,
                      Moveset, Orientation, PieceKind)
-from .symmetry import (_LINEAR_PARTS, GROUP_ROLES, FriezeGroup, SymmetryFlags,
-                       _role, classify_frieze, group_of, role_linear_part)
+from .symmetry import (_GROUP_OF_FLAGS, _LINEAR_PARTS, GROUP_ROLES,
+                       FriezeGroup, _role, classify_frieze, role_linear_part)
 
 KIND_COLUMNS: tuple[PieceKind, ...] = (
     KNIGHT, PAWN, LANCE, BISHOP, SILVER, GOLD, ROOK, KING,
@@ -208,13 +213,28 @@ def orbit_key(form: Form, mirror: bool):
 
 
 def _cell_key(t: Vec, cells: list[Vec], mirror: bool):
-    """``orbit_key`` of a bare cell set: its classes mod t up to
-    translation and, with ``mirror``, the vertical mirror."""
-    key = _translation_key(t, [(x, y, ()) for x, y in cells])
+    """The key of a bare cell set, compared only with other cell keys: its
+    classes mod t up to translation and, with ``mirror``, the vertical
+    mirror.  It is ``_translation_key``'s reduction on bare cells."""
+    def key(t: Vec, cells: list[Vec]):
+        tx, ty = t
+        tt = tx * tx + ty * ty
+        proj = [(x, y, x * tx + y * ty) for x, y in cells]
+        best = None
+        for ax, ay, ap in proj:
+            moved = []
+            for x, y, p in proj:
+                k = (p - ap) // tt
+                moved.append((x - ax - k * tx, y - ay - k * ty))
+            moved.sort()
+            if best is None or moved < best:
+                best = moved
+        return (t, tuple(best))
+    found = key(t, cells)
     if mirror:
-        key = min(key, _translation_key(canonical_sign((-t[0], t[1])),
-                                        [(-x, y, ()) for x, y in cells]))
-    return key
+        found = min(found, key(canonical_sign((-t[0], t[1])),
+                               [(-x, y) for x, y in cells]))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +341,9 @@ class _ScanTables:
       index the ids (positions in ``moves``) of its moves.  Moves recur
       across kinds and orientations: the king's steps are those of gold
       and silver together, in both orientations.
+
+    Where the moves go from a class depends on the translation too, so it
+    is kept per translation (``_MoveRows``), not here.
     """
 
     def __init__(self, bounds: SearchBounds,
@@ -349,6 +372,55 @@ class _ScanTables:
         self.moves = tuple(index)
 
 
+class _MoveRows:
+    """Where the scan's moves (``_ScanTables.moves``) go from the classes
+    of one translation's pool, whatever the cell set: per class a row with
+    one path per move id, built the first time a cell set needs it.
+
+    * A step's path is its target class.
+    * A ride's path is the classes it passes with no class occupied
+      (``control._ride``), on the band of the pool's classes widened by
+      |tx| + |ty|; None when that ride is too long to list (more than
+      ``_LISTED_MAX`` classes).
+
+    On a cell set of pool classes a move reaches its path up to and
+    including the first occupied class, which is what
+    ``KernelGeometry.reach`` gives.  The cell set's own band, widened so,
+    holds its neighborhood and pieces, and the wider band adds only
+    classes past it, where neither lies; a ride parallel to t comes back
+    to its own, occupied class.  A move whose path is None is asked of
+    ``KernelGeometry.reach``.
+    """
+
+    def __init__(self, tables: _ScanTables, t: Vec,
+                 pool: Sequence[Vec]) -> None:
+        self.tables, self.t = tables, t
+        # ``cross`` is constant on classes, so the pool's cells give the
+        # band of its classes
+        qlo, qhi = _occupied_band(pool, t)
+        s = abs(t[0]) + abs(t[1])
+        self.band = qlo - s, qhi + s
+        self._rows: dict[Vec, list] = {}
+
+    def row(self, cls: Vec) -> list[Optional[tuple[Vec, ...]]]:
+        """The path of each move id from the class ``cls``."""
+        row = self._rows.get(cls)
+        if row is None:
+            row = self._rows[cls] = self._build(cls)
+        return row
+
+    def _build(self, cls: Vec) -> list[Optional[tuple[Vec, ...]]]:
+        t, band, row = self.t, self.band, []
+        for move, ride in self.tables.moves:
+            if not ride:
+                row.append((reduce_cell((cls[0] + move[0],
+                                         cls[1] + move[1]), t),))
+                continue
+            _, passed = _ride(t, (), (), band, cls, move)
+            row.append(None if isinstance(passed, int) else tuple(passed))
+        return row
+
+
 class _FormJudge:
     """The orbit, period and group verdicts on the forms of one cell set,
     read off its self-maps (``geometry.self_maps``) with every
@@ -370,10 +442,14 @@ class _FormJudge:
       it.
     * Group: on its own period, the pattern's symmetries are the self-maps
       that fix a, with their roles (``symmetry._role``).
+
+    ``assignments`` applies these rules to every assignment of the cell
+    set in one call.
     """
 
     def __init__(self, tables: _ScanTables, t: Vec, cells: list[Vec]) -> None:
         n = len(cells)
+        self.bounds, self.n = tables.bounds, n
         self.orbit: list = []
         self.translations: list = []
         self.roles: list[tuple[str, list]] = []
@@ -407,7 +483,23 @@ class _FormJudge:
             return FriezeGroup.P1
         roles = {role for role, action in self.roles
                  if _image(action, a) == a}
-        return group_of(SymmetryFlags(*(r in roles for r in "hvgr"), ()))
+        return _GROUP_OF_FLAGS["h" in roles, "v" in roles, "g" in roles,
+                               "r" in roles]
+
+    def assignments(self, group: Optional[FriezeGroup],
+                    ) -> Iterable[tuple[int, ...]]:
+        """The assignments, in enumeration order, that are first of their
+        orbit and, with a ``group``, have a period that is not redundant
+        and that group.  A cell set whose only self-map is the identity
+        passes every assignment, all of group p1, unread."""
+        every = _assignment_indices(self.bounds, self.n)
+        if not (self.orbit or self.translations or self.roles):
+            return every if group in (None, FriezeGroup.P1) else ()
+        if group is None:
+            return filter(self.first_of_orbit, every)
+        return (a for a in every
+                if self.first_of_orbit(a) and not self.period_redundant(a)
+                and self.group(a) is group)
 
 
 class _CellSet:
@@ -420,23 +512,29 @@ class _CellSet:
     (the cell set's cells, sorted), so one ``KernelGeometry``, built when
     the first column is judged, serves them all.  Each piece has one flat
     list of move masks, indexed by the scan's move ids (``_ScanTables``)
-    and filled on first need by the geometry's ``reach``; a kind's reach
-    mask per piece and orientation is the OR of its moves' masks, built
-    when a form first needs it.  Per column, a form ORs the reach masks of
-    the pieces facing each way and takes that side's allies (the pieces
-    facing the same way) out once; what that leaves of the neighborhood is
-    uncontrolled, and the geometry's ``verdict`` judges it.  Decorations
-    never change control, so the masks are memoized by the orientations.
-    ``matches`` stops at the first column that misses; a form that matches
-    has every column's mask, and ``statuses`` reads them.
+    and filled on first need from its class's row of the translation's
+    paths (``_MoveRows``): the bits of a path up to and including its
+    first occupied class, or the geometry's ``reach`` for a ride too long
+    to list.  A kind's reach mask per piece and orientation is the OR of
+    its moves' masks, built when a form first needs it.  Per column, a
+    form ORs the reach masks of the pieces facing each way and takes that
+    side's allies (the pieces facing the same way) out once; what that
+    leaves of the neighborhood is uncontrolled, and the geometry's
+    ``verdict`` judges it.  Decorations never change control, so the masks
+    are memoized by the orientations.  ``matches`` stops at the first
+    column that misses; a form that matches has every column's mask, and
+    ``statuses`` reads them.
     """
 
-    def __init__(self, tables: _ScanTables, t: Vec, cells: list[Vec]) -> None:
-        self.tables, self.t, self.cells = tables, t, cells
-        self.judge = _FormJudge(tables, t, cells)
+    def __init__(self, rows: _MoveRows, cells: list[Vec]) -> None:
+        """A cell set of ``rows.t``; its cells are classes of that
+        translation's pool, which ``rows`` knows the paths from."""
+        self.tables, self.t, self.cells = rows.tables, rows.t, cells
+        self.rows = rows
+        self.judge = _FormJudge(self.tables, self.t, cells)
         self.geometry: Optional[KernelGeometry] = None
         # per kind, orientations -> uncontrolled mask
-        self._left = [{} for _ in tables.kinds]
+        self._left = [{} for _ in self.tables.kinds]
 
     def form(self, a: tuple[int, ...]) -> Form:
         return _form(self.tables.bounds, self.t, self.cells, a)
@@ -444,6 +542,7 @@ class _CellSet:
     def _build(self) -> None:
         g = self.geometry = KernelGeometry(self.t, tuple(sorted(self.cells)))
         self._bits = [g.bits.get(c, 0) for c in self.cells]
+        self._paths = [self.rows.row(c) for c in self.cells]
         # per piece, the mask of each move id (on first use)
         self._moves = [[None] * len(self.tables.moves) for _ in self.cells]
         # per kind and orientation, each piece's reach mask (on first use)
@@ -451,14 +550,24 @@ class _CellSet:
 
     def _reached(self, ids: tuple[int, ...]) -> list[int]:
         """Each piece's reach mask by the moves ``ids``."""
-        reach, moves = self.geometry.reach, self.tables.moves
+        g, moves = self.geometry, self.tables.moves
+        bits, occupied = g.bits, g.occupied
         out = []
-        for cell, masks in zip(self.cells, self._moves):
+        for cell, row, masks in zip(self.cells, self._paths, self._moves):
             reached = 0
             for m in ids:
                 mask = masks[m]
                 if mask is None:
-                    mask = masks[m] = reach(cell, *moves[m])
+                    path = row[m]
+                    if path is None:
+                        mask = g.reach(cell, *moves[m])
+                    else:
+                        mask = 0
+                        for c in path:
+                            mask |= bits.get(c, 0)
+                            if c in occupied:
+                                break
+                    masks[m] = mask
                 reached |= mask
             out.append(reached)
         return out
@@ -489,9 +598,15 @@ class _CellSet:
     def matches(self, a: tuple[int, ...], wanted: Sequence[bool],
                 order: list[int]) -> bool:
         """Whether each kinds[k] satisfies on a's form iff ``wanted[k]``,
-        judged in ``order`` up to the first miss, moved to its front."""
+        judged in ``order`` up to the first miss, moved to its front; as
+        ``verdict`` judges each column."""
+        os = a[:len(self.cells)]
         for i, k in enumerate(order):
-            if (self.verdict(k, a) is not Verdict.FAILS) != wanted[k]:
+            left = self._left[k]
+            mask = left.get(os)
+            if mask is None:
+                mask = left[os] = self._uncontrolled(k, os)
+            if (self.geometry.verdict(mask) is not Verdict.FAILS) != wanted[k]:
                 order.insert(0, order.pop(i))
                 return False
         return True
@@ -526,6 +641,7 @@ def _scan(bounds: SearchBounds, kinds: Sequence[PieceKind],
             continue
         pool = _cell_pool(bounds, t)
         classes = {c: reduce_cell(c, t) for c in pool}
+        rows = _MoveRows(tables, t, pool)
         for combo in _combinations(bounds, t, pool, classes, roles):
             if not _first_translate(combo):
                 continue
@@ -537,15 +653,8 @@ def _scan(bounds: SearchBounds, kinds: Sequence[PieceKind],
             if key in seen_cells:
                 continue  # a translate or mirror of an earlier cell set
             seen_cells.add(key)
-            cell_set = _CellSet(tables, t, cells)
-            judge = cell_set.judge
-            for a in _assignment_indices(bounds, n):
-                if not judge.first_of_orbit(a):
-                    continue
-                if group is not None and (
-                        judge.period_redundant(a)
-                        or judge.group(a) is not group):
-                    continue
+            cell_set = _CellSet(rows, cells)
+            for a in cell_set.judge.assignments(group):
                 yield cell_set, a
 
 

@@ -20,7 +20,7 @@ from shogi_frieze.pieces import (chess_knight_moveset, reverse_chariot_moveset,
 from shogi_frieze.search import (EXPECTED_TABLE, KIND_COLUMNS, ROW_ORDER,
                                  _assignment_indices, _cell_key, _cell_pool,
                                  _CellSet, _combinations, _first_translate,
-                                 _FormJudge, _form, _has_roles,
+                                 _FormJudge, _form, _has_roles, _MoveRows,
                                  _period_candidates, _scan, _ScanTables,
                                  _symmetric_combinations, orbit_key,
                                  staircase_target)
@@ -430,8 +430,12 @@ def test_p1_scan_builds_one_geometry_per_cell_set(monkeypatch):
     # and a kind's reach masks are built only when a form first needs
     # them: the P1 scan computes 3 829 column masks for its 2 166 forms,
     # not 8 a form.  Each cell set computes a move's mask for a piece
-    # once, whatever kinds and orientations share the move: 10 746 move
-    # masks (``KernelGeometry.reach``) on the P1 scan, 666 on P11G.  A
+    # once, whatever kinds and orientations share the move, off the row of
+    # the piece's class in its translation's table of paths (``_MoveRows``):
+    # the P1 scan builds 97 rows on 13 translations, the P11G scan 19, and
+    # neither asks ``KernelGeometry.reach`` about a ride too long to list
+    # (10 746 and 666 ``reach`` calls when each cell set walked its own
+    # moves).  A
     # geometry floods its neighborhood (``_partition``) only for a mask
     # that misses the occupied classes and is neither empty nor all of
     # it: 9 of the P1 scan's 339 geometries, 8 of the P11G scan's 15.  The
@@ -444,8 +448,8 @@ def test_p1_scan_builds_one_geometry_per_cell_set(monkeypatch):
     # and 1 931 filtering every combination) and 36 to judge.  The reports
     # are what a fresh geometry on each report's form gives.
     counts = dict.fromkeys(("geometry", "flood", "matches", "uncontrolled",
-                            "reach", "position", "roles", "cell_key",
-                            "judge"), 0)
+                            "rows", "reach", "position", "roles",
+                            "cell_key", "judge"), 0)
 
     def counted(owner, name, key):
         original = getattr(owner, name)
@@ -458,6 +462,7 @@ def test_p1_scan_builds_one_geometry_per_cell_set(monkeypatch):
     counted(control, "_partition", "flood")
     counted(_CellSet, "matches", "matches")
     counted(_CellSet, "_uncontrolled", "uncontrolled")
+    counted(_MoveRows, "_build", "rows")
     counted(KernelGeometry, "reach", "reach")
     counted(search, "_first_translate", "position")
     counted(search, "_has_roles", "roles")
@@ -467,13 +472,13 @@ def test_p1_scan_builds_one_geometry_per_cell_set(monkeypatch):
         FriezeGroup.P1: (dict.fromkeys(KIND_COLUMNS, False),
                          SearchBounds(3, (3, 3), 3),
                          dict(geometry=339, flood=9, matches=2_166,
-                              uncontrolled=3_829, reach=10_746,
+                              uncontrolled=3_829, rows=97, reach=0,
                               position=1_725, cell_key=724),
                          182),
         FriezeGroup.P11G: ({k: k is KING for k in KIND_COLUMNS},
                            SearchBounds(4, (4, 3), 4),
                            dict(flood=8, position=179, roles=81, cell_key=81,
-                                judge=36, reach=666),
+                                judge=36, rows=19, reach=0),
                            15),
     }
     for group, (target, bounds, expected, n) in scans.items():
@@ -483,6 +488,90 @@ def test_p1_scan_builds_one_geometry_per_cell_set(monkeypatch):
         assert {k: counts[k] for k in expected} == expected, (group, counts)
         for r in reports:
             assert r.details == ncc_vector(r.form, target), r.form
+
+
+@pytest.mark.parametrize("t", [(34, 0), (33, -1), (0, 34)])
+def test_long_rides_match_ncc_status(monkeypatch, t):
+    # On these translations a rook's sideways ride, and on (0, 34) a
+    # lance's ride along t, passes more than ``control._LISTED_MAX``
+    # classes: its row in the translation's table of paths (``_MoveRows``)
+    # does not list it, and its mask is asked of ``KernelGeometry.reach``.
+    # Every form the scan yields there, judged on its cell set, must have
+    # the statuses ncc_status gives its own patterns, column by column.
+    bounds = SearchBounds(3, (3, 3), max(map(abs, t)))
+    kinds = (LANCE, ROOK)
+    monkeypatch.setattr(search, "_period_candidates", lambda b: iter([t]))
+    calls = []
+    reach = KernelGeometry.reach
+    monkeypatch.setattr(KernelGeometry, "reach",
+                        lambda *args: calls.append(args) or reach(*args))
+    judged = asked = 0
+    for cell_set, a in _scan(bounds, kinds):
+        if cell_set.judge.period_redundant(a):
+            continue
+        form = cell_set.form(a)
+        expected = [ncc_status(form.instantiate(k)) for k in kinds]
+        before = len(calls)
+        assert cell_set.matches(a, [st.satisfies for st in expected],
+                                [0, 1]), form
+        assert list(cell_set.statuses(a).values()) == expected, form
+        asked += len(calls) - before
+        judged += 1
+    assert judged > 200 and asked > 20, (judged, asked)
+
+
+@pytest.mark.parametrize("bounds, trivial", [
+    (SearchBounds(3, (3, 3), 3), True),
+    (SearchBounds(2, (2, 2), 2, allow_decorations=True), False),
+], ids=["plain", "decorated"])
+def test_assignments_filter_as_the_rules(bounds, trivial):
+    # ``_FormJudge.assignments`` gives, in order, what the rules give one
+    # assignment at a time: first of its orbit and, with a group, a period
+    # that is not redundant and that group.  A cell set whose only
+    # self-map is the identity takes a path that reads no assignment, so
+    # the group must still decide what it gives; the plain space has such
+    # cell sets (``trivial``), the decorated one none.
+    groups = (None,) + tuple(FriezeGroup)
+    for kinds in (KIND_COLUMNS, (LEFTY, KING)):
+        tables = _ScanTables(bounds, kinds)
+        identity_only, realized = 0, set()
+        for t in _period_candidates(bounds):
+            for cells in cell_sets(bounds, t):
+                judge = _FormJudge(tables, t, cells)
+                identity_only += not (judge.orbit or judge.translations
+                                      or judge.roles)
+                every = list(_assignment_indices(bounds, len(cells)))
+                for group in groups:
+                    expected = [a for a in every if judge.first_of_orbit(a)
+                                and (group is None
+                                     or not judge.period_redundant(a)
+                                     and judge.group(a) is group)]
+                    assert list(judge.assignments(group)) == expected, \
+                        (t, cells, group)
+                    if expected:
+                        realized.add(group)
+        assert (identity_only > 0) == trivial, identity_only
+        assert realized == set(groups), realized
+
+
+def test_limit_stops_at_the_reporting_cell_set(monkeypatch):
+    # find_crystal(limit=1) stops at its first report: the scan builds no
+    # ``_CellSet`` after the one whose form it reports.
+    built = []
+    cell_set = search._CellSet
+    monkeypatch.setattr(search, "_CellSet",
+                        lambda *args: built.append(cell_set(*args))
+                        or built[-1])
+    bounds = SearchBounds(3, (3, 3), 3)
+    target = dict.fromkeys(KIND_COLUMNS, False)
+    every = find_crystal(FriezeGroup.P1, target, bounds)
+    scanned = [c.cells for c in built]
+    built.clear()
+    first = find_crystal(FriezeGroup.P1, target, bounds, limit=1)
+    assert first == every[:1]
+    assert [c for c, _, _ in first[0].form.cells] == built[-1].cells
+    assert [c.cells for c in built] == scanned[:len(built)]
+    assert len(built) < len(scanned)
 
 
 def test_determinism():
@@ -688,8 +777,9 @@ def test_kernel_matches_ncc_status_on_every_form(bounds):
     checked = shared = 0
     flips = {False: 0, True: 0}
     for t in _period_candidates(bounds):
+        rows = _MoveRows(tables, t, _cell_pool(bounds, t))
         for cells in cell_sets(bounds, t):
-            cell_set = _CellSet(tables, t, cells)
+            cell_set = _CellSet(rows, cells)
             previous = None
             for a in _assignment_indices(bounds, len(cells)):
                 form = cell_set.form(a)
@@ -796,8 +886,9 @@ def test_duality_judges_mixed_kinds_on_their_own_period(monkeypatch):
                  ((1, 0), DOWN, None), ((1, 1), UP, None)), (2, -2))
     assert four.instantiate(KING).t == (1, -1)
     bounds = SearchBounds(4, (3, 3), 2)
-    cell_set = _CellSet(_ScanTables(bounds, (GOLD, SILVER)), four.t,
-                        [c for c, _, _ in four.cells])
+    rows = _MoveRows(_ScanTables(bounds, (GOLD, SILVER)), four.t,
+                     _cell_pool(bounds, four.t))
+    cell_set = _CellSet(rows, [c for c, _, _ in four.cells])
     a = (1, 0, 1, 0) + (0,) * 4  # down, up, down, up; no decorations
     assert cell_set.form(a) == four
     monkeypatch.setattr(search, "_scan",
