@@ -433,10 +433,8 @@ def test_p1_scan_builds_one_geometry_per_cell_set(monkeypatch):
     # once, whatever kinds and orientations share the move, off the row of
     # the piece's class in its translation's table of paths (``_MoveRows``):
     # the P1 scan builds 97 rows on 13 translations, the P11G scan 19, and
-    # neither asks ``KernelGeometry.reach`` about a ride too long to list
-    # (10 746 and 666 ``reach`` calls when each cell set walked its own
-    # moves).  A
-    # geometry floods its neighborhood (``_partition``) only for a mask
+    # neither asks ``KernelGeometry.reach`` about a ride too long to list.
+    # A geometry floods its neighborhood (``_partition``) only for a mask
     # that misses the occupied classes and is neither empty nor all of
     # it: 9 of the P1 scan's 339 geometries, 8 of the P11G scan's 15.  The
     # scans visit only cell sets that can be new: the P1 scan skips the
