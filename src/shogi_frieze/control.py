@@ -412,6 +412,7 @@ class KernelGeometry:
         self._partition: Optional[dict[Vec, RegionClass]] = None
         self._split: Optional[tuple[int, int]] = None  # inside, outside
         self._band: Optional[tuple[int, int]] = None  # built on first use
+        self._statuses: dict[int, NccStatus] = {}  # by mask
 
     @property
     def partition(self) -> dict[Vec, RegionClass]:
@@ -466,14 +467,20 @@ class KernelGeometry:
     def status(self, mask: int) -> NccStatus:
         """The status of the uncontrolled ``mask``: its verdict, its classes
         (in bit order), the region they make up when nearly complete and
-        the least of them as witness when it fails."""
-        verdict = self.verdict(mask)
-        classes = frozenset([c for c, bit in self.bits.items() if mask & bit])
-        region = (None if verdict is not Verdict.NEARLY_COMPLETE
-                  else RegionClass.BASE if mask == self.base
-                  else self.partition[next(iter(classes))])
-        witness = min(classes) if verdict is Verdict.FAILS else None
-        return NccStatus(verdict, region, witness, classes)
+        the least of them as witness when it fails.  Memoized by mask: a
+        search reads the statuses of many forms off one geometry."""
+        status = self._statuses.get(mask)
+        if status is None:
+            verdict = self.verdict(mask)
+            classes = frozenset([c for c, bit in self.bits.items()
+                                 if mask & bit])
+            region = (None if verdict is not Verdict.NEARLY_COMPLETE
+                      else RegionClass.BASE if mask == self.base
+                      else self.partition[next(iter(classes))])
+            witness = min(classes) if verdict is Verdict.FAILS else None
+            status = self._statuses[mask] = NccStatus(verdict, region,
+                                                      witness, classes)
+        return status
 
     def reach(self, cell: Vec, move: Vec, ride: bool) -> int:
         """The mask of what a move of the piece on ``cell`` reaches."""

@@ -27,20 +27,25 @@ whose classes mod t are such an image of an earlier combination's
 (``_cell_key``), is skipped with all its assignments.  With the mirror, a
 translation (tx, ty) with tx != 0 and ty > 0 is skipped whole: its pool
 is the box, which x -> w - 1 - x maps onto itself, so each of its cell
-sets is a mirror image of one on (tx, -ty), which comes earlier.  The rest are
-judged by their self-maps, the maps c -> S c + o that send their classes
-mod t onto themselves (``geometry.self_maps``), listed once per
-combination (``_FormJudge``).  An assignment is kept when no translation
-or mirror self-map sends it to an earlier one, so the scan yields the
-first form of each orbit in enumeration order, as the unpruned scan
-filtered by orbit does.  The same self-maps give the period and the group:
-a form's period is redundant when a translation self-map other than the
-identity fixes it, and its group is that of the self-maps that fix it.
-One call per cell set (``_FormJudge.assignments``) gives the assignments
-that pass, and a cell set whose only self-map is the identity passes them
-all unread.  The forms that pass are judged on their cell set's bit masks
-(``_CellSet``) one kind column at a time, up to the first that misses the
-target; a report matches every column, and its statuses are read off them.
+sets is a mirror image of one on (tx, -ty), which comes earlier.  The rest
+are judged by their self-maps, the maps c -> S c + o that send their
+classes mod t onto themselves (``geometry.self_maps``), listed once per
+cell set.  An assignment is kept when no translation or mirror self-map
+sends it to an earlier one, so the scan yields the first form of each
+orbit in enumeration order, as the unpruned scan filtered by orbit does.
+The same self-maps give the period and the group: a form's period is
+redundant when a translation self-map other than the identity fixes it,
+and its group is that of the self-maps that fix it.  These rules need
+only each map's S, its permutation of the cells and its role, so the cell
+sets with one such signature share them (``_FormJudge``).  One call per
+cell set (``_FormJudge.assignments``) gives the assignments that pass,
+judged once per signature; a cell set whose only self-map is the identity
+passes them all unread.  The forms that pass are judged on their cell
+set's bit masks (``_CellSet``) one kind column at a time, up to the first
+that misses the target; a report matches every column, and its statuses
+are read off them.  A crystal report's pattern is built canonical: its
+cells are classes mod t, t has canonical sign and a group scan yields no
+form of redundant period.
 Where a move goes from a class does not depend on the cell set, so each
 translation keeps one table of the moves' paths from its pool's classes
 (``_MoveRows``), and every cell set on it reads its move masks off it.
@@ -60,7 +65,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 from .control import (KernelGeometry, NccStatus, RegionClass, Verdict,
                       _occupied_band, _ride, ncc_status)
 from .geometry import UNIT_DIRS, Vec, canonical_sign, reduce_cell, self_maps
-from .pattern import Form, PatternError, PeriodicPattern, form_of
+from .pattern import (Form, PatternError, PeriodicPattern, PlacedPiece,
+                      form_of)
 from .pieces import (BISHOP, GOLD, KING, KNIGHT, LANCE, PAWN, ROOK, SILVER,
                      Moveset, Orientation, PieceKind)
 from .symmetry import (_GROUP_OF_FLAGS, _LINEAR_PARTS, GROUP_ROLES,
@@ -164,15 +170,15 @@ def _assignment_indices(bounds: SearchBounds,
     (into ``_attributes``) of every cell's orientation, then of every
     cell's decoration; the order is their lexicographic order."""
     orients, decors = _attributes(bounds)
-    for os in itertools.product(range(len(orients)), repeat=n):
-        for ds in itertools.product(range(len(decors)), repeat=n):
-            yield os + ds
+    return itertools.product(*[range(len(orients))] * n,
+                             *[range(len(decors))] * n)
 
 
 def _form(bounds: SearchBounds, t: Vec, cells: list[Vec],
-          a: tuple[int, ...]) -> Form:
-    """The form of the assignment ``a`` on ``cells``."""
-    orients, decors = _attributes(bounds)
+          a: tuple[int, ...], attributes=None) -> Form:
+    """The form of the assignment ``a`` on ``cells``; ``attributes`` are
+    ``_attributes(bounds)`` when the caller keeps them (``_ScanTables``)."""
+    orients, decors = attributes or _attributes(bounds)
     n = len(cells)
     return Form(tuple(zip(cells, [orients[i] for i in a[:n]],
                           [decors[i] for i in a[n:]])), t)
@@ -328,10 +334,14 @@ class _ScanTables:
     """What every cell set of one scan shares, built once per scan: its
     ``bounds`` and ``kinds`` and
 
+    * ``attributes``, the bounds' orientations and decorations
+      (``_attributes``), which the forms' assignments index;
     * ``maps``, the judge's tables, which depend on the bounds only: per
       linear part S (the translations first), the image of each
       orientation index (-1 for one the bounds exclude) and of each
       decoration index;
+    * ``rules``, the judge's rules per self-map signature (``_FormJudge``),
+      each built on first need (``build_rules``);
     * ``mirror``, whether the scan prunes by the vertical mirror x -> -x.
       That is sound only when every kind's moveset is left-right
       symmetric, as every standard kind's is: then a pattern's mirror
@@ -349,8 +359,8 @@ class _ScanTables:
     def __init__(self, bounds: SearchBounds,
                  kinds: Sequence[PieceKind]) -> None:
         self.bounds, self.kinds = bounds, tuple(kinds)
-        orients, decors = _attributes(bounds)
-        self.maps = []
+        self.attributes = orients, decors = _attributes(bounds)
+        self.maps = {}
         for S in (_TRANSLATION,) + _LINEAR_PARTS:
             turn = (lambda o: o.flipped) if S[1] < 0 else (lambda o: o)
             otable = [orients.index(turn(o)) if turn(o) in orients else -1
@@ -358,7 +368,7 @@ class _ScanTables:
             dtable = [decors.index(None if d is None
                                    else (S[0] * d[0], S[1] * d[1]))
                       for d in decors]
-            self.maps.append((S, otable, dtable))
+            self.maps[S] = otable, dtable
         flip = lambda s: frozenset((-dx, dy) for dx, dy in s)
         self.mirror = all(flip(k.moveset.steps) == k.moveset.steps
                           and flip(k.moveset.rides) == k.moveset.rides
@@ -370,6 +380,32 @@ class _ScanTables:
             return tuple(index.setdefault(x, len(index)) for x in moves)
         self.ids = [[ids(k.oriented(o)) for o in orients] for k in kinds]
         self.moves = tuple(index)
+        self.rules: dict[tuple, tuple] = {}
+
+    def build_rules(self, signature: tuple) -> tuple:
+        """The judge's rules on the cell sets whose self-maps have this
+        signature (``_FormJudge``): the actions of the orbit, of the
+        translations other than the identity and, with their roles, of the
+        maps that have one; and an empty dict, for ``assignments`` to keep
+        one flag per assignment index and group."""
+        orbit, translations, roles = [], [], []
+        for S, perm, role in signature:
+            otable, dtable = self.maps[S]
+            n, source = len(perm), [0] * len(perm)
+            for i, k in enumerate(perm):
+                source[k] = i
+            action = ([(i, otable) for i in source]
+                      + [(n + i, dtable) for i in source])
+            if S == _TRANSLATION:
+                if role:  # not the identity
+                    translations.append(action)
+                    orbit.append(action)
+                continue
+            if S == _X_MIRROR and self.mirror:
+                orbit.append(action)
+            if role:
+                roles.append((role, action))
+        return orbit, translations, roles, {}
 
 
 class _MoveRows:
@@ -443,33 +479,25 @@ class _FormJudge:
     * Group: on its own period, the pattern's symmetries are the self-maps
       that fix a, with their roles (``symmetry._role``).
 
-    ``assignments`` applies these rules to every assignment of the cell
-    set in one call.
+    These rules depend only on the cell set's signature: each self-map's
+    S, its permutation of the cells and its role (for a translation,
+    whether it is not the identity).  The scan keeps one set of rules per
+    signature (``_ScanTables.rules``), which the judges of its cell sets
+    share: the P1 benchmark scan's 378 cell sets have 30 signatures.
+    ``assignments`` applies the rules to every assignment of the cell set
+    in one call, and keeps what they give per group as one flag per
+    assignment index for the next cell set of the signature.
     """
 
     def __init__(self, tables: _ScanTables, t: Vec, cells: list[Vec]) -> None:
-        n = len(cells)
-        self.bounds, self.n = tables.bounds, n
-        self.orbit: list = []
-        self.translations: list = []
-        self.roles: list[tuple[str, list]] = []
-        for S, otable, dtable in tables.maps:
-            for o, perm in self_maps(t, cells, S):
-                source = [0] * n
-                for i, k in enumerate(perm):
-                    source[k] = i
-                action = ([(i, otable) for i in source]
-                          + [(n + i, dtable) for i in source])
-                if S == _TRANSLATION:
-                    if o != (0, 0):
-                        self.translations.append(action)
-                        self.orbit.append(action)
-                    continue
-                if S == _X_MIRROR and tables.mirror:
-                    self.orbit.append(action)
-                role, _ = _role(S, o, t)
-                if role:
-                    self.roles.append((role, action))
+        self.bounds, self.n = tables.bounds, len(cells)
+        signature = tuple(
+            (S, perm, o != (0, 0) if S == _TRANSLATION else _role(S, o, t)[0])
+            for S in tables.maps for o, perm in self_maps(t, cells, S))
+        rules = tables.rules.get(signature)
+        if rules is None:
+            rules = tables.rules[signature] = tables.build_rules(signature)
+        self.orbit, self.translations, self.roles, self._passed = rules
 
     def first_of_orbit(self, a: tuple[int, ...]) -> bool:
         return all(_image(action, a) >= a for action in self.orbit)
@@ -491,22 +519,26 @@ class _FormJudge:
         """The assignments, in enumeration order, that are first of their
         orbit and, with a ``group``, have a period that is not redundant
         and that group.  A cell set whose only self-map is the identity
-        passes every assignment, all of group p1, unread."""
+        passes every assignment, all of group p1, unread; the flags of any
+        other are judged once per signature and group."""
         every = _assignment_indices(self.bounds, self.n)
         if not (self.orbit or self.translations or self.roles):
             return every if group in (None, FriezeGroup.P1) else ()
-        if group is None:
-            return filter(self.first_of_orbit, every)
-        return (a for a in every
-                if self.first_of_orbit(a) and not self.period_redundant(a)
-                and self.group(a) is group)
+        flags = self._passed.get(group)
+        if flags is None:
+            flags = self._passed[group] = bytes(
+                self.first_of_orbit(a) and (group is None or (
+                    not self.period_redundant(a) and self.group(a) is group))
+                for a in every)
+            every = _assignment_indices(self.bounds, self.n)
+        return itertools.compress(every, flags)
 
 
 class _CellSet:
     """A cell set that a scan keeps, with its forms' orbit, period and
-    group verdicts (``judge``) and, for the forms whose period is not
-    redundant, their verdict for each column k, the scan's kind
-    ``tables.kinds[k]``.
+    group verdicts (``judge``, on the rules its signature shares) and, for
+    the forms whose period is not redundant, their verdict for each column
+    k, the scan's kind ``tables.kinds[k]``.
 
     Such a form has the cells and period of its canonical all-king pattern
     (the cell set's cells, sorted), so one ``KernelGeometry``, built when
@@ -523,7 +555,8 @@ class _CellSet:
     ``verdict`` judges it.  Decorations never change control, so the masks
     are memoized by the orientations.  ``matches`` stops at the first
     column that misses; a form that matches has every column's mask, and
-    ``statuses`` reads them.
+    ``statuses`` reads them, each spelled out once per mask by the
+    geometry's memoized ``status``.
     """
 
     def __init__(self, rows: _MoveRows, cells: list[Vec]) -> None:
@@ -537,7 +570,8 @@ class _CellSet:
         self._left = [{} for _ in self.tables.kinds]
 
     def form(self, a: tuple[int, ...]) -> Form:
-        return _form(self.tables.bounds, self.t, self.cells, a)
+        return _form(self.tables.bounds, self.t, self.cells, a,
+                     self.tables.attributes)
 
     def _build(self) -> None:
         g = self.geometry = KernelGeometry(self.t, tuple(sorted(self.cells)))
@@ -695,7 +729,13 @@ def find_crystal(group: FriezeGroup, target: Mapping[PieceKind, bool],
     def report(cell_set: _CellSet, a: tuple[int, ...]) -> CrystalReport:
         form = cell_set.form(a)
         details = cell_set.statuses(a)
-        return CrystalReport(form, form.instantiate(KING), group,
+        # canonical as built: the cells are distinct classes mod t (sorted,
+        # as canonicalize sorts pieces), t has canonical sign and a group
+        # scan skips the forms of redundant period
+        pattern = PeriodicPattern(tuple(PlacedPiece(c, KING, o, d)
+                                        for c, o, d in sorted(form.cells)),
+                                  form.t)
+        return CrystalReport(form, pattern, group,
                              {k: s.satisfies for k, s in details.items()},
                              details)
     return _find(bounds, target, group, limit, report)

@@ -14,7 +14,7 @@ from shogi_frieze import (BISHOP, GOLD, KING, KNIGHT, LANCE, PAWN, ROOK,
 from shogi_frieze.control import KernelGeometry, _move_control
 from shogi_frieze.geometry import canonical_sign, reduce_cell
 from shogi_frieze.oracle import _verdict_from_parts
-from shogi_frieze.pattern import Form, PatternError
+from shogi_frieze.pattern import Form, PatternError, canonicalize
 from shogi_frieze.pieces import (chess_knight_moveset, reverse_chariot_moveset,
                                  sideways_silver_moveset)
 from shogi_frieze.search import (EXPECTED_TABLE, KIND_COLUMNS, ROW_ORDER,
@@ -443,11 +443,14 @@ def test_p1_scan_builds_one_geometry_per_cell_set(monkeypatch):
     # and 1 222 with every translation), and the P11G scan generates the
     # 179 combinations that a glide sends onto themselves, of which the
     # position test leaves 81 to ``_has_roles`` and the cell key (4 283
-    # and 1 931 filtering every combination) and 36 to judge.  The reports
-    # are what a fresh geometry on each report's form gives.
+    # and 1 931 filtering every combination) and 36 to judge.  The judges
+    # share one set of rules per self-map signature (``_FormJudge``): the
+    # P1 scan builds 30 for its 378 cell sets, the P11G scan 11 for its
+    # 36.  The reports are what a fresh geometry on each report's form
+    # gives.
     counts = dict.fromkeys(("geometry", "flood", "matches", "uncontrolled",
                             "rows", "reach", "position", "roles",
-                            "cell_key", "judge"), 0)
+                            "cell_key", "judge", "rules"), 0)
 
     def counted(owner, name, key):
         original = getattr(owner, name)
@@ -466,17 +469,19 @@ def test_p1_scan_builds_one_geometry_per_cell_set(monkeypatch):
     counted(search, "_has_roles", "roles")
     counted(search, "_cell_key", "cell_key")
     counted(search, "_FormJudge", "judge")
+    counted(_ScanTables, "build_rules", "rules")
     scans = {
         FriezeGroup.P1: (dict.fromkeys(KIND_COLUMNS, False),
                          SearchBounds(3, (3, 3), 3),
                          dict(geometry=339, flood=9, matches=2_166,
                               uncontrolled=3_829, rows=97, reach=0,
-                              position=1_725, cell_key=724),
+                              position=1_725, cell_key=724, judge=378,
+                              rules=30),
                          182),
         FriezeGroup.P11G: ({k: k is KING for k in KIND_COLUMNS},
                            SearchBounds(4, (4, 3), 4),
                            dict(flood=8, position=179, roles=81, cell_key=81,
-                                judge=36, rows=19, reach=0),
+                                judge=36, rows=19, reach=0, rules=11),
                            15),
     }
     for group, (target, bounds, expected, n) in scans.items():
@@ -486,6 +491,40 @@ def test_p1_scan_builds_one_geometry_per_cell_set(monkeypatch):
         assert {k: counts[k] for k in expected} == expected, (group, counts)
         for r in reports:
             assert r.details == ncc_vector(r.form, target), r.form
+
+
+@pytest.mark.parametrize("bounds", [
+    SearchBounds(3, (3, 3), 3),
+    SearchBounds(2, (2, 2), 2, allow_decorations=True),
+    SearchBounds(2, (2, 3), 4),
+    SearchBounds(3, (2, 2), 5),
+], ids=["p1", "decorated", "tall", "diagonal"])
+def test_reports_are_canonical_with_fresh_statuses(bounds):
+    # A crystal report builds its pattern from the cell set's classes and
+    # t without ``canonicalize``, and reads its statuses off the cell set's
+    # geometry, which memoizes them by mask.  Per group, every form the
+    # scan yields is reported under its own vector, exactly once; each
+    # report's pattern must be its form's canonical all-king pattern and
+    # its details the statuses of a fresh ``ncc_vector``.  Every group has
+    # forms in each of these spaces.
+    for group in ROW_ORDER:
+        expected, targets = {}, []
+        for cell_set, a in _scan(bounds, KIND_COLUMNS, group):
+            form = cell_set.form(a)
+            expected[form] = ncc_vector(form, KIND_COLUMNS)
+            vector = {k: s.satisfies for k, s in expected[form].items()}
+            if vector not in targets:
+                targets.append(vector)
+        reported = []
+        for target in targets:
+            for r in find_crystal(group, target, bounds):
+                assert r.pattern == r.form.instantiate(KING), r.form
+                assert canonicalize(r.pattern) == r.pattern, r.form
+                assert r.details == expected[r.form], r.form
+                reported.append(r.form)
+        assert sorted(reported, key=repr) == sorted(expected, key=repr), \
+            group
+        assert expected, group
 
 
 @pytest.mark.parametrize("t", [(34, 0), (33, -1), (0, 34)])
