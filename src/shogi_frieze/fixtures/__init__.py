@@ -1,8 +1,9 @@
 """Committed crystal fixtures: one pattern file per frieze group."""
 
-from importlib.resources import files
 from pathlib import Path
 
 
 def crystals_dir() -> Path:
-    return Path(str(files("shogi_frieze") / "fixtures" / "crystals"))
+    # next to this file; importlib.resources would cost a cold `table` or
+    # `fragility` its import
+    return Path(__file__).parent / "crystals"

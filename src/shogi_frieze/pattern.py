@@ -58,6 +58,11 @@ class PeriodicPattern:
     pieces: tuple[PlacedPiece, ...]
     t: Vec
 
+    # Set on the patterns ``canonicalize`` returns, so that it returns them
+    # unchanged.  Not a field: it is not a constructor argument, and not
+    # part of equality, hash or repr; ``dataclasses.replace`` drops it.
+    _canonical = False
+
     def class_map(self) -> dict[Vec, PlacedPiece]:
         return {p.cell: p for p in self.pieces}
 
@@ -91,7 +96,13 @@ def _minimal_period(by_class: dict[Vec, PlacedPiece], t: Vec) -> Vec:
 
 
 def canonicalize(p: PeriodicPattern) -> PeriodicPattern:
-    """Reduce motif cells, fix t's sign, and shrink t to the minimal period."""
+    """Reduce motif cells, fix t's sign, and shrink t to the minimal period.
+
+    A pattern this returned is marked, and returned at once when given
+    again; a pattern built directly is not, and is canonicalized.
+    """
+    if p._canonical:
+        return p
     if not p.pieces:
         raise PatternError("empty motif")
     t = canonical_sign(p.t)
@@ -117,7 +128,9 @@ def canonicalize(p: PeriodicPattern) -> PeriodicPattern:
         t = v
         by_class = reduce_all(by_class.values(), t)
 
-    return PeriodicPattern(tuple(sorted(by_class.values(), key=_sort_key)), t)
+    q = PeriodicPattern(tuple(sorted(by_class.values(), key=_sort_key)), t)
+    object.__setattr__(q, "_canonical", True)
+    return q
 
 
 def dual(p: PeriodicPattern) -> PeriodicPattern:
@@ -310,7 +323,7 @@ def parse(text: str) -> PeriodicPattern:
 
 def serialize(p: PeriodicPattern) -> str:
     """Canonical text form; byte-stable for golden tests (LF endings)."""
-    p = canonicalize(p)
+    p = canonicalize(p)  # at once for a pattern canonicalize returned
     xs = [c[0] for c in p.cells()]
     ys = [c[1] for c in p.cells()]
     x0, x1 = min(xs), max(xs)

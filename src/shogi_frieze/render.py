@@ -10,8 +10,9 @@ SVG: one cell is 32 units, the y axis is flipped at emission time, and
 fills, grid and control marks are emitted row by row from the top, then
 the pieces in sorted cell order, so output bytes are stable.
 
-Both formats share one pass over the view box (``_cells``) that reduces
-each cell once and decides each class's look once.
+Both formats share one row-major pass over the view box (``_rows``) that
+reduces each cell once and decides each class's look once; svg writes each
+row's grid in one join and each fill and mark from per-row text.
 """
 
 from __future__ import annotations
@@ -76,25 +77,27 @@ def _view(p: PeriodicPattern, spec: RenderSpec) -> tuple[int, int, int, int]:
     return x0, x1, y0, y1
 
 
-def _cells(p: PeriodicPattern, box: tuple[int, int, int, int],
-           look: Callable[[Vec, Optional[PlacedPiece]], Any],
-           ) -> Iterator[tuple[int, int, Any]]:
-    """The cells of ``box`` row by row from the top, as ``(x, y, look)``.
-    A cell's look is ``look(cls, piece)`` of its class and the piece on
-    that class (or None), never None itself, and is called once per class:
-    every cell of a class looks the same."""
+def _rows(p: PeriodicPattern, box: tuple[int, int, int, int],
+          look: Callable[[Vec, Optional[PlacedPiece]], Any],
+          ) -> Iterator[list]:
+    """The rows of ``box`` from the top, each the list of its cells' looks
+    from the left.  A cell's look is ``look(cls, piece)`` of its class and
+    the piece on that class (or None), never None itself, and is called
+    once per class: every cell of a class looks the same."""
     (tx, ty), (x0, x1, y0, y1) = p.t, box
     tt = tx * tx + ty * ty
     by_class = p.class_map()
     looks = {}
     for y in range(y1, y0 - 1, -1):
+        row = []
         for x in range(x0, x1 + 1):
             n = (x * tx + y * ty) // tt  # reduce_cell, written out
             cls = (x - n * tx, y - n * ty)
             v = looks.get(cls)
             if v is None:
                 v = looks[cls] = look(cls, by_class.get(cls))
-            yield x, y, v
+            row.append(v)
+        yield row
 
 
 def _layers(p: PeriodicPattern, spec: RenderSpec):
@@ -131,7 +134,7 @@ def _escape(text: str) -> str:
 
 
 def render_ascii(p: PeriodicPattern, spec: RenderSpec) -> str:
-    x0, x1, _, _ = box = _view(p, spec)
+    box = _view(p, spec)
     show_pieces, nbhd, regions, ctrl = _layers(p, spec)
 
     def look(cls: Vec, piece: Optional[PlacedPiece]) -> str:
@@ -143,10 +146,7 @@ def render_ascii(p: PeriodicPattern, spec: RenderSpec) -> str:
             return first + _REGION_LETTER[regions[cls]]
         return first + ("n" if cls in nbhd else ".")
 
-    tokens = [token for _, _, token in _cells(p, box, look)]
-    width = x1 - x0 + 1
-    return "".join(" ".join(tokens[i:i + width]) + "\n"
-                   for i in range(0, len(tokens), width))
+    return "".join([" ".join(row) + "\n" for row in _rows(p, box, look)])
 
 
 def _piece_path(x: int, y: int, up: bool) -> str:
@@ -168,7 +168,10 @@ def render_svg(p: PeriodicPattern, spec: RenderSpec) -> str:
         else:
             fill = "#e6e6e6" if cls in nbhd else None
         mark = ctrl is not None and ctrl.contains(cls)
-        return fill, mark, piece if show_pieces else None
+        if not show_pieces or piece is None:
+            return fill, mark, None
+        return fill, mark, (piece.orientation is Orientation.UP,
+                            _escape(_letter(piece)), piece.decoration)
 
     width = (x1 - x0 + 1) * CELL
     height = (y1 - y0 + 1) * CELL
@@ -178,31 +181,44 @@ def render_svg(p: PeriodicPattern, spec: RenderSpec) -> str:
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
     ]
+    # each cell's x (and circle centre) as text, once for every row
+    xs = [str(j * CELL) for j in range(x1 - x0 + 1)]
+    cxs = [str(j * CELL + 16) for j in range(x1 - x0 + 1)]
     grid, marks, hits = [], [], []
-    for cx, cy, (fill, mark, piece) in _cells(p, box, look):
-        x, y = (cx - x0) * CELL, (y1 - cy) * CELL
-        if fill:
-            out.append(f'<rect x="{x}" y="{y}" width="{CELL}" '
-                       f'height="{CELL}" fill="{fill}"/>')
-        grid.append(f'<rect x="{x}" y="{y}" width="{CELL}" height="{CELL}" '
-                    f'fill="none" stroke="#999999" stroke-width="1"/>')
-        if mark:
-            marks.append(f'<circle cx="{x + 16}" cy="{y + 16}" r="9" '
-                         f'fill="#2e8b57" fill-opacity="0.75"/>')
-        if piece is not None:
-            hits.append((cx, cy, piece))
+    for i, row in enumerate(_rows(p, box, look)):
+        y = i * CELL
+        edge = (f'" y="{y}" width="{CELL}" height="{CELL}" fill="none" '
+                f'stroke="#999999" stroke-width="1"/>')
+        grid.append('<rect x="' + (edge + '\n<rect x="').join(xs) + edge)
+        # a row's fill and mark tails are built when it first needs them
+        tails, mark_tail = {}, None
+        for j, (fill, mark, piece) in enumerate(row):
+            if fill:
+                tail = tails.get(fill)
+                if tail is None:
+                    tail = tails[fill] = (f'" y="{y}" width="{CELL}" '
+                                          f'height="{CELL}" fill="{fill}"/>')
+                out.append('<rect x="' + xs[j] + tail)
+            if mark:
+                if mark_tail is None:
+                    mark_tail = (f'" cy="{y + 16}" r="9" fill="#2e8b57" '
+                                 f'fill-opacity="0.75"/>')
+                marks.append('<circle cx="' + cxs[j] + mark_tail)
+            if piece is not None:
+                hits.append((j, i, piece))
     out += grid
     out += marks
-    for cx, cy, piece in sorted(hits, key=lambda hit: hit[:2]):
-        x, y = (cx - x0) * CELL, (y1 - cy) * CELL
-        up = piece.orientation is Orientation.UP
+    # pieces in sorted cell order: by x, then by y from the bottom
+    for j, i, (up, letter, deco) in sorted(hits,
+                                           key=lambda h: (h[0], -h[1])):
+        x, y = j * CELL, i * CELL
         out.append(f'<path d="{_piece_path(x, y, up)}" fill="#f7e7c3" '
                    f'stroke="#5a4632" stroke-width="1.5"/>')
         out.append(f'<text x="{x + 16}" y="{y + 21}" font-size="13" '
                    f'font-family="sans-serif" text-anchor="middle" '
-                   f'fill="#1a1a1a">{_escape(_letter(piece))}</text>')
-        if piece.decoration is not None:
-            dx, dy = piece.decoration
+                   f'fill="#1a1a1a">{letter}</text>')
+        if deco is not None:
+            dx, dy = deco
             out.append(f'<line x1="{x + 16}" y1="{y + 16}" '
                        f'x2="{x + 16 + 10 * dx}" y2="{y + 16 - 10 * dy}" '
                        f'stroke="#b22222" stroke-width="2"/>')

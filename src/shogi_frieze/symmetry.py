@@ -225,7 +225,8 @@ def detect_symmetries(p: PeriodicPattern) -> SymmetryFlags:
     each piece onto its image (``_carries``), and is named and listed by
     ``_role``.  The cost depends on the motif only, not on |t|.
     """
-    # a PeriodicPattern built directly need not be canonical
+    # a PeriodicPattern built directly need not be canonical; one that
+    # canonicalize returned (from parse, make_pattern) comes back at once
     p = canonicalize(p)
     t, pieces, cells = p.t, p.pieces, p.cells()
     witnesses: list[Isometry] = []

@@ -377,6 +377,21 @@ def test_import_loads_no_network_modules():
     assert network == []
 
 
+def test_crystals_dir_loads_no_importlib_resources():
+    # under -S no site .pth file imports anything first; the fixtures'
+    # directory is found next to the package, not through the import system
+    code = ("import sys; from shogi_frieze.fixtures import crystals_dir; "
+            "d = crystals_dir(); "
+            "print(len(list(d.glob('*.pattern'))), "
+            "any(m.startswith('importlib.resources') for m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(shogi_frieze.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["7", "False"]
+
+
 _USAGE = ("usage: shogi-frieze [-h]\n"
           "                    {classify,ncc,control,table,render,search,"
           "fragility} ...\n")

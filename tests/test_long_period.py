@@ -15,10 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from shogi_frieze import (BISHOP, KING, LANCE, ROOK, STANDARD_KINDS,
                           FriezeGroup, Isometry, IsometryKind, PatternError,
-                          PlacedPiece, canonicalize, classify_frieze,
-                          control_of_pattern, detect_symmetries, dual,
-                          generate_from_recipe, make_pattern,
-                          partition_neighborhood, ncc_status, oracle)
+                          PeriodicPattern, PlacedPiece, canonicalize,
+                          classify_frieze, control_of_pattern,
+                          detect_symmetries, dual, generate_from_recipe,
+                          make_pattern, partition_neighborhood, ncc_status,
+                          oracle)
 from shogi_frieze import control
 from shogi_frieze.control import (Segment, _move_control, _occupied_band,
                                   _ride)
@@ -419,3 +420,4 @@ def test_vertical_translations_get_mirrors_and_glides():
         Isometry((-1, 1), (1, 1)),)
     assert apply(Isometry((-1, 1), (1, 1)), glide) == glide
     assert canonicalize(glide) == glide
+    assert canonicalize(PeriodicPattern(glide.pieces, glide.t)) == glide

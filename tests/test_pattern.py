@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from dataclasses import replace
 
@@ -6,12 +8,14 @@ import pytest
 from shogi_frieze import (KING, LANCE, PAWN, ROOK, STANDARD_KINDS,
                           InconsistentMotifError, ParseError, PatternError,
                           PeriodicPattern, PieceKind, PlacedPiece,
-                          canonicalize, classify_frieze, dual, make_pattern,
-                          moveset, ncc_status, oracle, parse, serialize)
+                          canonicalize, classify_frieze, detect_symmetries,
+                          dual, make_pattern, moveset, ncc_status, oracle,
+                          parse, serialize)
 from shogi_frieze.cli import main as cli_main
 from shogi_frieze.geometry import canonical_sign, reduce_cell
 from shogi_frieze.pattern import form_of
 from shogi_frieze.pieces import reverse_chariot_moveset
+from shogi_frieze.render import RenderSpec, render
 from conftest import DOWN, UP, FIXTURE_DIR, piece, random_pattern
 
 
@@ -53,6 +57,62 @@ def test_canonicalize_reduced_and_unreduced_pieces():
 def test_canonicalize_idempotent():
     p = make_pattern([piece((0, 0)), piece((1, 2), DOWN)], (3, 1))
     assert canonicalize(p) == p
+    # p is marked and returned at once; its unmarked copy is worked out
+    assert canonicalize(PeriodicPattern(p.pieces, p.t)) == p
+
+
+def _marked_patterns():
+    """Patterns that ``canonicalize`` returned: one from ``parse``, one
+    from ``make_pattern``."""
+    return [parse((FIXTURE_DIR / "p11g.pattern").read_text("utf-8")),
+            make_pattern([piece((4, 1), decoration=(1, 1)),
+                          piece((-1, 0), DOWN, PAWN)], (3, 0))]
+
+
+def test_canonicalize_returns_a_marked_pattern_unchanged():
+    for q in _marked_patterns():
+        assert canonicalize(q) is q
+        # the mark is in neither equality, hash nor repr
+        unmarked = PeriodicPattern(q.pieces, q.t)
+        assert canonicalize(unmarked) is not unmarked
+        assert unmarked == q and hash(unmarked) == hash(q)
+        assert repr(unmarked) == repr(q)
+        for twin in (pickle.loads(pickle.dumps(q)), copy.copy(q),
+                     copy.deepcopy(q)):
+            assert twin == q and hash(twin) == hash(q)
+            assert canonicalize(twin) == q
+
+
+def test_unmarked_patterns_come_out_canonical():
+    # Each pattern is not canonical, and is given twice to every step that
+    # canonicalizes, so that a mark set on it by one call (rather than on
+    # the pattern canonicalize returns) would show in a later one.  The
+    # expected patterns are written out, not computed.
+    q = make_pattern([piece((0, 0)), piece((1, 0), DOWN, PAWN)], (3, 0))
+    cases = [
+        (replace(q, t=(-3, 0)), q.pieces, (3, 0)),
+        (PeriodicPattern((piece((7, 1)), piece((-4, 0), kind=PAWN)), (3, 0)),
+         (piece((1, 1)), piece((2, 0), kind=PAWN)), (3, 0)),
+        (PeriodicPattern((piece((0, 0), kind=ROOK), piece((0, 1), DOWN)),
+                         (-2, 1)),
+         (piece((0, 0), kind=ROOK), piece((2, 0), DOWN)), (2, -1)),
+        (PeriodicPattern((piece((0, 0), decoration=(0, 1)),
+                          piece((1, 0), kind=PAWN),
+                          piece((2, 0), decoration=(0, 1)),
+                          piece((3, 0), kind=PAWN)), (4, 0)),
+         (piece((0, 0), decoration=(0, 1)), piece((1, 0), kind=PAWN)),
+         (2, 0)),
+    ]
+    spec = RenderSpec("svg", ("pieces", "partition", "control"), 2)
+    for p, pieces, t in cases:
+        want = PeriodicPattern(pieces, t)
+        assert p != want
+        for _ in range(2):
+            got = canonicalize(p)
+            assert (got.pieces, got.t) == (pieces, t)
+            assert render(p, spec) == render(want, spec)
+            assert detect_symmetries(p) == detect_symmetries(want)
+            assert serialize(p) == serialize(want)
 
 
 def test_canonicalize_preserves_occupancy():

@@ -8,7 +8,10 @@ that search gave them.  The classify constants are the witnesses and the
 canonical patterns of a seeded sample, as the classifier gave them when
 periods and symmetries were tested piece by piece.  The render constants
 are the ascii and svg pictures of the fixtures and a seeded sample, as
-``render`` drew them when it reduced every cell once per layer.  The
+``render`` drew them when it reduced every cell once per layer; the wide
+render constants (all four layers at 40 periods) and the largest picture
+(the p11g fixture at 8 900 periods, pinned by the sha256 of its bytes) are
+as ``render`` drew them a cell at a time.  The
 control constant is what ``control_of_pattern`` listed, kept as segments
 and kept as free lines for the render sample and long-ride motifs, as it
 gave them when it walked each ride with ``Segment.classes``.  CI runs
@@ -254,6 +257,33 @@ def test_render_output_unchanged(fmt, layers):
     pictures = [render(p, RenderSpec(fmt, tuple(layers.split(",")), periods))
                 for periods in (1, 3) for p in _render_sample()]
     assert _digest(pictures) == RENDER[fmt, layers]
+
+
+# The same sample at 40 periods with all four layers, so that rows are up to
+# 239 cells wide and pictures up to 245 rows tall.
+RENDER_WIDE = {
+    "ascii": "dcb9d3266936d2fd1ef5df3d72c67952373d0d60603a7547978ef5ed10cf535e",
+    "svg": "26031f3c58bce2307bf7ed3e5fe811a1c063c7306d5daaa64d8ac8b052a8309a",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(RENDER_WIDE))
+def test_wide_render_output_unchanged(fmt):
+    spec = RenderSpec(fmt, ("pieces", "neighborhood", "partition", "control"),
+                      40)
+    pictures = [render(p, spec) for p in _render_sample()]
+    assert _digest(pictures) == RENDER_WIDE[fmt]
+
+
+def test_largest_picture_unchanged():
+    # the p11g fixture at 8 900 periods: 35 604 x 7 cells, near MAX_CELLS
+    # (250 000), and 53 843 928 bytes of svg
+    p = _render_sample()[ROW_ORDER.index(FriezeGroup.P11G)]
+    picture = render(p, RenderSpec("svg", ("pieces", "partition", "control"),
+                                   8900)).encode()
+    assert len(picture) == 53_843_928
+    assert hashlib.sha256(picture).hexdigest() == \
+        "a171863a151f597e7ebc89c606adc6587ff37cf0c51224fd467b411dea431290"
 
 
 def _control_sample():
