@@ -116,6 +116,8 @@ def _layers(p: PeriodicPattern, spec: RenderSpec):
 
 
 def render(p: PeriodicPattern, spec: RenderSpec) -> str:
+    # a PeriodicPattern built directly need not be canonical; one that
+    # canonicalize returned (from parse, make_pattern) comes back at once
     p = canonicalize(p)
     if spec.format == "ascii":
         return render_ascii(p, spec)
