@@ -22,23 +22,26 @@ passes on the way, is ``_ride``, the one ride rule: it walks a ride whose
 bound is at most ``_LISTED_MAX`` classes and asks ``_move_control`` about
 a longer one.  It ignores orientations.  A move controls the classes it
 passes and the class it lands on unless an ally, a piece facing the
-mover's way, stands there; each consumer applies that test itself:
+mover's way, stands there:
 
 * ``control_of_pattern`` unions every piece's step targets and rides, on
   the occupied band, into a control set for the CLI and rendering;
-* ``KernelGeometry``, the engine's one verdict judge, turns moves into bit
-  masks over the neighborhood, asking ``_ride`` on the occupied band
-  widened by |tx| + |ty|.  It depends only on the cells and the period:
-  it computes the neighborhood once, base (the occupied classes) first,
-  and memoizes no move.  Given the pieces' orientations and moves,
-  ``uncontrolled`` ORs each side's move masks, less that side's allies,
-  into the mask of what no piece controls; ``verdict``, the one verdict
-  rule, judges that mask, flooding inside from outside only for a mask
-  that needs it, and ``status`` reads the whole status off it.
-  ``ncc_status`` judges the pieces' own kinds on a fresh geometry, and a
-  search judges every form of a cell set on one geometry, with move masks
-  read off its translation's ``_ride`` paths and ``reach`` only for a ride
-  too long to list.  The oracle keeps a rule of its own, on sets.
+* ``KernelGeometry``, the engine's one verdict judge, owns the rule in bit
+  masks over the neighborhood.  It depends only on the cells and the
+  period: it computes the neighborhood once, base (the occupied classes)
+  first, and memoizes no move.  A move's path is where it goes on the
+  empty board (``_path``, ``_ride`` with no pieces); ``mask`` turns a path
+  into the mask of what the move reaches, its bits up to and including the
+  first occupied class, and asks ``_ride`` with the pieces about a ride
+  too long to list.  ``uncontrolled`` ORs each side's per-piece reach masks, takes
+  that side's allies out once and returns what no piece controls;
+  ``verdict``, the one verdict rule, judges that mask, flooding inside
+  from outside only for a mask that needs it, and ``status`` reads the
+  whole status off it.  ``ncc_status`` judges the pieces' own kinds on a
+  fresh geometry (``judge``, with paths on the occupied band widened by
+  |tx| + |ty|), and a search judges every form of a cell set on one
+  geometry, with paths it keeps per translation and masks per move.  The
+  oracle keeps a rule of its own, on sets.
 """
 
 from __future__ import annotations
@@ -341,6 +344,20 @@ def _ride(t: Vec, cells: Sequence[Vec], occupied: Container[Vec],
     return None, classes
 
 
+def _path(t: Vec, band: tuple[int, int], cell: Vec, move: Vec,
+          ride: bool) -> Optional[tuple[Vec, ...]]:
+    """Where a move from ``cell`` goes on the empty board: a step's target
+    class, or the classes a ride passes until its ``cross`` leaves
+    ``band`` (``_ride`` with no pieces); None for a ride too long to list
+    (more than ``_LISTED_MAX`` classes)."""
+    if not ride:  # reduce_cell, written out
+        (tx, ty), x, y = t, cell[0] + move[0], cell[1] + move[1]
+        n = (x * tx + y * ty) // (tx * tx + ty * ty)
+        return ((x - n * tx, y - n * ty),)
+    _, passed = _ride(t, (), (), band, cell, move)
+    return None if isinstance(passed, int) else tuple(passed)
+
+
 def control_of_pattern(p: PeriodicPattern) -> PeriodicCellSet:
     """Classes (and free lines) of all squares the pattern's pieces can
     move to: every step's target and every ride's ``_ride``.  A ride
@@ -384,17 +401,19 @@ class KernelGeometry:
     one geometry judges every pattern on the same cells.
 
     It holds one bit per neighborhood class, the occupied ones first
-    (``base``).  ``reach`` gives the mask of the classes one move of a
-    piece reaches: the empty classes a ride passes or a step lands on, and
+    (``base``), and owns the control rule on those bits.  ``mask`` turns a
+    move's path on the empty board (``_path``) into the mask of what the
+    move reaches: the empty classes a ride passes or a step lands on, and
     the class of the piece it lands on, which it controls only when that
-    piece is an enemy.  The geometry memoizes no move; a search keeps its
-    own move masks per cell set (``search._CellSet``), read off paths it
-    keeps per translation, and asks ``reach`` only about a ride too long
-    to list.  A ride stops where ``_ride`` says, asked on the occupied
-    band widened by |tx| + |ty|, past which no neighborhood class lies.
-    ``uncontrolled`` turns orientations and moves on the pieces into the
-    mask of what no piece controls, ``verdict`` judges that mask, and
-    ``status`` spells it out; ``partition`` is flooded on first use.
+    piece is an enemy.  ``uncontrolled`` takes each piece's class bit, side
+    and reach mask (the OR of its moves' masks), takes each side's allies
+    out of that side's reach once and gives the mask of what no piece
+    controls; ``verdict`` judges that mask, and ``status`` spells it out;
+    ``partition`` is flooded on first use.  The geometry memoizes no move:
+    ``judge`` reads the paths of the pieces' moves on ``band``, the occupied
+    band widened by |tx| + |ty|, past which no neighborhood class lies, and
+    a search keeps its own paths per translation and masks per cell set
+    (``search._CellSet``).
     """
 
     def __init__(self, t: Vec, cells: tuple[Vec, ...]) -> None:
@@ -409,17 +428,23 @@ class KernelGeometry:
         order += [c for c in nbhd if c not in occupied]
         self.bits = {c: 1 << i for i, c in enumerate(order)}
         self.every = (1 << len(order)) - 1
-        self._partition: Optional[dict[Vec, RegionClass]] = None
         self._split: Optional[tuple[int, int]] = None  # inside, outside
-        self._band: Optional[tuple[int, int]] = None  # built on first use
         self._statuses: dict[int, NccStatus] = {}  # by mask
 
-    @property
+    @cached_property
     def partition(self) -> dict[Vec, RegionClass]:
         """The neighborhood's regions, flooded on first use."""
-        if self._partition is None:
-            self._partition = _partition(self.t, self.cells, self.bits)
-        return self._partition
+        return _partition(self.t, self.cells, self.bits)
+
+    @cached_property
+    def band(self) -> tuple[int, int]:
+        """The occupied band widened by |tx| + |ty|, the most a unit step
+        moves ``cross``: past the pieces a free ride still meets
+        neighborhood classes until its ``cross`` leaves it, and none
+        after."""
+        qlo, qhi = _occupied_band(self.cells, self.t)
+        s = abs(self.t[0]) + abs(self.t[1])
+        return qlo - s, qhi + s
 
     def verdict(self, mask: int) -> Verdict:
         """The verdict rule on an uncontrolled mask: 0 is complete, one
@@ -441,28 +466,69 @@ class KernelGeometry:
         return (Verdict.NEARLY_COMPLETE if mask in self._split
                 else Verdict.FAILS)
 
-    def uncontrolled(self, orientations: Sequence[Orientation],
-                     movesets: Sequence[Moveset]) -> int:
-        """The mask of the neighborhood classes that no piece controls, with
-        the i-th piece on ``cells[i]`` facing ``orientations[i]`` and moving
-        by the oriented ``movesets[i]``.  A piece controls what its moves
-        reach except the classes of its allies, the pieces facing its way,
-        so each side's reach is ORed first and its allies taken out once.
-        """
-        reach, bits = self.reach, self.bits
-        reached = [0] * len(_ORIENTATIONS)  # per side
-        allies = [0] * len(_ORIENTATIONS)
+    def mask(self, cell: Vec, move: Vec,
+             path: Optional[Sequence[Vec]]) -> int:
+        """The mask of what ``move`` of the piece on ``cell`` reaches, given
+        its ``path`` on the empty board (``_path``): the bits of the path up
+        to and including its first occupied class.  The path must run at
+        least as far as ``_path`` on ``band`` runs: a wider band adds only
+        classes past it, where no piece or neighborhood class lies.  A ride
+        too long to list there (path None) is asked of ``_ride`` with the
+        pieces, on ``band``: it lists the ride up to its stop when that is
+        short, and otherwise the mask takes each class that ``_steps_to``
+        puts on the ride before its stop."""
+        bits = self.bits
+        if path is None:
+            hit, passed = _ride(self.t, self.cells, self.occupied, self.band,
+                                cell, move)
+            if isinstance(passed, int):
+                mask = bits.get(hit, 0)  # 0 for None
+                for c, bit in bits.items():
+                    k = _steps_to(c, cell, move, self.t)
+                    if k is not None and k <= passed:
+                        mask |= bit
+                return mask
+            path = passed if hit is None else passed + [hit]
+        occupied, mask = self.occupied, 0
+        for c in path:
+            mask |= bits.get(c, 0)
+            if c in occupied:
+                break
+        return mask
+
+    def uncontrolled(self, own: Sequence[int], sides: Sequence[int],
+                     reach: Sequence[Sequence[int]]) -> int:
+        """The mask of the neighborhood classes that no piece controls, the
+        i-th piece standing on the class of bit ``own[i]`` (0 for a class
+        outside the neighborhood), on side ``sides[i]`` (0 or 1), and
+        reaching ``reach[j][i]`` when on side j (only ``j = sides[i]`` is
+        read).  A piece controls what it reaches except the classes of its
+        allies, the pieces on its side, so each side's reach is ORed first
+        and its allies taken out once."""
+        reached, allies = [0, 0], [0, 0]
+        for i, j in enumerate(sides):
+            reached[j] |= reach[j][i]
+            allies[j] |= own[i]
+        return self.every & ~((reached[0] & ~allies[0])
+                              | (reached[1] & ~allies[1]))
+
+    def judge(self, orientations: Sequence[Orientation],
+              movesets: Sequence[Moveset]) -> NccStatus:
+        """The status of the i-th piece on ``cells[i]`` facing
+        ``orientations[i]`` and moving by the oriented ``movesets[i]``:
+        each piece's reach mask read off its moves' paths on ``band``."""
+        t, band, bits, mask = self.t, self.band, self.bits, self.mask
+        own, sides, reached = [], [], []
         for c, o, m in zip(self.cells, orientations, movesets, strict=True):
-            j = _ORIENTATIONS.index(o)
-            allies[j] |= bits.get(c, 0)
+            r = 0
             for move in m.steps:
-                reached[j] |= reach(c, move, False)
+                r |= mask(c, move, _path(t, band, c, move, False))
             for move in m.rides:
-                reached[j] |= reach(c, move, True)
-        controlled = 0
-        for r, a in zip(reached, allies):
-            controlled |= r & ~a
-        return self.every & ~controlled
+                r |= mask(c, move, _path(t, band, c, move, True))
+            own.append(bits.get(c, 0))
+            sides.append(_ORIENTATIONS.index(o))
+            reached.append(r)
+        return self.status(self.uncontrolled(own, sides, (reached, reached)))
 
     def status(self, mask: int) -> NccStatus:
         """The status of the uncontrolled ``mask``: its verdict, its classes
@@ -482,39 +548,10 @@ class KernelGeometry:
                                                       witness, classes)
         return status
 
-    def reach(self, cell: Vec, move: Vec, ride: bool) -> int:
-        """The mask of what a move of the piece on ``cell`` reaches."""
-        bits, (tx, ty) = self.bits, self.t
-        if not ride:  # reduce_cell, written out
-            x, y = cell[0] + move[0], cell[1] + move[1]
-            n = (x * tx + y * ty) // (tx * tx + ty * ty)
-            return bits.get((x - n * tx, y - n * ty), 0)
-        # Past the pieces a free ride still meets neighborhood classes until
-        # its ``cross`` leaves their band, and none after.  That band is the
-        # occupied one widened by |tx| + |ty|, the most a unit step moves
-        # ``cross``.
-        if self._band is None:
-            qlo, qhi = _occupied_band(self.cells, self.t)
-            s = abs(tx) + abs(ty)
-            self._band = qlo - s, qhi + s
-        hit, passed = _ride(self.t, self.cells, self.occupied, self._band,
-                            cell, move)
-        mask = bits.get(hit, 0)  # 0 for None
-        if isinstance(passed, int):  # too long to walk: test each class
-            for c, bit in bits.items():
-                k = _steps_to(c, cell, move, self.t)
-                if k is not None and k <= passed:
-                    mask |= bit
-            return mask
-        for c in passed:
-            mask |= bits.get(c, 0)
-        return mask
-
 
 def ncc_status(p: PeriodicPattern) -> NccStatus:
     """Verdict of the neighborhood control conditions for the pattern's own
     kinds (see ``KernelGeometry.verdict`` for the rule)."""
-    g = KernelGeometry(p.t, p.cells())
-    return g.status(g.uncontrolled(
+    return KernelGeometry(p.t, p.cells()).judge(
         [x.orientation for x in p.pieces],
-        [x.kind.oriented(x.orientation) for x in p.pieces]))
+        [x.kind.oriented(x.orientation) for x in p.pieces])

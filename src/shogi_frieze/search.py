@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .control import (KernelGeometry, NccStatus, RegionClass, Verdict,
-                      _occupied_band, _ride, ncc_status)
+                      _occupied_band, _path, ncc_status)
 from .geometry import UNIT_DIRS, Vec, canonical_sign, reduce_cell, self_maps
 from .pattern import (Form, PatternError, PeriodicPattern, PlacedPiece,
                       form_of)
@@ -126,8 +126,7 @@ def ncc_vector(form: Form, kinds: Iterable[PieceKind] = KIND_COLUMNS,
     p = form.instantiate(KING)
     g = KernelGeometry(p.t, p.cells())
     orients = [x.orientation for x in p.pieces]
-    return {k: g.status(g.uncontrolled(orients,
-                                       [k.oriented(o) for o in orients]))
+    return {k: g.judge(orients, [k.oriented(o) for o in orients])
             for k in kinds}
 
 
@@ -411,21 +410,11 @@ class _ScanTables:
 class _MoveRows:
     """Where the scan's moves (``_ScanTables.moves``) go from the classes
     of one translation's pool, whatever the cell set: per class a row with
-    one path per move id, built the first time a cell set needs it.
-
-    * A step's path is its target class.
-    * A ride's path is the classes it passes with no class occupied
-      (``control._ride``), on the band of the pool's classes widened by
-      |tx| + |ty|; None when that ride is too long to list (more than
-      ``_LISTED_MAX`` classes).
-
-    On a cell set of pool classes a move reaches its path up to and
-    including the first occupied class, which is what
-    ``KernelGeometry.reach`` gives.  The cell set's own band, widened so,
-    holds its neighborhood and pieces, and the wider band adds only
-    classes past it, where neither lies; a ride parallel to t comes back
-    to its own, occupied class.  A move whose path is None is asked of
-    ``KernelGeometry.reach``.
+    each move id's path on the empty board (``control._path``), built the
+    first time a cell set needs it, on the band of the pool's classes
+    widened by |tx| + |ty|.  A cell set's own band, widened so, holds its
+    neighborhood and pieces, so its geometry's ``mask`` reads each move's
+    mask off these paths; the wider band adds only classes past it.
     """
 
     def __init__(self, tables: _ScanTables, t: Vec,
@@ -446,15 +435,9 @@ class _MoveRows:
         return row
 
     def _build(self, cls: Vec) -> list[Optional[tuple[Vec, ...]]]:
-        t, band, row = self.t, self.band, []
-        for move, ride in self.tables.moves:
-            if not ride:
-                row.append((reduce_cell((cls[0] + move[0],
-                                         cls[1] + move[1]), t),))
-                continue
-            _, passed = _ride(t, (), (), band, cls, move)
-            row.append(None if isinstance(passed, int) else tuple(passed))
-        return row
+        t, band = self.t, self.band
+        return [_path(t, band, cls, move, ride)
+                for move, ride in self.tables.moves]
 
 
 class _FormJudge:
@@ -541,22 +524,19 @@ class _CellSet:
     k, the scan's kind ``tables.kinds[k]``.
 
     Such a form has the cells and period of its canonical all-king pattern
-    (the cell set's cells, sorted), so one ``KernelGeometry``, built when
-    the first column is judged, serves them all.  Each piece has one flat
-    list of move masks, indexed by the scan's move ids (``_ScanTables``)
-    and filled on first need from its class's row of the translation's
-    paths (``_MoveRows``): the bits of a path up to and including its
-    first occupied class, or the geometry's ``reach`` for a ride too long
-    to list.  A kind's reach mask per piece and orientation is the OR of
-    its moves' masks, built when a form first needs it.  Per column, a
-    form ORs the reach masks of the pieces facing each way and takes that
-    side's allies (the pieces facing the same way) out once; what that
-    leaves of the neighborhood is uncontrolled, and the geometry's
-    ``verdict`` judges it.  Decorations never change control, so the masks
-    are memoized by the orientations.  ``matches`` stops at the first
-    column that misses; a form that matches has every column's mask, and
-    ``statuses`` reads them, each spelled out once per mask by the
-    geometry's memoized ``status``.
+    (the cell set's cells, sorted), so one ``KernelGeometry`` on the sorted
+    cells, built when the first column is judged, serves them all.  The
+    cell set keeps only caches for it: per piece, the mask of each of the
+    scan's move ids (``_ScanTables``), which the geometry's ``mask`` reads
+    off the piece's class's row of paths (``_MoveRows``) on first need; per
+    kind, each piece's reach mask in each orientation, the OR of its moves'
+    masks, built when a form first needs that kind; and per kind, the mask
+    the geometry's ``uncontrolled`` leaves with the pieces facing each
+    orientation assignment, which the geometry's ``verdict`` judges.
+    Decorations never change control, so the masks are memoized by the
+    orientations.  ``matches`` stops at the first column that misses; a
+    form that matches has every column's mask, and ``statuses`` reads them,
+    each spelled out once per mask by the geometry's memoized ``status``.
     """
 
     def __init__(self, rows: _MoveRows, cells: list[Vec]) -> None:
@@ -579,68 +559,43 @@ class _CellSet:
         self._paths = [self.rows.row(c) for c in self.cells]
         # per piece, the mask of each move id (on first use)
         self._moves = [[None] * len(self.tables.moves) for _ in self.cells]
-        # per kind and orientation, each piece's reach mask (on first use)
-        self._reach = [[None] * len(ids) for ids in self.tables.ids]
+        # per kind, each piece's reach mask per orientation (on first use)
+        self._reach = [None] * len(self.tables.kinds)
 
     def _reached(self, ids: tuple[int, ...]) -> list[int]:
         """Each piece's reach mask by the moves ``ids``."""
-        g, moves = self.geometry, self.tables.moves
-        bits, occupied = g.bits, g.occupied
-        out = []
+        g, moves, out = self.geometry, self.tables.moves, []
         for cell, row, masks in zip(self.cells, self._paths, self._moves):
             reached = 0
             for m in ids:
                 mask = masks[m]
                 if mask is None:
-                    path = row[m]
-                    if path is None:
-                        mask = g.reach(cell, *moves[m])
-                    else:
-                        mask = 0
-                        for c in path:
-                            mask |= bits.get(c, 0)
-                            if c in occupied:
-                                break
-                    masks[m] = mask
+                    mask = masks[m] = g.mask(cell, moves[m][0], row[m])
                 reached |= mask
             out.append(reached)
         return out
-
-    def _uncontrolled(self, k: int, os: tuple[int, ...]) -> int:
-        """The mask kinds[k] leaves uncontrolled, the pieces facing os."""
-        if self.geometry is None:
-            self._build()
-        reach = self._reach[k]
-        reached, allies = [0, 0], [0, 0]  # per side
-        for i, j in enumerate(os):
-            masks = reach[j]
-            if masks is None:
-                masks = reach[j] = self._reached(self.tables.ids[k][j])
-            reached[j] |= masks[i]
-            allies[j] |= self._bits[i]
-        return self.geometry.every & ~((reached[0] & ~allies[0])
-                                       | (reached[1] & ~allies[1]))
 
     def verdict(self, k: int, a: tuple[int, ...]) -> Verdict:
         """The verdict of kinds[k] on a's form (its period not redundant)."""
         os, left = a[:len(self.cells)], self._left[k]
         mask = left.get(os)
         if mask is None:
-            mask = left[os] = self._uncontrolled(k, os)
+            if self.geometry is None:
+                self._build()
+            reach = self._reach[k]
+            if reach is None:
+                reach = self._reach[k] = [self._reached(ids)
+                                          for ids in self.tables.ids[k]]
+            mask = left[os] = self.geometry.uncontrolled(self._bits, os,
+                                                         reach)
         return self.geometry.verdict(mask)
 
     def matches(self, a: tuple[int, ...], wanted: Sequence[bool],
                 order: list[int]) -> bool:
         """Whether each kinds[k] satisfies on a's form iff ``wanted[k]``,
-        judged in ``order`` up to the first miss, moved to its front; as
-        ``verdict`` judges each column."""
-        os = a[:len(self.cells)]
+        judged in ``order`` up to the first miss, moved to its front."""
         for i, k in enumerate(order):
-            left = self._left[k]
-            mask = left.get(os)
-            if mask is None:
-                mask = left[os] = self._uncontrolled(k, os)
-            if (self.geometry.verdict(mask) is not Verdict.FAILS) != wanted[k]:
+            if (self.verdict(k, a) is not Verdict.FAILS) != wanted[k]:
                 order.insert(0, order.pop(i))
                 return False
         return True

@@ -7,7 +7,7 @@ from shogi_frieze import (BISHOP, GOLD, KING, KNIGHT, LANCE, PAWN, ROOK,
 from shogi_frieze import control
 from shogi_frieze.control import (_LISTED_MAX, FreeLine, KernelGeometry,
                                   NccStatus, _free_length, _move_control,
-                                  _occupied_band, _steps_to)
+                                  _occupied_band, _path, _steps_to)
 from shogi_frieze.geometry import UNIT_DIRS, reduce_cell
 from shogi_frieze.pattern import PatternError
 from shogi_frieze.search import SearchBounds
@@ -259,11 +259,14 @@ def _reference_reach(g, cell, move, ride, move_control):
 
 def test_reach_matches_a_reference_mask(monkeypatch):
     # Every move of every piece of every geometry of three small spaces,
-    # and hand cases at the edges of the walk: ``reach`` against a mask
-    # built from ``_move_control`` and ``_steps_to``.  A ride whose bound
-    # (``_free_length`` on the occupied band widened by |tx| + |ty|) is at
-    # most ``_LISTED_MAX`` is walked to its stop (``_ride``) without
-    # ``_move_control``; a longer one asks it once.
+    # and hand cases at the edges of the walk: ``mask`` on the move's
+    # empty-board path (``_path`` on the geometry's ``band``, the occupied
+    # band widened by |tx| + |ty|) against a mask built from
+    # ``_move_control`` and ``_steps_to``.  A ride whose bound
+    # (``_free_length`` on that band) is at most ``_LISTED_MAX`` has a
+    # listed path, and its mask asks nothing of ``_move_control``; a longer
+    # one has none, and its mask asks ``_ride`` with the pieces, which asks
+    # ``_move_control`` once.
     move_control = control._move_control
     calls = []
     monkeypatch.setattr(control, "_move_control",
@@ -302,18 +305,22 @@ def test_reach_matches_a_reference_mask(monkeypatch):
         g = KernelGeometry(t, cells)
         qs = [x * t[1] - y * t[0] for x, y in cells]
         s = abs(t[0]) + abs(t[1])
+        assert g.band == (min(qs) - s, max(qs) + s)
         for cell in cells:
             for d in UNIT_DIRS + ((1, 2), (-1, -2)):
+                path = _path(t, g.band, cell, d, False)
                 calls.clear()
-                assert g.reach(cell, d, False) \
+                assert g.mask(cell, d, path) \
                     == _reference_reach(g, cell, d, False, move_control)
+                assert not calls
                 if d not in UNIT_DIRS:
                     continue
+                path = _path(t, g.band, cell, d, True)
                 calls.clear()
-                got = g.reach(cell, d, True)
-                long = _free_length(cell, d, t, min(qs) - s,
-                                    max(qs) + s) > _LISTED_MAX
+                got = g.mask(cell, d, path)
+                long = _free_length(cell, d, t, *g.band) > _LISTED_MAX
                 long_rides += long
+                assert (path is None) == long, (t, cell, d)
                 assert len(calls) == long, (t, cell, d)
                 assert got == _reference_reach(g, cell, d, True,
                                                move_control), (t, cell, d)

@@ -1,5 +1,6 @@
 import itertools
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -433,7 +434,8 @@ def test_p1_scan_builds_one_geometry_per_cell_set(monkeypatch):
     # once, whatever kinds and orientations share the move, off the row of
     # the piece's class in its translation's table of paths (``_MoveRows``):
     # the P1 scan builds 97 rows on 13 translations, the P11G scan 19, and
-    # neither asks ``KernelGeometry.reach`` about a ride too long to list.
+    # neither has a ride too long to list, whose path is None and whose
+    # mask ``KernelGeometry.mask`` asks of ``_ride`` with the pieces.
     # A geometry floods its neighborhood (``_partition``) only for a mask
     # that misses the occupied classes and is neither empty nor all of
     # it: 9 of the P1 scan's 339 geometries, 8 of the P11G scan's 15.  The
@@ -449,7 +451,7 @@ def test_p1_scan_builds_one_geometry_per_cell_set(monkeypatch):
     # 36.  The reports are what a fresh geometry on each report's form
     # gives.
     counts = dict.fromkeys(("geometry", "flood", "matches", "uncontrolled",
-                            "rows", "reach", "position", "roles",
+                            "rows", "long", "position", "roles",
                             "cell_key", "judge", "rules"), 0)
 
     def counted(owner, name, key):
@@ -462,9 +464,14 @@ def test_p1_scan_builds_one_geometry_per_cell_set(monkeypatch):
     counted(KernelGeometry, "__init__", "geometry")
     counted(control, "_partition", "flood")
     counted(_CellSet, "matches", "matches")
-    counted(_CellSet, "_uncontrolled", "uncontrolled")
+    counted(KernelGeometry, "uncontrolled", "uncontrolled")
     counted(_MoveRows, "_build", "rows")
-    counted(KernelGeometry, "reach", "reach")
+    mask = KernelGeometry.mask
+
+    def long_ride(g, cell, move, path):
+        counts["long"] += path is None
+        return mask(g, cell, move, path)
+    monkeypatch.setattr(KernelGeometry, "mask", long_ride)
     counted(search, "_first_translate", "position")
     counted(search, "_has_roles", "roles")
     counted(search, "_cell_key", "cell_key")
@@ -474,14 +481,14 @@ def test_p1_scan_builds_one_geometry_per_cell_set(monkeypatch):
         FriezeGroup.P1: (dict.fromkeys(KIND_COLUMNS, False),
                          SearchBounds(3, (3, 3), 3),
                          dict(geometry=339, flood=9, matches=2_166,
-                              uncontrolled=3_829, rows=97, reach=0,
+                              uncontrolled=3_829, rows=97, long=0,
                               position=1_725, cell_key=724, judge=378,
                               rules=30),
                          182),
         FriezeGroup.P11G: ({k: k is KING for k in KIND_COLUMNS},
                            SearchBounds(4, (4, 3), 4),
                            dict(flood=8, position=179, roles=81, cell_key=81,
-                                judge=36, rows=19, reach=0, rules=11),
+                                judge=36, rows=19, long=0, rules=11),
                            15),
     }
     for group, (target, bounds, expected, n) in scans.items():
@@ -532,16 +539,19 @@ def test_long_rides_match_ncc_status(monkeypatch, t):
     # On these translations a rook's sideways ride, and on (0, 34) a
     # lance's ride along t, passes more than ``control._LISTED_MAX``
     # classes: its row in the translation's table of paths (``_MoveRows``)
-    # does not list it, and its mask is asked of ``KernelGeometry.reach``.
+    # does not list it (its path is None), and ``KernelGeometry.mask`` asks
+    # ``_ride`` with the pieces where it stops.
     # Every form the scan yields there, judged on its cell set, must have
     # the statuses ncc_status gives its own patterns, column by column.
     bounds = SearchBounds(3, (3, 3), max(map(abs, t)))
     kinds = (LANCE, ROOK)
     monkeypatch.setattr(search, "_period_candidates", lambda b: iter([t]))
     calls = []
-    reach = KernelGeometry.reach
-    monkeypatch.setattr(KernelGeometry, "reach",
-                        lambda *args: calls.append(args) or reach(*args))
+    mask = KernelGeometry.mask
+    monkeypatch.setattr(KernelGeometry, "mask",
+                        lambda g, cell, move, path: (path is None
+                                                     and calls.append(move))
+                        or mask(g, cell, move, path))
     judged = asked = 0
     for cell_set, a in _scan(bounds, kinds):
         if cell_set.judge.period_redundant(a):
@@ -555,6 +565,34 @@ def test_long_rides_match_ncc_status(monkeypatch, t):
         asked += len(calls) - before
         judged += 1
     assert judged > 200 and asked > 20, (judged, asked)
+
+
+@pytest.mark.parametrize("orientation", [UP, DOWN], ids=["up", "down"])
+@pytest.mark.parametrize("bounds, n", [
+    (SearchBounds(3, (3, 3), 3), 372),
+    (SearchBounds(2, (2, 2), 2, allow_decorations=True), 1_299),
+], ids=["p1", "decorated"])
+def test_one_orientation_scans_match_ncc_vector(bounds, n, orientation):
+    # A space with one orientation, the CLI ``search`` default, indexes it
+    # as 0 whichever it is: with only Down allowed, a cell set's side 0 is
+    # Down.  Every form of such a scan whose period is not redundant is
+    # judged on its cell set, every column (``matches`` with the wanted
+    # vector of a fresh ``ncc_vector``), and must have ncc_vector's
+    # statuses.
+    bounds = replace(bounds, orientations=frozenset({orientation}))
+    judged = 0
+    for cell_set, a in _scan(bounds, KIND_COLUMNS):
+        if cell_set.judge.period_redundant(a):
+            continue
+        form = cell_set.form(a)
+        assert {o for _, o, _ in form.cells} == {orientation}, form
+        expected = ncc_vector(form)
+        assert cell_set.matches(a, [expected[k].satisfies
+                                    for k in KIND_COLUMNS],
+                                list(range(len(KIND_COLUMNS)))), form
+        assert cell_set.statuses(a) == expected, form
+        judged += 1
+    assert judged == n
 
 
 @pytest.mark.parametrize("bounds, trivial", [
@@ -915,7 +953,7 @@ def test_duality_judges_mixed_kinds_on_their_own_period(monkeypatch):
     king = two.instantiate(KING)
     g = KernelGeometry(king.t, king.cells())
     with pytest.raises(ValueError):  # moves for a pattern of two pieces
-        g.uncontrolled([UP, UP], [ROOK.moveset, GOLD.moveset])
+        g.judge([UP, UP], [ROOK.moveset, GOLD.moveset])
 
     # No small bounds scans the second form before a true pair, so the
     # scan is cut to that form alone; the pair found must hold.
